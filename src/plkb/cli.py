@@ -30,10 +30,10 @@ from .evaluate import (
     run_knowledge_experiment,
     train_kb,
 )
-from .explain import compute_explanation, masked_string
+from .explain import compute_explanation, feature_position, masked_string
 from .direct import active_kb
 from .kb import merge, parse_kb, serialize_kb
-from .lp import build_lp, dump_lp, infer_pos
+from .lp import apply_query, build_lp, dump_lp, infer_pos
 from .tree import build_id3, format_tree, kb_from_tree
 
 
@@ -61,7 +61,10 @@ def _domains_for_kb(path: str, kb) -> dict[str, frozenset[str]]:
     features = sorted({a.feature for a in kb.universe if a.value is not None})
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv_mod.reader(fh)
-        header = next(reader)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise ValueError(f"{path}: empty file") from None
         missing = [f for f in features if f not in header]
         if missing:
             raise ValueError(f"domains file lacks columns {missing}")
@@ -142,8 +145,6 @@ def classify(kb_path, domains_path, query_text, full_kb, dump_path):
     query = parse_query(query_text)
     sub = kb if full_kb else active_kb(query, kb)
     if dump_path:
-        from .lp import apply_query
-
         Path(dump_path).write_text(
             dump_lp(apply_query(build_lp(sub), query, domains)) + "\n", encoding="utf-8"
         )
@@ -178,15 +179,12 @@ def explain(kb_path, domains_path, query_text, k, full_kb):
         "score": expl.score,
         "direction": expl.direction,
     }
-    positions = []
-    for f in query:
-        if f.startswith("a") and f[1:].isdigit():
-            positions.append(int(f[1:]))
-        else:
-            positions = []
-            break
-    if positions and sorted(positions) == list(range(1, len(positions) + 1)):
-        payload["masked"] = masked_string(expl, len(positions))
+    try:
+        positions = sorted(feature_position(f, len(query)) for f in query)
+    except ValueError:
+        positions = []
+    if positions == list(range(1, len(query) + 1)):
+        payload["masked"] = masked_string(expl, len(query))
     _emit(payload)
 
 

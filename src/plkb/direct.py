@@ -97,12 +97,8 @@ def _select_subset_clauses(
     # full scan unless the query is wide relative to the KB.
     if len(index) == len(kb.clauses) and 2 ** len(pairs) <= 8 * len(kb.clauses) + 64:
         selected = []
-        if include_empty:
-            wc = index.get(frozenset())
-            if wc is not None:
-                selected.append(wc)
         ordered = sorted(pairs)
-        for k in range(1, len(pairs) + 1):
+        for k in range(0 if include_empty else 1, len(pairs) + 1):
             for combo in combinations(ordered, k):
                 wc = index.get(frozenset(combo))
                 if wc is not None:
@@ -127,18 +123,6 @@ def relevant_kb(query: Query, kb: KnowledgeBase) -> KnowledgeBase:
     clause and decouples it from the class atom.
     """
     return _select_subset_clauses(query, kb, include_empty=False)
-
-
-def relevant_kb_scan(query: Query, kb: KnowledgeBase) -> KnowledgeBase:
-    """Reference implementation of relevant extraction: scan every clause
-    and keep those whose body is a non-empty subset of the query."""
-    pairs = set(query.items())
-    selected = [
-        wc
-        for wc in kb.clauses
-        if wc.clause.is_rule_shaped and wc.clause.body and wc.clause.body <= pairs
-    ]
-    return KnowledgeBase(selected)
 
 
 def active_kb(query: Query, kb: KnowledgeBase) -> KnowledgeBase:

@@ -106,15 +106,16 @@ def _prepare(config: ExperimentConfig) -> tuple[Dataset, Dataset, KnowledgeBase]
     return train, test, kb
 
 
+def _score(kb: KnowledgeBase, test: Dataset) -> EvalReport:
+    """Classify every test instance and score the labels."""
+    predictions = [classify_query(kb, inst.values).label for inst in test.instances]
+    return f1_score(predictions, [inst.label for inst in test.instances])
+
+
 def run_eval(config: ExperimentConfig) -> EvalReport:
     """balance -> split -> train -> optional knowledge merge -> classify."""
     _, test, kb = _prepare(config)
-    predictions = []
-    labels = []
-    for inst in test.instances:
-        predictions.append(classify_query(kb, inst.values).label)
-        labels.append(inst.label)
-    return f1_score(predictions, labels)
+    return _score(kb, test)
 
 
 @dataclass(frozen=True)
@@ -217,12 +218,7 @@ def run_knowledge_experiment(
     _, test, kb = _prepare(config)
     if extra:
         kb = merge(kb, extra)
-    predictions = []
-    labels = []
-    for inst in test.instances:
-        predictions.append(classify_query(kb, inst.values).label)
-        labels.append(inst.label)
-    return f1_score(predictions, labels)
+    return _score(kb, test)
 
 
 @dataclass(frozen=True)

@@ -71,18 +71,13 @@ def compute_explanation(
     full = evaluate_sub_query(query, kb, domains, use_relevant=use_relevant)
     positive = full.label
 
-    best: tuple[float, str] | None = None
-    best_sub: dict[str, str] | None = None
-    best_score = 0.0
-    for combo in combinations(sorted(query.items()), k):
-        sub = dict(combo)
-        score = evaluate_sub_query(sub, kb, domains, use_relevant=use_relevant).p_avg
-        key = (-score if positive else score, _serialized(sub))
-        if best is None or key < best:
-            best = key
-            best_sub = sub
-            best_score = score
-    assert best_sub is not None
+    scored = [
+        (sub, evaluate_sub_query(sub, kb, domains, use_relevant=use_relevant).p_avg)
+        for sub in map(dict, combinations(sorted(query.items()), k))
+    ]
+    best_sub, best_score = min(
+        scored, key=lambda s: (-s[1] if positive else s[1], _serialized(s[0]))
+    )
     return Explanation(
         sub_query=best_sub,
         score=best_score,
@@ -90,22 +85,26 @@ def compute_explanation(
     )
 
 
+def feature_position(feature: str, length: int) -> int:
+    """The 1-based string position ``i`` of a feature ``a<i>``; ValueError
+    for any other name and for a position outside 1..length."""
+    digits = feature[1:]
+    if not (feature.startswith("a") and digits.isascii() and digits.isdigit()):
+        raise ValueError(f"feature {feature!r} is not a string position")
+    pos = int(digits)
+    if not 1 <= pos <= length:
+        raise ValueError(f"position {pos} outside 1..{length}")
+    return pos
+
+
 def explanation_accuracy(expl: Explanation, spec: SeedSpec) -> float:
     """Fraction of explanation positions whose value equals the seed's."""
     if not expl.sub_query:
         raise ValueError("empty explanation")
-    correct = 0
-    for feature, value in expl.sub_query.items():
-        if not feature.startswith("a"):
-            raise ValueError(f"feature {feature!r} is not a string position")
-        try:
-            pos = int(feature[1:])
-        except ValueError:
-            raise ValueError(f"feature {feature!r} is not a string position") from None
-        if not 1 <= pos <= spec.length:
-            raise ValueError(f"position {pos} outside the seed of length {spec.length}")
-        if spec.seed[pos - 1] == value:
-            correct += 1
+    correct = sum(
+        spec.seed[feature_position(feature, spec.length) - 1] == value
+        for feature, value in expl.sub_query.items()
+    )
     return correct / len(expl.sub_query)
 
 
@@ -113,6 +112,5 @@ def masked_string(expl: Explanation, length: int) -> str:
     """Render like ``323--1-1--``: explanation values at their positions."""
     out = ["-"] * length
     for feature, value in expl.sub_query.items():
-        pos = int(feature[1:])
-        out[pos - 1] = value
+        out[feature_position(feature, length) - 1] = value
     return "".join(out)

@@ -161,7 +161,7 @@ class Clause:
     tuple, so clauses compare order-insensitively.
     """
 
-    __slots__ = ("literals", "_hash", "_body", "_rule")
+    __slots__ = ("literals", "_hash", "_body")
 
     literals: tuple[Literal, ...]
 
@@ -178,21 +178,16 @@ class Clause:
         self.literals = ordered
         self._hash = hash(ordered)
         self._body = None
-        self._rule = None
 
     @classmethod
     def _trusted(
-        cls,
-        ordered: tuple[Literal, ...],
-        body: frozenset[tuple[str, str]],
-        rule: bool,
+        cls, ordered: tuple[Literal, ...], body: frozenset[tuple[str, str]]
     ) -> "Clause":
         """Internal: accept pre-canonicalised literals without re-checking."""
         self = cls.__new__(cls)
         self.literals = ordered
         self._hash = hash(ordered)
         self._body = body
-        self._rule = rule
         return self
 
     def __eq__(self, other) -> bool:
@@ -231,21 +226,10 @@ class Clause:
 
     @property
     def is_rule_shaped(self) -> bool:
-        """True when the clause is ``pos`` plus negated feature-value literals."""
-        if self._rule is None:
-            saw_pos = False
-            ok = True
-            for lit in self.literals:
-                if lit.atom.is_class_atom:
-                    if lit.negated:
-                        ok = False
-                        break
-                    saw_pos = True
-                elif not lit.negated or lit.atom.value is None:
-                    ok = False
-                    break
-            self._rule = ok and saw_pos
-        return self._rule
+        """True when the clause is ``pos`` plus negated feature-value literals:
+        canonical order puts ``pos`` first, and the rest must be the body."""
+        lits = self.literals
+        return lits[0] == _POS_LITERAL and len(lits) == len(self.body) + 1
 
     def __str__(self) -> str:
         return " | ".join(str(lit) for lit in self.literals)
@@ -259,7 +243,7 @@ def rule_clause(pairs: Iterable[tuple[str, str]]) -> Clause:
         raise ValueError(f"rule body repeats a feature: {feats}")
     lits = [_POS_LITERAL]
     lits.extend(_negated_pair_literal(p) for p in ordered_pairs)
-    return Clause._trusted(tuple(lits), frozenset(ordered_pairs), True)
+    return Clause._trusted(tuple(lits), frozenset(ordered_pairs))
 
 
 @dataclass(frozen=True)

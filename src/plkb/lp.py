@@ -22,6 +22,14 @@ deviation v*, then min/max of the target probability subject to the
 deviation staying within v* + TAU_LEX.  The label is positive only when
 the midpoint exceeds 0.5.
 
+Two engines answer ``infer_pos``.  The closed form answers when every
+clause is the target plus negated feature-value pairs the query asserts:
+each pi(c_i) is squeezed to pi(target), so the bounds are the median
+interval of the clause probabilities.  That covers all direct and tree
+evaluation and explanation traffic.  The LP answers everything else:
+merged clauses that are not rule-shaped, and ``--full-kb``.
+``engine="lp"`` forces the LP and is the reference in tests.
+
 An exact world-distribution oracle (all 2^n complete conjunctions) is
 included for cross-checking on small universes.
 """
@@ -36,7 +44,7 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import csr_matrix, vstack
 
-from .kb import POS, Atom, KnowledgeBase, Literal
+from .kb import POS, Atom, KnowledgeBase, Literal, _literal
 
 logger = logging.getLogger(__name__)
 
@@ -199,144 +207,95 @@ def apply_query(
     return replace(lp, bounds=tuple(bounds))
 
 
-def _assemble(lp: LinearProgram):
-    ub_rows, ub_cols, ub_vals, b_ub = [], [], [], []
-    eq_rows, eq_cols, eq_vals, b_eq = [], [], [], []
-    for con in lp.constraints:
-        if con.sense == LE:
-            r = len(b_ub)
-            for col, val in con.coeffs:
-                ub_rows.append(r)
-                ub_cols.append(col)
-                ub_vals.append(val)
-            b_ub.append(con.rhs)
-        else:
-            r = len(b_eq)
-            for col, val in con.coeffs:
-                eq_rows.append(r)
-                eq_cols.append(col)
-                eq_vals.append(val)
-            b_eq.append(con.rhs)
-    nv = lp.n_variables
-    a_ub = (
-        csr_matrix((ub_vals, (ub_rows, ub_cols)), shape=(len(b_ub), nv))
-        if b_ub
-        else None
-    )
-    a_eq = (
-        csr_matrix((eq_vals, (eq_rows, eq_cols)), shape=(len(b_eq), nv))
-        if b_eq
-        else None
-    )
-    return a_ub, (np.array(b_ub) if b_ub else None), a_eq, (np.array(b_eq) if b_eq else None)
+def _arrays(lp: LinearProgram):
+    """The objective vector and the CSR blocks A_ub, b_ub, A_eq, b_eq, rows
+    in constraint order; an empty block is None."""
+    c = np.zeros(lp.n_variables)
+    for idx, coef in lp.objective:
+        c[idx] += coef
+
+    def block(sense):
+        cons = [con for con in lp.constraints if con.sense == sense]
+        if not cons:
+            return None, None
+        coeffs = [cv for con in cons for cv in con.coeffs]
+        rows = np.repeat(np.arange(len(cons)), [len(con.coeffs) for con in cons])
+        cols = np.fromiter((col for col, _ in coeffs), dtype=np.intp, count=len(coeffs))
+        vals = np.fromiter((val for _, val in coeffs), dtype=float, count=len(coeffs))
+        a = csr_matrix((vals, (rows, cols)), shape=(len(cons), lp.n_variables))
+        return a, np.array([con.rhs for con in cons])
+
+    return (c, *block(LE), *block(EQ))
 
 
 _STATUS = {0: "optimal", 1: "iteration limit", 2: "infeasible", 3: "unbounded", 4: "numerical"}
 
 
-def solve_lp(lp: LinearProgram) -> LpSolution:
-    """Minimise the program's own objective; exact within solver tolerance."""
-    a_ub, b_ub, a_eq, b_eq = _assemble(lp)
-    c = np.zeros(lp.n_variables)
-    for idx, coef in lp.objective:
-        c[idx] += coef
-    res = linprog(
-        c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=list(lp.bounds),
-        method="highs",
-    )
+def _linprog(c, a_ub, b_ub, a_eq, b_eq, bounds):
+    """One HiGHS solve: the result and its status name.  Every program
+    here is boxed or minimises non-negative deviations, so an unbounded
+    report is an internal error."""
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds,
+                  method="highs")
     status = _STATUS.get(res.status, "numerical")
     if status == "unbounded":
         raise RuntimeError("internal error: boxed program reported unbounded")
-    values = (
-        dict(zip(lp.variables, (float(v) for v in res.x))) if res.x is not None else {}
-    )
+    return res, status
+
+
+def solve_lp(lp: LinearProgram) -> LpSolution:
+    """Minimise the program's own objective; exact within solver tolerance."""
+    res, status = _linprog(*_arrays(lp), list(lp.bounds))
+    values = {} if res.x is None else dict(zip(lp.variables, map(float, res.x)))
     objective = float(res.fun) if res.fun is not None else float("nan")
     return LpSolution(values=values, objective_value=objective, status=status)
 
 
-def _solve_vector(c, a_ub, b_ub, a_eq, b_eq, bounds):
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds,
-                  method="highs")
-    if res.status != 0:
-        raise RuntimeError(
-            f"internal error: solver returned {_STATUS.get(res.status, res.status)}"
-        )
-    return res
-
-
-def _stage_one_arrays(lp: LinearProgram):
-    a_ub, b_ub, a_eq, b_eq = _assemble(lp)
-    c1 = np.zeros(lp.n_variables)
-    for idx, coef in lp.objective:
-        c1[idx] += coef
-    return a_ub, b_ub, a_eq, b_eq, c1
-
-
 def minimum_deviation(lp: LinearProgram) -> float:
     """Stage-1 objective value: the least total clause-probability bend."""
-    a_ub, b_ub, a_eq, b_eq, c1 = _stage_one_arrays(lp)
-    res = _solve_vector(c1, a_ub, b_ub, a_eq, b_eq, list(lp.bounds))
-    return float(res.fun)
+    return _bounded_target(lp, None)[0]
 
 
-def _bounded_target(lp: LinearProgram, target_var: int) -> tuple[float, float, float]:
-    """Lexicographic solve: (v*, min, max) of the target variable."""
-    a_ub, b_ub, a_eq, b_eq, c1 = _stage_one_arrays(lp)
+def _bounded_target(
+    lp: LinearProgram, target_var: int | None
+) -> tuple[float, float | None, float | None]:
+    """Lexicographic solve: (v*, min, max) of the target variable.  Without
+    a target only stage 1 runs and the bounds are None."""
+    c1, a_ub, b_ub, a_eq, b_eq = _arrays(lp)
     bounds = list(lp.bounds)
-    res1 = _solve_vector(c1, a_ub, b_ub, a_eq, b_eq, bounds)
-    v_star = float(res1.fun)
 
-    dev_row = csr_matrix(
-        (np.ones(len(lp.deviation_vars)),
-         (np.zeros(len(lp.deviation_vars), dtype=int), np.array(lp.deviation_vars))),
-        shape=(1, lp.n_variables),
-    )
-    a_ub2 = vstack([a_ub, dev_row]) if a_ub is not None else dev_row
-    b_ub2 = (
-        np.concatenate([b_ub, [v_star + TAU_LEX]])
-        if b_ub is not None
-        else np.array([v_star + TAU_LEX])
-    )
+    def optimum(c, a_ub, b_ub):
+        res, status = _linprog(c, a_ub, b_ub, a_eq, b_eq, bounds)
+        if status != "optimal":
+            raise RuntimeError(f"internal error: solver returned {status}")
+        return res
+
+    v_star = float(optimum(c1, a_ub, b_ub).fun)
+    if target_var is None:
+        return v_star, None, None
+
+    # Stages 2 and 3 keep the stage-1 objective within v* + TAU_LEX.  A
+    # program from build_lp always has union rows, so A_ub exists.
+    a_ub2 = vstack([a_ub, csr_matrix(c1)])
+    b_ub2 = np.append(b_ub, v_star + TAU_LEX)
     ct = np.zeros(lp.n_variables)
     ct[target_var] = 1.0
-    lo = float(_solve_vector(ct, a_ub2, b_ub2, a_eq, b_eq, bounds).x[target_var])
-    hi = float(_solve_vector(-ct, a_ub2, b_ub2, a_eq, b_eq, bounds).x[target_var])
+    lo = float(optimum(ct, a_ub2, b_ub2).x[target_var])
+    hi = float(optimum(-ct, a_ub2, b_ub2).x[target_var])
     return v_star, lo, hi
 
 
 def _pinned_probs(
     kb: KnowledgeBase, query: Mapping[str, str], target: Atom
 ) -> list[float] | None:
-    """Clause probabilities when the program collapses to one unknown.
-
-    If every clause holds the target positively and all its other literals
-    are negated feature-value pairs the query asserts, then each pi(c_i)
-    is squeezed to pi(target) and the whole program is
-    ``minimise sum |p - p_i|`` over a single scalar.
-    """
+    """Clause probabilities when the program collapses to one unknown,
+    ``minimise sum |p - p_i|`` (see the module docstring), else None."""
+    pairs = set(query.items())
+    target_lit = _literal(target)
     probs: list[float] = []
-    if target == POS:
-        pairs = set(query.items())
-        for wc in kb.clauses:
-            clause = wc.clause
-            if not (clause.is_rule_shaped and clause.body <= pairs):
-                return None
-            probs.append(float(wc.probability))
-        return probs
     for wc in kb.clauses:
-        saw_target = False
-        for lit in wc.clause.literals:
-            if lit.atom == target and not lit.negated:
-                saw_target = True
-            elif (
-                lit.negated
-                and lit.atom.value is not None
-                and query.get(lit.atom.feature) == lit.atom.value
-            ):
-                continue
-            else:
-                return None
-        if not saw_target:
+        lits, body = wc.clause.literals, wc.clause.body
+        if not (body <= pairs and len(lits) == len(body) + 1 and target_lit in lits):
             return None
         probs.append(float(wc.probability))
     return probs
@@ -378,15 +337,16 @@ def infer_pos(
     query = dict(query or {})
     if len(kb) == 0:
         return InferenceResult(0.0, 1.0, 0.5, 0.0, False)
-    if target not in kb.universe:
-        raise ValueError(f"target atom {target} does not occur in the knowledge base")
 
     if engine == "auto":
         probs = _pinned_probs(kb, query, target)
         if probs is not None:
             return _result(*_median_interval(probs))
 
-    lp = apply_query(build_lp(kb), query, domains)
+    lp = build_lp(kb)
+    if target not in lp.atom_index:
+        raise ValueError(f"target atom {target} does not occur in the knowledge base")
+    lp = apply_query(lp, query, domains)
     v_star, lo, hi = _bounded_target(lp, lp.atom_index[target])
     return _result(v_star, lo, hi)
 

@@ -82,9 +82,6 @@ def build_id3(train: Dataset) -> TreeNode:
 
 def clause_from_path(path: list[tuple[str, str]]) -> Clause:
     """Turn a feature-value path into ``pos | !f1=v1 | ... | !fk=vk``."""
-    feats = [f for f, _ in path]
-    if len(set(feats)) != len(feats):
-        raise ValueError(f"path repeats a feature: {feats}")
     return rule_clause(path)
 
 

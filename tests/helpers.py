@@ -116,6 +116,18 @@ def arbitrary_random_kb(
     return KnowledgeBase(by_clause.values()), atoms
 
 
+def relevant_kb_scan(query, kb: KnowledgeBase) -> KnowledgeBase:
+    """Reference implementation of relevant extraction: scan every clause
+    and keep those whose body is a non-empty subset of the query."""
+    pairs = set(query.items())
+    selected = [
+        wc
+        for wc in kb.clauses
+        if wc.clause.is_rule_shaped and wc.clause.body and wc.clause.body <= pairs
+    ]
+    return KnowledgeBase(selected)
+
+
 def all_subsets(pairs):
     items = sorted(pairs)
     for k in range(1, len(items) + 1):

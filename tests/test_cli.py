@@ -286,6 +286,21 @@ class TestErrorHandling:
         )
         assert result.exit_code == 1
 
+    @pytest.mark.parametrize("command", [["classify"], ["explain", "-k", "1"]],
+                             ids=["classify", "explain"])
+    def test_empty_domains_file(self, runner, tmp_path, command):
+        kb_path = tmp_path / "kb.plkb"
+        kb_path.write_text("0.700000 pos | !a1=0\n", encoding="utf-8")
+        empty = tmp_path / "empty.csv"
+        empty.write_text("", encoding="utf-8")
+        result = runner.invoke(
+            main,
+            [*command, "--kb", str(kb_path), "--domains", str(empty), "--query", "a1=0"],
+        )
+        assert result.exit_code == 1
+        err = result.stderr if hasattr(result, "stderr") else result.output
+        assert [l for l in err.splitlines() if l] == [f"error: {empty}: empty file"]
+
     def test_malformed_kb_file(self, runner, strings_csv, tmp_path):
         bad = tmp_path / "bad.plkb"
         bad.write_text("zzz\n", encoding="utf-8")

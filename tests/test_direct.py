@@ -8,6 +8,7 @@ from helpers import (
     empirical_probability,
     query_from_string,
     random_dataset,
+    relevant_kb_scan,
 )
 
 from plkb.data import from_rows
@@ -16,7 +17,6 @@ from plkb.direct import (
     active_kb,
     build_direct_kb,
     relevant_kb,
-    relevant_kb_scan,
 )
 from plkb.kb import KnowledgeBase, WeightedClause, parse_kb, rule_clause, serialize_kb
 from plkb.lp import infer_pos

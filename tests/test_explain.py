@@ -144,3 +144,7 @@ class TestMaskedString:
     def test_single_feature_mask(self):
         e = Explanation({"a1": "0"}, 0.3, "min")
         assert masked_string(e, 4) == "0---"
+        for feature, match in [("a0", "outside"), ("a9", "outside"),
+                               ("x1", "position"), ("a", "position")]:
+            with pytest.raises(ValueError, match=match):
+                masked_string(Explanation({feature: "0"}, 0.3, "min"), 4)

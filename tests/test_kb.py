@@ -85,6 +85,12 @@ class TestClause:
         assert not Clause([Literal(Atom("a"), True)]).is_rule_shaped
         assert not Clause([Literal(POS), Literal(Atom("a1", "0"))]).is_rule_shaped
         assert Clause([Literal(POS)]).is_rule_shaped
+        assert not parse_kb("0.5 !pos | !a=1").clauses[0].clause.is_rule_shaped
+        assert not parse_kb("0.5 pos | !b").clauses[0].clause.is_rule_shaped
+        fresh = Clause([Literal(Atom("b", "2"), True), Literal(Atom("pos")),
+                        Literal(Atom("a", "1"), True)])
+        assert fresh.is_rule_shaped
+        assert fresh == rule_clause([("a", "1"), ("b", "2")])
 
 
 class TestWeightedClause:

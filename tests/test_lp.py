@@ -28,6 +28,7 @@ from plkb.lp import (
     Constraint,
     LinearProgram,
     _median_interval,
+    _pinned_probs,
     apply_query,
     build_lp,
     check_consistency,
@@ -255,25 +256,52 @@ class TestInfer:
         assert infer_pos(kb).label is False
 
     def test_pinned_and_lp_engines_agree(self):
+        # Targets are the class atom or a feature value the query leaves
+        # free.  Pinned clauses are the target plus negated pairs the query
+        # asserts; a mixed-in clause breaks that shape in one way, so the
+        # closed form must decline and the auto engine fall back to the LP.
         rng = random.Random(23)
-        for _ in range(30):
+        n_pinned = n_declined = 0
+        for _ in range(60):
             n_features = rng.randint(1, 4)
             pairs = [(f"f{i}", rng.choice("01")) for i in range(1, n_features + 1)]
             query = dict(pairs)
+            target = POS if rng.random() < 0.5 else Atom("t", rng.choice("01"))
             n_clauses = min(rng.randint(1, 6), 2 ** len(pairs))
             by_clause = {}
             while len(by_clause) < n_clauses:
-                size = rng.randint(0, len(pairs))
-                body = rng.sample(pairs, size)
-                clause = rule_clause(body)
+                body = rng.sample(pairs, rng.randint(0, len(pairs)))
+                lits = [Literal(target)]
+                lits += (Literal(Atom(f, v), True) for f, v in body)
+                clause = Clause(lits)
                 if clause not in by_clause:
                     by_clause[clause] = WeightedClause(rng.random(), clause)
+            pinned = rng.random() < 0.5
+            if not pinned:
+                f, v = rng.choice(pairs)
+                other = "1" if v == "0" else "0"
+                clause = rng.choice([
+                    Clause([Literal(target), Literal(Atom(f, v))]),
+                    Clause([Literal(target), Literal(Atom(f, other), True)]),
+                    Clause([Literal(target, True), Literal(Atom(f, v), True)]),
+                    Clause([Literal(target), Literal(Atom("b"), True)]),
+                    rule_clause([(f, v)]) if target != POS
+                    else Clause([Literal(Atom("t", "0")), Literal(Atom(f, v), True)]),
+                ])
+                by_clause[clause] = WeightedClause(rng.random(), clause)
             kb = KnowledgeBase(by_clause.values())
-            fast = infer_pos(kb, query)
-            slow = infer_pos(kb, query, engine="lp")
+            assert (_pinned_probs(kb, query, target) is not None) == pinned
+            n_pinned += pinned
+            n_declined += not pinned
+            fast = infer_pos(kb, query, target=target)
+            slow = infer_pos(kb, query, target=target, engine="lp")
             assert fast.p_lower == pytest.approx(slow.p_lower, abs=1e-6)
             assert fast.p_upper == pytest.approx(slow.p_upper, abs=1e-6)
             assert fast.objective_min == pytest.approx(slow.objective_min, abs=1e-6)
+            for engine in ("auto", "lp"):
+                with pytest.raises(ValueError, match="does not occur"):
+                    infer_pos(kb, query, target=Atom("zz"), engine=engine)
+        assert n_pinned > 10 and n_declined > 10
 
     def test_clause_order_invariance(self, strings_direct_kb):
         q = query_from_string("0101")
