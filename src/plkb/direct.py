@@ -4,12 +4,12 @@ feature-value subsets of each instance, plus query-relevant extraction."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations
+from math import comb
 from typing import Mapping
 
 from .data import Dataset
-from .kb import KnowledgeBase, WeightedClause, rule_clause
+from .kb import KnowledgeBase, RuleTable
 
 Query = Mapping[str, str]
 
@@ -53,17 +53,16 @@ class SubsetCounter:
                 entry[1] += pos
         return out
 
-    def to_kb(self) -> KnowledgeBase:
-        clauses = [
-            WeightedClause(Fraction(pos, total), rule_clause(key))
-            for key, (total, pos) in self.counts.items()
-        ]
-        return KnowledgeBase(clauses)
+    def to_kb(self) -> RuleTable:
+        """The counts as a knowledge base; the table shares this counter's
+        dict, so add no instances afterwards."""
+        return RuleTable(self.counts)
 
 
-def build_direct_kb(train: Dataset, max_arity: int | None = None) -> KnowledgeBase:
+def build_direct_kb(train: Dataset, max_arity: int | None = None) -> RuleTable:
     """One clause ``[n_pos/n_total] pos | !k1 | ... | !kj`` per observed
-    feature-value subset of size <= max_arity (None = unbounded).
+    feature-value subset of size <= max_arity (None = unbounded), kept as
+    the count table those clauses are built from when read.
 
     Probabilities are exact rationals.  The unbounded pass enumerates
     2^n subsets per instance, so it is refused above
@@ -87,10 +86,38 @@ def build_direct_kb(train: Dataset, max_arity: int | None = None) -> KnowledgeBa
     return counter.to_kb()
 
 
+def _select_table_rules(pairs: set, table: RuleTable, include_empty: bool) -> RuleTable:
+    """The table's rows whose body the query asserts, as a table.
+
+    Query subsets are looked up only up to the table's longest body; when
+    even that many lookups would dwarf the table, its keys are scanned.
+    """
+    counts = table.counts
+    lo = 0 if include_empty else 1
+    hi = min(table.arity, len(pairs))
+    if sum(comb(len(pairs), k) for k in range(lo, hi + 1)) <= 8 * len(counts) + 64:
+        ordered = sorted(pairs)
+        hits = {}
+        for k in range(lo, hi + 1):
+            for key in combinations(ordered, k):
+                entry = counts.get(key)
+                if entry is not None:
+                    hits[key] = entry
+    else:
+        hits = {
+            key: entry
+            for key, entry in counts.items()
+            if len(key) >= lo and pairs.issuperset(key)
+        }
+    return RuleTable(hits)
+
+
 def _select_subset_clauses(
     query: Query, kb: KnowledgeBase, include_empty: bool
 ) -> KnowledgeBase:
     pairs = set(query.items())
+    if isinstance(kb, RuleTable):
+        return _select_table_rules(pairs, kb, include_empty)
     index = kb.by_body
     # The index exists only when every clause is rule-shaped, in which case
     # clause <-> body is a bijection.  Enumerating query subsets beats a
@@ -131,8 +158,9 @@ def active_kb(query: Query, kb: KnowledgeBase) -> KnowledgeBase:
     Used by the evaluation pipeline: a bare ``[p] pos`` clause (single-leaf
     tree) constrains every query, so dropping it would change results.
     Falls back to the whole KB when some clause is not rule-shaped, since
-    the neutralisation argument only covers rule clauses.
+    the neutralisation argument only covers rule clauses.  A
+    :class:`~plkb.kb.RuleTable` is rule-shaped by construction.
     """
-    if len(kb.by_body) != len(kb.clauses):
+    if not isinstance(kb, RuleTable) and len(kb.by_body) != len(kb.clauses):
         return kb
     return _select_subset_clauses(query, kb, include_empty=True)

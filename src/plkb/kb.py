@@ -7,6 +7,10 @@ class"), but the container and the text format also accept arbitrary
 clauses over bare propositional atoms, which is useful for hand-written
 knowledge and for consistency experiments.
 
+The direct method's knowledge base is a :class:`RuleTable`: the subset
+counts its rule clauses are read from, with the clauses built only when
+something reads them.
+
 All values are immutable; operations that change a knowledge base return
 a new one, so instances can be shared freely across threads.  Atoms and
 literals are interned: direct construction stays valid, but the module
@@ -20,7 +24,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 Probability = Union[float, Fraction]
 
@@ -288,8 +292,13 @@ class KnowledgeBase:
     def __iter__(self) -> Iterator[WeightedClause]:
         return iter(self.clauses)
 
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, KnowledgeBase):
+            return NotImplemented
+        return self.clauses == other.clauses
+
     def __repr__(self) -> str:
-        return f"KnowledgeBase(<{len(self.clauses)} clauses, {len(self.universe)} atoms>)"
+        return f"{type(self).__name__}(<{len(self)} clauses, {len(self.universe)} atoms>)"
 
     @cached_property
     def universe(self) -> frozenset[Atom]:
@@ -305,11 +314,62 @@ class KnowledgeBase:
             index[wc.clause.body] = wc
         return index
 
+    @cached_property
+    def _probabilities(self) -> dict[Clause, Probability]:
+        return {wc.clause: wc.probability for wc in self.clauses}
+
     def probability_of(self, clause: Clause) -> Probability | None:
-        for wc in self.clauses:
-            if wc.clause == clause:
-                return wc.probability
-        return None
+        return self._probabilities.get(clause)
+
+
+RuleKey = tuple[tuple[str, str], ...]
+
+
+class RuleTable(KnowledgeBase):
+    """Rule clauses kept as the subset counts they are read from.
+
+    ``counts`` maps a rule body, a sorted tuple of (feature, value) pairs,
+    to its ``(n_total, n_pos)`` sample counts; the clause it stands for is
+    ``[n_pos/n_total] pos | !f1=v1 | ...``.  No clause object exists until
+    something reads :attr:`clauses`, which builds them once, in key order.
+    Until then iteration builds each clause on the fly and keeps none, so
+    writing a table out never holds all of its clauses at once.  The table
+    reads ``counts`` in place: do not change the mapping afterwards.
+    """
+
+    counts: Mapping[RuleKey, Sequence[int]]
+
+    def __init__(self, counts: Mapping[RuleKey, Sequence[int]]):
+        object.__setattr__(self, "counts", counts)
+
+    @cached_property
+    def clauses(self) -> tuple[WeightedClause, ...]:
+        return tuple(self._build())
+
+    def _build(self) -> Iterator[WeightedClause]:
+        for key, (total, pos) in self.counts.items():
+            yield WeightedClause(Fraction(pos, total), rule_clause(key))
+
+    def __len__(self) -> int:
+        return len(self.counts)
+
+    def __iter__(self) -> Iterator[WeightedClause]:
+        if "clauses" in self.__dict__:
+            return iter(self.clauses)
+        return self._build()
+
+    @cached_property
+    def universe(self) -> frozenset[Atom]:
+        if not self.counts:
+            return frozenset()
+        pairs = {pair for key in self.counts for pair in key}
+        return frozenset([POS, *(_atom(f, v) for f, v in pairs)])
+
+    @cached_property
+    def arity(self) -> int:
+        """The longest rule body: the builder's ``max_arity`` when it saw
+        an instance that long."""
+        return max(map(len, self.counts), default=0)
 
 
 def parse_kb(text: str) -> KnowledgeBase:
@@ -371,9 +431,7 @@ def parse_kb(text: str) -> KnowledgeBase:
 
 def serialize_kb(kb: KnowledgeBase) -> str:
     """Render one line per clause, sorted by the clause's canonical text."""
-    lines = sorted(
-        (str(wc.clause), f"{float(wc.probability):.6f}") for wc in kb.clauses
-    )
+    lines = sorted((str(wc.clause), f"{float(wc.probability):.6f}") for wc in kb)
     return "\n".join(f"{prob} {clause}" for clause, prob in lines)
 
 

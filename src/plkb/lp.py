@@ -23,12 +23,15 @@ deviation staying within v* + TAU_LEX.  The label is positive only when
 the midpoint exceeds 0.5.
 
 Two engines answer ``infer_pos``.  The closed form answers when every
-clause is the target plus negated feature-value pairs the query asserts:
-each pi(c_i) is squeezed to pi(target), so the bounds are the median
-interval of the clause probabilities.  That covers all direct and tree
-evaluation and explanation traffic.  The LP answers everything else:
-merged clauses that are not rule-shaped, and ``--full-kb``.
-``engine="lp"`` forces the LP and is the reference in tests.
+clause is the target plus negated feature-value pairs the query asserts,
+and the query leaves the target's own feature free: each pi(c_i) is
+squeezed to pi(target), so the bounds are the median interval of the
+clause probabilities.  That covers all direct and tree evaluation and
+explanation traffic; on a direct KB, a :class:`~plkb.kb.RuleTable`, it
+reads ``n_pos / n_total`` straight from the subset counts.  The LP
+answers everything else: merged clauses that are not rule-shaped, and
+``--full-kb``.  ``engine="lp"`` forces the LP and is the reference in
+tests.
 
 An exact world-distribution oracle (all 2^n complete conjunctions) is
 included for cross-checking on small universes.
@@ -44,7 +47,7 @@ import numpy as np
 from scipy.optimize import linprog
 from scipy.sparse import csr_matrix, vstack
 
-from .kb import POS, Atom, KnowledgeBase, Literal, _literal
+from .kb import POS, Atom, KnowledgeBase, Literal, RuleTable, _literal
 
 logger = logging.getLogger(__name__)
 
@@ -289,8 +292,19 @@ def _pinned_probs(
     kb: KnowledgeBase, query: Mapping[str, str], target: Atom
 ) -> list[float] | None:
     """Clause probabilities when the program collapses to one unknown,
-    ``minimise sum |p - p_i|`` (see the module docstring), else None."""
+    ``minimise sum |p - p_i|`` (see the module docstring), else None.
+
+    A query that asserts the target's own feature fixes the target, so
+    the LP answers it.  A rule table is read from its counts: ``n_pos /
+    n_total`` is correctly rounded, as ``float(Fraction(...))`` is.
+    """
+    if target.value is not None and target.feature in query:
+        return None
     pairs = set(query.items())
+    if isinstance(kb, RuleTable):
+        if target != POS or not all(pairs.issuperset(key) for key in kb.counts):
+            return None
+        return [pos / total for total, pos in kb.counts.values()]
     target_lit = _literal(target)
     probs: list[float] = []
     for wc in kb.clauses:
@@ -352,8 +366,10 @@ def infer_pos(
 
 
 def _result(v_star: float, lo: float, hi: float) -> InferenceResult:
-    lo = float(min(max(lo, 0.0), 1.0))
-    hi = float(min(max(hi, 0.0), 1.0))
+    # max(0.0, x) rather than max(x, 0.0): a -0.0 from the solver compares
+    # equal to 0.0, and max keeps the first of equal arguments.
+    lo = float(min(max(0.0, lo), 1.0))
+    hi = float(min(max(0.0, hi), 1.0))
     if lo > hi:
         lo, hi = hi, lo
     avg = (lo + hi) / 2.0
@@ -361,7 +377,7 @@ def _result(v_star: float, lo: float, hi: float) -> InferenceResult:
         p_lower=lo,
         p_upper=hi,
         p_avg=avg,
-        objective_min=float(max(v_star, 0.0)),
+        objective_min=float(max(0.0, v_star)),
         label=bool(avg > 0.5 + LABEL_EPS),
     )
 
@@ -373,7 +389,7 @@ def check_consistency(kb: KnowledgeBase) -> tuple[bool, float]:
     if len(kb) == 0:
         return True, 0.0
     v_star = minimum_deviation(build_lp(kb))
-    v_star = max(v_star, 0.0)
+    v_star = max(0.0, v_star)
     return v_star <= TAU_ZERO, v_star
 
 

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     all_subsets,
@@ -18,7 +20,16 @@ from plkb.direct import (
     build_direct_kb,
     relevant_kb,
 )
-from plkb.kb import KnowledgeBase, WeightedClause, parse_kb, rule_clause, serialize_kb
+from plkb.evaluate import classify_query
+from plkb.explain import compute_explanation
+from plkb.kb import (
+    KnowledgeBase,
+    RuleTable,
+    WeightedClause,
+    parse_kb,
+    rule_clause,
+    serialize_kb,
+)
 from plkb.lp import infer_pos
 
 # Clauses whose bodies are subsets of the assignment a1=0,a2=1,a3=0,a4=1,
@@ -188,3 +199,92 @@ class TestSubsetCounter:
         assert merged.counts == {(("f", "1"),): [5, 1]}
         assert a.counts == {(("f", "1"),): [2, 1]}
         assert b.counts == {(("f", "1"),): [3, 0]}
+
+
+@st.composite
+def datasets_and_queries(draw):
+    """A small dataset, a max_arity, and queries over its features: full
+    and partial, with values both seen and unseen in training."""
+    n_features = draw(st.integers(1, 4))
+    features = [f"f{i}" for i in range(1, n_features + 1)]
+    values = [str(v) for v in range(draw(st.integers(2, 3)))]
+    value = st.sampled_from(values)
+    rows = draw(st.lists(
+        st.tuples(st.tuples(*[value] * n_features), st.booleans()),
+        min_size=1, max_size=12,
+    ))
+    max_arity = draw(st.none() | st.integers(1, n_features))
+    query_value = st.none() | st.sampled_from([*values, "9"])
+    queries = [dict(zip(features, vals)) for vals, _ in rows[:2]]
+    for _ in range(3):
+        drawn = draw(st.tuples(*[query_value] * n_features))
+        queries.append({f: v for f, v in zip(features, drawn) if v is not None})
+    return from_rows(features, rows), max_arity, queries
+
+
+class TestRuleTable:
+    """The direct KB is a count table; it must answer exactly as the
+    clause list it stands for."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(datasets_and_queries())
+    def test_table_is_a_drop_in_kb(self, case):
+        ds, max_arity, queries = case
+        table = build_direct_kb(ds, max_arity)
+        ref = KnowledgeBase(list(build_direct_kb(ds, max_arity).clauses))
+        assert isinstance(table, RuleTable)
+        assert len(table) == len(ref)
+        assert table.universe == ref.universe
+        assert serialize_kb(table) == serialize_kb(ref)
+        full = [q for q in queries if len(q) == len(ds.features)]
+        for q in queries:
+            for extract in (relevant_kb, active_kb):
+                assert serialize_kb(extract(q, table)) == serialize_kb(extract(q, ref))
+            assert classify_query(table, q) == classify_query(ref, q)
+        for q in full:
+            for k in range(1, len(q) + 1):
+                assert compute_explanation(q, table, k) == compute_explanation(q, ref, k)
+        assert "clauses" not in table.__dict__
+        # The LP path reads the clauses: a partial query on the whole KB.
+        assert infer_pos(table, queries[-1]) == infer_pos(ref, queries[-1])
+        assert [(wc.probability, wc.clause) for wc in table.clauses] == [
+            (wc.probability, wc.clause) for wc in ref.clauses
+        ]
+        assert all(type(wc.probability) is Fraction for wc in table.clauses)
+        assert table == ref and ref == table
+        for wc in ref:
+            assert table.probability_of(wc.clause) == wc.probability
+
+    def test_iteration_builds_no_cache(self, strings_ds):
+        table = build_direct_kb(strings_ds)
+        assert list(table) == list(build_direct_kb(strings_ds).clauses)
+        assert "clauses" not in table.__dict__
+        assert list(table) == list(table.clauses)
+
+    def test_wide_query_on_arity_one_table(self):
+        rng = random.Random(21)
+        features = [f"f{i}" for i in range(1, 22)]
+        rows = [
+            (tuple(rng.choice("012") for _ in features), rng.random() < 0.5)
+            for _ in range(6)
+        ]
+        table = build_direct_kb(from_rows(features, rows), max_arity=1)
+        assert table.arity == 1
+        for vals, _ in rows:
+            q = dict(zip(features, vals))
+            assert serialize_kb(relevant_kb(q, table)) == serialize_kb(
+                relevant_kb_scan(q, KnowledgeBase(table.clauses))
+            )
+
+    def test_wide_query_scans_a_small_table(self):
+        # 21 query pairs against a three-feature table: enumerating the
+        # query's subsets up to size 3 would dwarf the table, so its keys
+        # are scanned; the answer is the same.
+        rows = [(("0", "1", "0"), True), (("1", "1", "0"), False)]
+        table = build_direct_kb(from_rows(["f1", "f2", "f3"], rows))
+        q = {"f1": "0", "f2": "1", "f3": "0"}
+        q.update((f"g{i}", "0") for i in range(1, 19))
+        ref = KnowledgeBase(build_direct_kb(from_rows(["f1", "f2", "f3"], rows)).clauses)
+        assert serialize_kb(relevant_kb(q, table)) == serialize_kb(relevant_kb_scan(q, ref))
+        assert len(relevant_kb(q, table)) == 7
+        assert classify_query(table, q) == classify_query(ref, q)

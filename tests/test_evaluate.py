@@ -19,6 +19,7 @@ from plkb.evaluate import (
     train_kb,
     true_knowledge_clauses,
 )
+from plkb.explain import compute_explanation
 from plkb.kb import parse_kb
 
 SEED = SeedSpec("3232411132", 10, 4, 5)
@@ -106,6 +107,19 @@ class TestClassifyQuery:
         assert res.p_avg == pytest.approx(
             float(empirical_probability(strings_ds, [("a4", "1")])), abs=1e-6
         )
+
+    def test_direct_pipeline_builds_no_clause_list(self):
+        # Training, classification and explanation read the direct KB's
+        # counts; none of them may materialise its clause objects.
+        ds = generate_synthetic(SEED, 120, 5)
+        kb = train_kb(ds, "direct")
+        positives = [
+            inst.values for inst in ds.instances if classify_query(kb, inst.values).label
+        ]
+        assert positives
+        for query in positives:
+            compute_explanation(query, kb, 2)
+        assert "clauses" not in kb.__dict__
 
 
 class TestExplanationEval:

@@ -1,4 +1,5 @@
 import logging
+import math
 import random
 
 import pytest
@@ -256,17 +257,29 @@ class TestInfer:
         assert infer_pos(kb).label is False
 
     def test_pinned_and_lp_engines_agree(self):
-        # Targets are the class atom or a feature value the query leaves
-        # free.  Pinned clauses are the target plus negated pairs the query
-        # asserts; a mixed-in clause breaks that shape in one way, so the
-        # closed form must decline and the auto engine fall back to the LP.
+        # Targets are the class atom or a feature value.  Pinned clauses are
+        # the target plus negated pairs the query asserts; a mixed-in clause
+        # breaks that shape in one way, so the closed form must decline and
+        # the auto engine fall back to the LP.  A query that also asserts
+        # the target's feature fixes the target, so it declines too.
+        kb = parse_kb("0.8 t=0 | !f=1\n0.6 t=0")
+        query, target = {"f": "1", "t": "1"}, Atom("t", "0")
+        assert _pinned_probs(kb, query, target) is None
+        assert _pinned_probs(kb, {"f": "1"}, target) == [0.8, 0.6]
+        for engine in ("auto", "lp"):
+            res = infer_pos(kb, query, target=target, engine=engine)
+            assert (res.p_lower, res.p_upper) == pytest.approx((0.0, 0.0), abs=1e-9)
+
         rng = random.Random(23)
-        n_pinned = n_declined = 0
+        n_pinned = n_declined = n_fixed = 0
         for _ in range(60):
             n_features = rng.randint(1, 4)
             pairs = [(f"f{i}", rng.choice("01")) for i in range(1, n_features + 1)]
             query = dict(pairs)
             target = POS if rng.random() < 0.5 else Atom("t", rng.choice("01"))
+            fixes_target = target != POS and rng.random() < 0.5
+            if fixes_target:
+                query["t"] = rng.choice("01")
             n_clauses = min(rng.randint(1, 6), 2 ** len(pairs))
             by_clause = {}
             while len(by_clause) < n_clauses:
@@ -290,9 +303,12 @@ class TestInfer:
                 ])
                 by_clause[clause] = WeightedClause(rng.random(), clause)
             kb = KnowledgeBase(by_clause.values())
-            assert (_pinned_probs(kb, query, target) is not None) == pinned
-            n_pinned += pinned
+            assert (_pinned_probs(kb, query, target) is not None) == (
+                pinned and not fixes_target
+            )
+            n_pinned += pinned and not fixes_target
             n_declined += not pinned
+            n_fixed += pinned and fixes_target
             fast = infer_pos(kb, query, target=target)
             slow = infer_pos(kb, query, target=target, engine="lp")
             assert fast.p_lower == pytest.approx(slow.p_lower, abs=1e-6)
@@ -301,7 +317,15 @@ class TestInfer:
             for engine in ("auto", "lp"):
                 with pytest.raises(ValueError, match="does not occur"):
                     infer_pos(kb, query, target=Atom("zz"), engine=engine)
-        assert n_pinned > 10 and n_declined > 10
+        assert n_pinned > 10 and n_declined > 10 and n_fixed > 2
+
+    def test_bounds_are_never_negative_zero(self):
+        # HiGHS can return -0.0 for a target fixed to 0; the result clamps
+        # it to +0.0 so that printed bounds never read -0.000000.
+        kb = parse_kb("0.8 t=0 | !f=1\n0.6 t=0")
+        res = infer_pos(kb, {"f": "1", "t": "1"}, target=Atom("t", "0"))
+        for value in (res.p_lower, res.p_upper, res.objective_min):
+            assert math.copysign(1.0, value) == 1.0
 
     def test_clause_order_invariance(self, strings_direct_kb):
         q = query_from_string("0101")
