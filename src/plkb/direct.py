@@ -9,7 +9,7 @@ from math import comb
 from typing import Mapping
 
 from .data import Dataset
-from .kb import KnowledgeBase, RuleTable
+from .kb import KnowledgeBase, RuleKey, RuleTable
 
 Query = Mapping[str, str]
 
@@ -26,32 +26,25 @@ class SubsetCounter:
     partitioned across instance chunks and combined in any order.
     """
 
-    counts: dict[tuple[tuple[str, str], ...], list[int]] = field(default_factory=dict)
+    counts: dict[RuleKey, tuple[int, int]] = field(default_factory=dict)
 
     def add_instance(self, values: Mapping[str, str], label: bool, max_arity: int):
         pairs = sorted(values.items())
         hit = int(label)
         counts = self.counts
         for k in range(1, min(max_arity, len(pairs)) + 1):
-            # combinations of a sorted list come out sorted: canonical keys
+            # combinations of a sorted list come out sorted: canonical keys.
+            # Tuples of ints, unlike lists, are untracked by the cyclic GC.
             for key in combinations(pairs, k):
-                entry = counts.get(key)
-                if entry is None:
-                    counts[key] = [1, hit]
-                else:
-                    entry[0] += 1
-                    entry[1] += hit
+                e = counts.get(key)
+                counts[key] = (1, hit) if e is None else (e[0] + 1, e[1] + hit)
 
     def merge(self, other: "SubsetCounter") -> "SubsetCounter":
-        out = SubsetCounter({k: list(v) for k, v in self.counts.items()})
+        out = dict(self.counts)
         for key, (total, pos) in other.counts.items():
-            entry = out.counts.get(key)
-            if entry is None:
-                out.counts[key] = [total, pos]
-            else:
-                entry[0] += total
-                entry[1] += pos
-        return out
+            e = out.get(key)
+            out[key] = (total, pos) if e is None else (e[0] + total, e[1] + pos)
+        return SubsetCounter(out)
 
     def to_kb(self) -> RuleTable:
         """The counts as a knowledge base; the table shares this counter's

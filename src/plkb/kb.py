@@ -9,7 +9,8 @@ knowledge and for consistency experiments.
 
 The direct method's knowledge base is a :class:`RuleTable`: the subset
 counts its rule clauses are read from, with the clauses built only when
-something reads them.
+something reads them.  A text of rule clauses only, such as a saved
+direct or tree model, parses straight into a table too.
 
 All values are immutable; operations that change a knowledge base return
 a new one, so instances can be shared freely across threads.  Atoms and
@@ -326,12 +327,15 @@ RuleKey = tuple[tuple[str, str], ...]
 
 
 class RuleTable(KnowledgeBase):
-    """Rule clauses kept as the subset counts they are read from.
+    """Rule clauses kept as the integer pairs they are read from.
 
     ``counts`` maps a rule body, a sorted tuple of (feature, value) pairs,
-    to its ``(n_total, n_pos)`` sample counts; the clause it stands for is
-    ``[n_pos/n_total] pos | !f1=v1 | ...``.  No clause object exists until
-    something reads :attr:`clauses`, which builds them once, in key order.
+    to a pair ``(total, pos)``: the sample counts for a table the direct
+    builder trained, the probability's denominator and numerator for one
+    :func:`parse_kb` read.  The clause it stands for is
+    ``[Fraction(pos, total)] pos | !f1=v1 | ...``.  No clause object
+    exists until something reads :attr:`clauses`, which builds them once,
+    in key order.
     Until then iteration builds each clause on the fly and keeps none, so
     writing a table out never holds all of its clauses at once.  The table
     reads ``counts`` in place: do not change the mapping afterwards.
@@ -372,16 +376,14 @@ class RuleTable(KnowledgeBase):
         return max(map(len, self.counts), default=0)
 
 
-def parse_kb(text: str) -> KnowledgeBase:
-    """Parse the one-clause-per-line text format.
+def _clause_lines(text: str) -> Iterator[tuple[int, Fraction, str]]:
+    """``(line number, probability, clause text)`` for each clause line.
 
-    Grammar per line: ``prob SP lit (" | " lit)*`` where ``lit`` is an
-    optionally ``!``-prefixed atom (``pos``, a bare name, or ``name=value``).
-    ``#`` starts a comment; blank lines are skipped.  Probabilities are
-    parsed as exact decimals.
+    The line grammar both parse paths share: ``#`` comments and blank
+    lines are skipped, and the probability is an exact rational in [0, 1].
+    Each distinct probability text is parsed once.
     """
-    out: list[WeightedClause] = []
-    seen: dict[Clause, tuple[int, Probability]] = {}
+    probs: dict[str, Fraction] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -390,26 +392,79 @@ def parse_kb(text: str) -> KnowledgeBase:
         if len(parts) != 2:
             raise KBParseError(line_no, f"expected 'probability clause', got {line!r}")
         prob_text, clause_text = parts
-        try:
-            prob = Fraction(prob_text)
-        except (ValueError, ZeroDivisionError):
-            raise KBParseError(line_no, f"bad probability {prob_text!r}") from None
-        if not 0 <= prob <= 1:
-            raise KBParseError(line_no, f"probability {prob_text} outside [0, 1]")
-        literals = []
-        for tok in clause_text.split("|"):
-            tok = tok.strip()
-            if not tok:
-                raise KBParseError(line_no, "empty literal")
-            negated = tok.startswith("!")
-            if negated:
-                tok = tok[1:].strip()
-            name, eq, value = tok.partition("=")
+        prob = probs.get(prob_text)
+        if prob is None:
             try:
-                atom = _atom(name, value) if eq else _atom(name)
-            except ValueError as exc:
-                raise KBParseError(line_no, str(exc)) from None
-            literals.append(_literal(atom, negated))
+                prob = Fraction(prob_text)
+            except (ValueError, ZeroDivisionError):
+                raise KBParseError(line_no, f"bad probability {prob_text!r}") from None
+            if not 0 <= prob <= 1:
+                raise KBParseError(line_no, f"probability {prob_text} outside [0, 1]")
+            probs[prob_text] = prob
+        yield line_no, prob, clause_text
+
+
+def _parse_literal(tok: str, line_no: int) -> Literal:
+    """One ``|``-separated literal: an optionally ``!``-prefixed atom."""
+    tok = tok.strip()
+    if not tok:
+        raise KBParseError(line_no, "empty literal")
+    negated = tok.startswith("!")
+    if negated:
+        tok = tok[1:].strip()
+    name, eq, value = tok.partition("=")
+    try:
+        atom = _atom(name, value) if eq else _atom(name)
+    except ValueError as exc:
+        raise KBParseError(line_no, str(exc)) from None
+    return _literal(atom, negated)
+
+
+def _parse_rule_table(text: str) -> RuleTable | None:
+    """The text as a table of ``(denominator, numerator)`` per rule body,
+    or None when some line is not a rule clause (``pos`` plus negated
+    feature-value literals over distinct features) or gives a body a
+    second probability; :func:`_parse_clauses` then reads the text, and
+    reports such a conflict with the line that gave the first.
+    """
+    counts: dict[RuleKey, tuple[int, int]] = {}
+    parts: dict[str, Atom | tuple[str, str]] = {}  # literal text -> POS or its pair
+    for line_no, prob, clause_text in _clause_lines(text):
+        body = []
+        n_pos = 0
+        for tok in clause_text.split("|"):
+            part = parts.get(tok)
+            if part is None:
+                lit = _parse_literal(tok, line_no)
+                if lit is _POS_LITERAL:
+                    part = POS
+                elif lit.negated and lit.atom.value is not None:
+                    part = (lit.atom.feature, lit.atom.value)
+                else:
+                    return None
+                parts[tok] = part
+            if part is POS:
+                n_pos += 1
+            else:
+                body.append(part)
+        if n_pos != 1:
+            return None
+        if len(dict(body)) != len(body):  # a feature repeats
+            return None
+        body.sort()
+        key = tuple(body)
+        entry = (prob.denominator, prob.numerator)
+        if counts.setdefault(key, entry) != entry:
+            return None
+    return RuleTable(counts)
+
+
+def _parse_clauses(text: str) -> KnowledgeBase:
+    """The general path of :func:`parse_kb`: any clause, as clause objects."""
+    out: list[WeightedClause] = []
+    seen: dict[Clause, tuple[int, Probability]] = {}
+    for line_no, prob, clause_text in _clause_lines(text):
+        literals = [_parse_literal(tok, line_no) for tok in clause_text.split("|")]
         try:
             clause = Clause(literals)
         except ValueError as exc:
@@ -427,6 +482,23 @@ def parse_kb(text: str) -> KnowledgeBase:
         seen[clause] = (line_no, prob)
         out.append(WeightedClause(prob, clause))
     return KnowledgeBase(out)
+
+
+def parse_kb(text: str) -> KnowledgeBase:
+    """Parse the one-clause-per-line text format.
+
+    Grammar per line: ``prob SP lit (" | " lit)*`` where ``lit`` is an
+    optionally ``!``-prefixed atom (``pos``, a bare name, or ``name=value``).
+    ``#`` starts a comment; blank lines are skipped.  Probabilities are
+    parsed as exact decimals.
+
+    A text of rule clauses only, such as a saved learned model, parses to
+    a :class:`RuleTable` and builds no clause object; any other text
+    parses to a plain :class:`KnowledgeBase`.  Both give the same clauses
+    in the same order, and the same error for the same malformed line.
+    """
+    table = _parse_rule_table(text)
+    return table if table is not None else _parse_clauses(text)
 
 
 def serialize_kb(kb: KnowledgeBase) -> str:

@@ -35,6 +35,11 @@ tests.
 
 An exact world-distribution oracle (all 2^n complete conjunctions) is
 included for cross-checking on small universes.
+
+numpy and scipy are imported inside the functions that build arrays for
+or solve a program, so importing this module, and every closed-form
+answer, loads neither; every solve goes through the module-level
+:func:`linprog`.
 """
 
 from __future__ import annotations
@@ -42,10 +47,6 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field, replace
 from typing import Mapping
-
-import numpy as np
-from scipy.optimize import linprog
-from scipy.sparse import csr_matrix, vstack
 
 from .kb import POS, Atom, KnowledgeBase, Literal, RuleTable, _literal
 
@@ -213,6 +214,9 @@ def apply_query(
 def _arrays(lp: LinearProgram):
     """The objective vector and the CSR blocks A_ub, b_ub, A_eq, b_eq, rows
     in constraint order; an empty block is None."""
+    import numpy as np
+    from scipy.sparse import csr_matrix
+
     c = np.zeros(lp.n_variables)
     for idx, coef in lp.objective:
         c[idx] += coef
@@ -232,6 +236,14 @@ def _arrays(lp: LinearProgram):
 
 
 _STATUS = {0: "optimal", 1: "iteration limit", 2: "infeasible", 3: "unbounded", 4: "numerical"}
+
+
+def linprog(*args, **kwargs):
+    """``scipy.optimize.linprog``, imported on the first solve: a process
+    that only takes closed-form answers never loads scipy."""
+    from scipy.optimize import linprog as scipy_linprog
+
+    return scipy_linprog(*args, **kwargs)
 
 
 def _linprog(c, a_ub, b_ub, a_eq, b_eq, bounds):
@@ -264,6 +276,9 @@ def _bounded_target(
 ) -> tuple[float, float | None, float | None]:
     """Lexicographic solve: (v*, min, max) of the target variable.  Without
     a target only stage 1 runs and the bounds are None."""
+    import numpy as np
+    from scipy.sparse import csr_matrix, vstack
+
     c1, a_ub, b_ub, a_eq, b_eq = _arrays(lp)
     bounds = list(lp.bounds)
 
@@ -404,6 +419,8 @@ def nilsson_oracle(kb: KnowledgeBase, target_atom: Atom) -> tuple[bool, float, f
     atom.  Exponential in the atom count, hence the cap; this is the
     cross-check the relaxed program is validated against.
     """
+    import numpy as np
+
     atoms = sorted(kb.universe, key=_atom_sort_key)
     n = len(atoms)
     if n > MAX_ORACLE_ATOMS:

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
 from helpers import NEGATIVE_STRINGS, POSITIVE_STRINGS
 
+import plkb
 from plkb.cli import main, parse_query
 from plkb.kb import parse_kb, rule_clause
 
@@ -149,6 +154,49 @@ class TestTrainClassifyExplain:
         )
         assert fast["label"] == slow["label"]
         assert fast["p_avg"] == pytest.approx(slow["p_avg"], abs=1e-6)
+
+
+def run_fresh(code: str) -> str:
+    """Run Python code in a new interpreter that imports this plkb; its stdout."""
+    src = str(Path(plkb.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    ))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+class TestColdStart:
+    """The command line loads numpy and scipy only when it solves an LP."""
+
+    def test_import_loads_no_numpy_or_scipy(self):
+        out = run_fresh(
+            "import sys, plkb.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))"
+        )
+        assert out.strip() == "[]"
+
+    def test_only_the_lp_loads_scipy(self, runner, strings_csv, tmp_path):
+        kb_path = tmp_path / "kb.plkb"
+        run_json(
+            runner,
+            ["train", "--method", "direct", "--input", str(strings_csv),
+             "--label-col", "label", "--pos-label", "pos", "--out", str(kb_path)],
+        )
+        for extra, solved in (([], False), (["--full-kb"], True)):
+            args = ["classify", "--kb", str(kb_path), "--domains", str(strings_csv),
+                    "--query", "a1=0,a2=1,a3=0,a4=1", *extra]
+            out = run_fresh(
+                "import sys\n"
+                "from plkb.cli import main\n"
+                f"main({args!r}, standalone_mode=False)\n"
+                "print('scipy' in sys.modules)"
+            )
+            *payload, loaded = out.strip().splitlines()
+            assert loaded == str(solved)
+            assert json.loads("\n".join(payload)) == run_json(runner, args)
 
 
 class TestSynthAndEval:

@@ -193,12 +193,12 @@ class TestSubsetCounter:
             assert right.merge(left).counts == whole.counts
 
     def test_merge_does_not_mutate_inputs(self):
-        a = SubsetCounter({(("f", "1"),): [2, 1]})
-        b = SubsetCounter({(("f", "1"),): [3, 0]})
+        a = SubsetCounter({(("f", "1"),): (2, 1)})
+        b = SubsetCounter({(("f", "1"),): (3, 0)})
         merged = a.merge(b)
-        assert merged.counts == {(("f", "1"),): [5, 1]}
-        assert a.counts == {(("f", "1"),): [2, 1]}
-        assert b.counts == {(("f", "1"),): [3, 0]}
+        assert merged.counts == {(("f", "1"),): (5, 1)}
+        assert a.counts == {(("f", "1"),): (2, 1)}
+        assert b.counts == {(("f", "1"),): (3, 0)}
 
 
 @st.composite

@@ -5,6 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import random_dataset
+
+from plkb.data import from_rows
+from plkb.direct import build_direct_kb
 from plkb.kb import (
     POS,
     Atom,
@@ -12,12 +16,15 @@ from plkb.kb import (
     KBParseError,
     KnowledgeBase,
     Literal,
+    RuleTable,
     WeightedClause,
+    _parse_clauses,
     merge,
     parse_kb,
     rule_clause,
     serialize_kb,
 )
+from plkb.tree import build_id3, kb_from_tree
 
 
 class TestAtom:
@@ -196,6 +203,110 @@ def kb_texts(draw):
         prob = draw(st.integers(0, 1000000)) / 1000000
         lines.append(f"{prob:.6f} " + " | ".join(lits))
     return "\n".join(lines)
+
+
+_rule_features = st.sampled_from(["a1", "a2", "b", "c", "dd"])
+_rule_values = st.sampled_from(["0", "1", "2", "x"])
+_probability_texts = st.one_of(
+    st.integers(0, 1000000).map(lambda n: f"{n / 1000000:.6f}"),
+    st.sampled_from(["0", "1", "1.0", "0.5", ".25", "1/3", "2/7"]),
+)
+
+
+@st.composite
+def rule_texts(draw):
+    """Texts of rule clauses only: literals in any order (``pos`` in any
+    position), loose spacing, repeated lines, comments and blank lines."""
+    bodies = draw(st.lists(
+        st.lists(st.tuples(_rule_features, _rule_values), max_size=4,
+                 unique_by=lambda pair: pair[0]),
+        max_size=6, unique_by=frozenset,
+    ))
+    lines = []
+    for body in bodies:
+        prob = draw(_probability_texts)
+        for _ in range(draw(st.integers(1, 2))):
+            lits = draw(st.permutations(["pos", *(f"!{f}={v}" for f, v in body)]))
+            sep = draw(st.sampled_from([" | ", "|", " |  "]))
+            comment = draw(st.sampled_from(["", "  # note", "#"]))
+            lines.append(f"{prob} {sep.join(lits)}{comment}")
+    lines = draw(st.permutations(lines))
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(["", "# c", "  "])))
+    return "\n".join(lines)
+
+
+class TestRuleTableParse:
+    """A text of rule clauses parses to a RuleTable that must equal what the
+    general, clause-building path makes of the same text."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(rule_texts())
+    def test_both_paths_agree(self, text):
+        table = parse_kb(text)
+        ref = _parse_clauses(text)
+        assert type(table) is RuleTable and type(ref) is KnowledgeBase
+        assert serialize_kb(table) == serialize_kb(ref)
+        assert len(table) == len(ref)
+        assert table.universe == ref.universe
+        assert [(wc.probability, wc.clause) for wc in table.clauses] == [
+            (wc.probability, wc.clause) for wc in ref.clauses
+        ]
+        assert all(type(wc.probability) is Fraction for wc in table.clauses)
+        assert table == ref
+
+    @pytest.mark.parametrize("text", [
+        "0.5 a",
+        "0.5 pos | a",
+        "0.5 !pos | !a=1",
+        "0.5 pos | a=1",
+        "0.5 pos | !b",
+        "0.5 !a=1",
+        "0.5 pos | !a=1 | !a=2",
+        "0.5 pos | !a=1 | !a=1",
+        "0.5 pos | pos | !a=1",
+        "0.5 pos | !a=1\n0.5 a | b",
+    ])
+    def test_other_shapes_parse_to_clauses(self, text):
+        kb = parse_kb(text)
+        assert type(kb) is KnowledgeBase
+        assert kb.clauses == _parse_clauses(text).clauses
+
+    @pytest.mark.parametrize("text, line_no, message", [
+        ("0.5 pos | !a=1\n0.5 pos | !a b=1", 2, "invalid atom name 'a b'"),
+        ("0.5 pos | !a=1\n0.5 pos | !a=", 2, "invalid atom value ''"),
+        ("0.5 pos | !a=1\nx pos | !b=1", 2, "bad probability 'x'"),
+        ("0.5 pos | !a=1\n1.5 pos | !b=1", 2, "probability 1.5 outside [0, 1]"),
+        ("0.5 pos | !a=1\n0.3 pos | ", 2, "empty literal"),
+        ("0.5 pos | !a=1\n0.3", 2, "expected 'probability clause', got '0.3'"),
+        ("0.3 pos | !a=1\n0.3 pos | !b=2\n\n0.4 !a=1 | pos", 4,
+         "clause pos | !a=1 already given probability 0.300000 on line 1"),
+    ])
+    def test_errors_match_the_general_path(self, text, line_no, message):
+        raised = []
+        for parse in (parse_kb, _parse_clauses):
+            with pytest.raises(KBParseError) as exc:
+                parse(text)
+            raised.append((exc.value.line_no, str(exc.value)))
+        assert raised[0] == raised[1]
+        assert raised[0][0] == line_no
+        assert raised[0][1].startswith(f"line {line_no}: {message}")
+
+    def test_saved_models_round_trip(self, strings_ds):
+        rng = random.Random(5)
+        kbs = [
+            build_direct_kb(strings_ds),
+            build_direct_kb(random_dataset(rng, max_features=5, max_rows=30), 3),
+            kb_from_tree(build_id3(strings_ds), "leaves"),
+            kb_from_tree(build_id3(strings_ds), "all_nodes"),
+            build_direct_kb(from_rows(["f"], [(("x",), True), (("y",), False)])),
+        ]
+        for kb in kbs:
+            text = serialize_kb(kb)
+            parsed = parse_kb(text)
+            assert type(parsed) is RuleTable
+            assert serialize_kb(parsed) == text
+            assert "clauses" not in parsed.__dict__
 
 
 class TestRoundTrip:
