@@ -34,7 +34,7 @@ from .explain import compute_explanation, feature_position, masked_string
 from .direct import active_kb
 from .kb import merge, parse_kb, serialize_kb
 from .lp import apply_query, build_lp, dump_lp, infer_pos
-from .tree import build_id3, format_tree, kb_from_tree
+from .tree import build_id3, format_tree
 
 
 def parse_query(text: str) -> dict[str, str]:
@@ -57,7 +57,8 @@ def _read_kb(path: str):
 
 
 def _domains_for_kb(path: str, kb) -> dict[str, frozenset[str]]:
-    """Domains of the KB's features, read from a reference CSV."""
+    """Domains of every column of a reference CSV, which must hold the
+    KB's features; a query may name a feature the KB never mentions."""
     features = sorted({a.feature for a in kb.universe if a.value is not None})
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv_mod.reader(fh)
@@ -68,12 +69,11 @@ def _domains_for_kb(path: str, kb) -> dict[str, frozenset[str]]:
         missing = [f for f in features if f not in header]
         if missing:
             raise ValueError(f"domains file lacks columns {missing}")
-        cols = {f: header.index(f) for f in features}
-        domains: dict[str, set[str]] = {f: set() for f in features}
+        domains: dict[str, set[str]] = {f: set() for f in header}
         for row in reader:
-            for f, i in cols.items():
-                if i < len(row) and row[i] != "":
-                    domains[f].add(row[i])
+            for f, value in zip(header, row):
+                if value != "":
+                    domains[f].add(value)
     return {f: frozenset(vs) for f, vs in domains.items()}
 
 
@@ -119,13 +119,10 @@ def train(method, input_path, label_col, pos_label, max_arity, out_path, tree_pa
     ds = load_csv(input_path, label_col, pos_label)
     if tree_path and not method.startswith("tree"):
         raise ValueError("--dump-tree only applies to the tree methods")
-    if method.startswith("tree"):
-        tree = build_id3(ds)
-        if tree_path:
-            Path(tree_path).write_text(format_tree(tree) + "\n", encoding="utf-8")
-        kb = kb_from_tree(tree, "leaves" if method == "tree" else "all_nodes")
-    else:
-        kb = train_kb(ds, method, max_arity)
+    if tree_path:
+        # ID3 is deterministic: this is the tree train_kb reads its rules from.
+        Path(tree_path).write_text(format_tree(build_id3(ds)) + "\n", encoding="utf-8")
+    kb = train_kb(ds, method, max_arity)
     Path(out_path).write_text(serialize_kb(kb) + "\n", encoding="utf-8")
     _emit({"clauses": len(kb), "atoms": len(kb.universe), "out": str(out_path)})
 
@@ -144,11 +141,11 @@ def classify(kb_path, domains_path, query_text, full_kb, dump_path):
     domains = _domains_for_kb(domains_path, kb)
     query = parse_query(query_text)
     sub = kb if full_kb else active_kb(query, kb)
+    res = infer_pos(sub, query, domains)
     if dump_path:
         Path(dump_path).write_text(
-            dump_lp(apply_query(build_lp(sub), query, domains)) + "\n", encoding="utf-8"
+            dump_lp(apply_query(build_lp(sub), query)) + "\n", encoding="utf-8"
         )
-    res = infer_pos(sub, query, domains)
     _emit(
         {
             "label": res.label,

@@ -111,19 +111,6 @@ def _select_subset_clauses(
     pairs = set(query.items())
     if isinstance(kb, RuleTable):
         return _select_table_rules(pairs, kb, include_empty)
-    index = kb.by_body
-    # The index exists only when every clause is rule-shaped, in which case
-    # clause <-> body is a bijection.  Enumerating query subsets beats a
-    # full scan unless the query is wide relative to the KB.
-    if len(index) == len(kb.clauses) and 2 ** len(pairs) <= 8 * len(kb.clauses) + 64:
-        selected = []
-        ordered = sorted(pairs)
-        for k in range(0 if include_empty else 1, len(pairs) + 1):
-            for combo in combinations(ordered, k):
-                wc = index.get(frozenset(combo))
-                if wc is not None:
-                    selected.append(wc)
-        return KnowledgeBase(selected)
     selected = [
         wc
         for wc in kb.clauses
@@ -154,6 +141,8 @@ def active_kb(query: Query, kb: KnowledgeBase) -> KnowledgeBase:
     the neutralisation argument only covers rule clauses.  A
     :class:`~plkb.kb.RuleTable` is rule-shaped by construction.
     """
-    if not isinstance(kb, RuleTable) and len(kb.by_body) != len(kb.clauses):
+    if not isinstance(kb, RuleTable) and not all(
+        wc.clause.is_rule_shaped for wc in kb.clauses
+    ):
         return kb
     return _select_subset_clauses(query, kb, include_empty=True)

@@ -64,6 +64,8 @@ def compute_explanation(
     If the full query classifies positive, the sub-query maximising the
     bound midpoint is the explanation; otherwise the minimising one.
     Ties break on the lexicographically smallest serialized sub-query.
+    ``domains`` check the full query once; its sub-queries assert no other
+    pair.
     """
     query = dict(query)
     if not 1 <= k <= len(query):
@@ -72,7 +74,7 @@ def compute_explanation(
     positive = full.label
 
     scored = [
-        (sub, evaluate_sub_query(sub, kb, domains, use_relevant=use_relevant).p_avg)
+        (sub, evaluate_sub_query(sub, kb, use_relevant=use_relevant).p_avg)
         for sub in map(dict, combinations(sorted(query.items()), k))
     ]
     best_sub, best_score = min(

@@ -7,16 +7,15 @@ class"), but the container and the text format also accept arbitrary
 clauses over bare propositional atoms, which is useful for hand-written
 knowledge and for consistency experiments.
 
-The direct method's knowledge base is a :class:`RuleTable`: the subset
-counts its rule clauses are read from, with the clauses built only when
-something reads them.  A text of rule clauses only, such as a saved
-direct or tree model, parses straight into a table too.
+Every knowledge base of rule clauses only is a :class:`RuleTable`: the
+integer pairs its rule probabilities are read from, keyed by rule body,
+with the clauses built only when something reads them.  That covers the
+direct and tree builders' output, a parsed rule-only text such as a saved
+model, and rule clauses merged into a table.  A plain
+:class:`KnowledgeBase` holds any other, mixed or hand-built, clause list.
 
 All values are immutable; operations that change a knowledge base return
-a new one, so instances can be shared freely across threads.  Atoms and
-literals are interned: direct construction stays valid, but the module
-helpers reuse instances because learned KBs hold hundreds of thousands
-of clauses over a few hundred distinct atoms.
+a new one, so instances can be shared freely across threads.
 """
 
 from __future__ import annotations
@@ -95,17 +94,6 @@ class Atom:
 
 POS = Atom(CLASS_ATOM_NAME)
 
-_ATOM_CACHE: dict[tuple[str, str | None], Atom] = {(CLASS_ATOM_NAME, None): POS}
-_LITERAL_CACHE: dict[tuple[str, str | None, bool], "Literal"] = {}
-
-
-def _atom(feature: str, value: str | None = None) -> Atom:
-    key = (feature, value)
-    a = _ATOM_CACHE.get(key)
-    if a is None:
-        a = _ATOM_CACHE[key] = Atom(feature, value)
-    return a
-
 
 class Literal:
     __slots__ = ("atom", "negated", "_hash")
@@ -132,25 +120,7 @@ class Literal:
         return ("!" if self.negated else "") + str(self.atom)
 
 
-def _literal(atom: Atom, negated: bool = False) -> Literal:
-    key = (atom.feature, atom.value, negated)
-    lit = _LITERAL_CACHE.get(key)
-    if lit is None:
-        lit = _LITERAL_CACHE[key] = Literal(atom, negated)
-    return lit
-
-
-_PAIR_LITERAL_CACHE: dict[tuple[str, str], Literal] = {}
-
-
-def _negated_pair_literal(pair: tuple[str, str]) -> Literal:
-    lit = _PAIR_LITERAL_CACHE.get(pair)
-    if lit is None:
-        lit = _PAIR_LITERAL_CACHE[pair] = _literal(_atom(*pair), True)
-    return lit
-
-
-_POS_LITERAL = _literal(POS)
+_POS_LITERAL = Literal(POS)
 
 
 def _literal_sort_key(lit: Literal):
@@ -247,7 +217,7 @@ def rule_clause(pairs: Iterable[tuple[str, str]]) -> Clause:
     if len(set(feats)) != len(feats):
         raise ValueError(f"rule body repeats a feature: {feats}")
     lits = [_POS_LITERAL]
-    lits.extend(_negated_pair_literal(p) for p in ordered_pairs)
+    lits.extend(Literal(Atom(f, v), True) for f, v in ordered_pairs)
     return Clause._trusted(tuple(lits), frozenset(ordered_pairs))
 
 
@@ -306,16 +276,6 @@ class KnowledgeBase:
         return frozenset(a for wc in self.clauses for a in wc.clause.atoms)
 
     @cached_property
-    def by_body(self) -> dict[frozenset[tuple[str, str]], WeightedClause]:
-        """Rule-shaped clauses indexed by body; empty if any clause is not a rule."""
-        index: dict[frozenset[tuple[str, str]], WeightedClause] = {}
-        for wc in self.clauses:
-            if not wc.clause.is_rule_shaped:
-                return {}
-            index[wc.clause.body] = wc
-        return index
-
-    @cached_property
     def _probabilities(self) -> dict[Clause, Probability]:
         return {wc.clause: wc.probability for wc in self.clauses}
 
@@ -330,9 +290,10 @@ class RuleTable(KnowledgeBase):
     """Rule clauses kept as the integer pairs they are read from.
 
     ``counts`` maps a rule body, a sorted tuple of (feature, value) pairs,
-    to a pair ``(total, pos)``: the sample counts for a table the direct
-    builder trained, the probability's denominator and numerator for one
-    :func:`parse_kb` read.  The clause it stands for is
+    to a pair ``(total, pos)``: the sample counts of a subset or a tree
+    node for a table the direct or tree builder trained, the probability's
+    denominator and numerator for a row :func:`parse_kb` read or
+    :func:`merge` supplied.  The clause it stands for is
     ``[Fraction(pos, total)] pos | !f1=v1 | ...``.  No clause object
     exists until something reads :attr:`clauses`, which builds them once,
     in key order.
@@ -351,8 +312,19 @@ class RuleTable(KnowledgeBase):
         return tuple(self._build())
 
     def _build(self) -> Iterator[WeightedClause]:
+        # Keys are sorted and repeat no feature, so ``pos`` followed by the
+        # key's literals is already canonical.  Clauses built in one pass
+        # share one literal per pair; nothing outlives the pass.
+        literals: dict[tuple[str, str], Literal] = {}
         for key, (total, pos) in self.counts.items():
-            yield WeightedClause(Fraction(pos, total), rule_clause(key))
+            lits = [_POS_LITERAL]
+            for pair in key:
+                lit = literals.get(pair)
+                if lit is None:
+                    lit = literals[pair] = Literal(Atom(*pair), True)
+                lits.append(lit)
+            clause = Clause._trusted(tuple(lits), frozenset(key))
+            yield WeightedClause(Fraction(pos, total), clause)
 
     def __len__(self) -> int:
         return len(self.counts)
@@ -367,7 +339,7 @@ class RuleTable(KnowledgeBase):
         if not self.counts:
             return frozenset()
         pairs = {pair for key in self.counts for pair in key}
-        return frozenset([POS, *(_atom(f, v) for f, v in pairs)])
+        return frozenset([POS, *(Atom(f, v) for f, v in pairs)])
 
     @cached_property
     def arity(self) -> int:
@@ -414,10 +386,10 @@ def _parse_literal(tok: str, line_no: int) -> Literal:
         tok = tok[1:].strip()
     name, eq, value = tok.partition("=")
     try:
-        atom = _atom(name, value) if eq else _atom(name)
+        atom = Atom(name, value) if eq else Atom(name)
     except ValueError as exc:
         raise KBParseError(line_no, str(exc)) from None
-    return _literal(atom, negated)
+    return Literal(atom, negated)
 
 
 def _parse_rule_table(text: str) -> RuleTable | None:
@@ -436,7 +408,7 @@ def _parse_rule_table(text: str) -> RuleTable | None:
             part = parts.get(tok)
             if part is None:
                 lit = _parse_literal(tok, line_no)
-                if lit is _POS_LITERAL:
+                if lit == _POS_LITERAL:
                     part = POS
                 elif lit.negated and lit.atom.value is not None:
                     part = (lit.atom.feature, lit.atom.value)
@@ -463,8 +435,14 @@ def _parse_clauses(text: str) -> KnowledgeBase:
     """The general path of :func:`parse_kb`: any clause, as clause objects."""
     out: list[WeightedClause] = []
     seen: dict[Clause, tuple[int, Probability]] = {}
+    parsed: dict[str, Literal] = {}  # literal text -> its literal, shared by clauses
     for line_no, prob, clause_text in _clause_lines(text):
-        literals = [_parse_literal(tok, line_no) for tok in clause_text.split("|")]
+        literals = []
+        for tok in clause_text.split("|"):
+            lit = parsed.get(tok)
+            if lit is None:
+                lit = parsed[tok] = _parse_literal(tok, line_no)
+            literals.append(lit)
         try:
             clause = Clause(literals)
         except ValueError as exc:
@@ -514,12 +492,22 @@ def merge(kb: KnowledgeBase, extra: Sequence[WeightedClause]) -> KnowledgeBase:
     already exists keeps its position but takes the supplied probability:
     domain knowledge wins over the learned value.  Inconsistency between
     the merged clauses is fine; inference tolerates it.
+
+    Rule clauses merged into a :class:`RuleTable` give a table, each
+    probability kept exactly as its ``(denominator, numerator)``; any
+    other merge gives a plain :class:`KnowledgeBase`.
     """
     for wc in extra:
         if not wc.clause.has_positive(POS):
             raise ValueError(
                 f"merged clause {wc.clause} does not contain {CLASS_ATOM_NAME!r} positively"
             )
+    if isinstance(kb, RuleTable) and all(wc.clause.is_rule_shaped for wc in extra):
+        counts = dict(kb.counts)
+        for wc in extra:
+            p = Fraction(wc.probability)
+            counts[tuple(sorted(wc.clause.body))] = (p.denominator, p.numerator)
+        return RuleTable(counts)
     merged: dict[Clause, WeightedClause] = {wc.clause: wc for wc in kb.clauses}
     for wc in extra:
         merged[wc.clause] = wc

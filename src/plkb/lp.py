@@ -48,7 +48,7 @@ import logging
 from dataclasses import dataclass, field, replace
 from typing import Mapping
 
-from .kb import POS, Atom, KnowledgeBase, Literal, RuleTable, _literal
+from .kb import POS, Atom, KnowledgeBase, Literal, RuleTable
 
 logger = logging.getLogger(__name__)
 
@@ -179,6 +179,21 @@ def build_lp(kb: KnowledgeBase) -> LinearProgram:
     )
 
 
+def _check_query(
+    query: Mapping[str, str],
+    domains: Mapping[str, frozenset[str] | set[str]] | None,
+) -> None:
+    """Refuse a query feature the domains lack, and log one warning per
+    value outside its feature's domain; nothing to check without domains."""
+    if domains is None:
+        return
+    for feature, value in sorted(query.items()):
+        if feature not in domains:
+            raise ValueError(f"query feature {feature!r} not in domains")
+        if value not in domains[feature]:
+            logger.warning("query value %s=%s outside the feature's domain", feature, value)
+
+
 def apply_query(
     lp: LinearProgram,
     query: Mapping[str, str],
@@ -188,22 +203,17 @@ def apply_query(
     sibling value present in the program; unqueried features stay free.
 
     Atoms the program never mentions are skipped silently.  When
-    ``domains`` is given, a query value outside its feature's domain is
-    logged as a warning but the asserted atom is still fixed if present.
+    ``domains`` is given, a query feature it lacks is refused, and a value
+    outside its feature's domain is logged as a warning but the asserted
+    atom is still fixed if present.
     """
+    _check_query(query, domains)
     by_feature: dict[str, list[Atom]] = {}
     for atom in lp.atom_index:
         if atom.value is not None:
             by_feature.setdefault(atom.feature, []).append(atom)
     bounds = list(lp.bounds)
     for feature, value in sorted(query.items()):
-        if domains is not None:
-            if feature not in domains:
-                raise ValueError(f"query feature {feature!r} not in domains")
-            if value not in domains[feature]:
-                logger.warning(
-                    "query value %s=%s outside the feature's domain", feature, value
-                )
         for atom in by_feature.get(feature, ()):
             idx = lp.atom_index[atom]
             fixed = 1.0 if atom.value == value else 0.0
@@ -320,7 +330,7 @@ def _pinned_probs(
         if target != POS or not all(pairs.issuperset(key) for key in kb.counts):
             return None
         return [pos / total for total, pos in kb.counts.values()]
-    target_lit = _literal(target)
+    target_lit = Literal(target)
     probs: list[float] = []
     for wc in kb.clauses:
         lits, body = wc.clause.literals, wc.clause.body
@@ -359,11 +369,14 @@ def infer_pos(
     True only when the bound midpoint exceeds 0.5.  An empty knowledge
     base leaves the target unconstrained and yields the maximally
     uncertain result.  ``engine="lp"`` forces the solver path even when
-    the program collapses to the exact one-unknown form.
+    the program collapses to the exact one-unknown form.  Before either
+    engine runs, ``domains`` check the query as in :func:`apply_query`:
+    one warning per out-of-domain value, ValueError for a feature they lack.
     """
     if engine not in ("auto", "lp"):
         raise ValueError(f"unknown engine {engine!r}")
     query = dict(query or {})
+    _check_query(query, domains)
     if len(kb) == 0:
         return InferenceResult(0.0, 1.0, 0.5, 0.0, False)
 
@@ -375,7 +388,7 @@ def infer_pos(
     lp = build_lp(kb)
     if target not in lp.atom_index:
         raise ValueError(f"target atom {target} does not occur in the knowledge base")
-    lp = apply_query(lp, query, domains)
+    lp = apply_query(lp, query)
     v_star, lo, hi = _bounded_target(lp, lp.atom_index[target])
     return _result(v_star, lo, hi)
 

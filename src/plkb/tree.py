@@ -5,10 +5,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .data import Dataset, Instance
-from .kb import Clause, KnowledgeBase, WeightedClause, rule_clause
+from .kb import Clause, RuleKey, RuleTable, rule_clause
 
 
 @dataclass
@@ -85,28 +84,33 @@ def clause_from_path(path: list[tuple[str, str]]) -> Clause:
     return rule_clause(path)
 
 
-def kb_from_tree(tree: TreeNode, mode: str = "leaves") -> KnowledgeBase:
-    """Extract weighted clauses from tree paths.
+def kb_from_tree(tree: TreeNode, mode: str = "leaves") -> RuleTable:
+    """Extract weighted rule clauses from tree paths.
 
     mode="leaves": one clause per root-to-leaf path.  mode="all_nodes": one
     clause per root-to-node path for every non-root node.  Probability is
-    the end node's positive ratio, kept as an exact rational.
+    the end node's positive ratio, kept as the node's sample counts in a
+    :class:`~plkb.kb.RuleTable`, in depth-first order.  An ID3 path never
+    repeats a feature, so its pairs determine the node it ends at; a
+    hand-built tree whose path does is refused.
     """
     if mode not in ("leaves", "all_nodes"):
         raise ValueError(f"unknown mode {mode!r}")
-    out: list[WeightedClause] = []
+    counts: dict[RuleKey, tuple[int, int]] = {}
 
     def walk(node: TreeNode, path: list[tuple[str, str]]):
         take = node.is_leaf if mode == "leaves" else node.incoming_edge is not None
         if take:
-            prob = Fraction(node.n_positive, node.n_total)
-            out.append(WeightedClause(prob, clause_from_path(path)))
+            key = tuple(sorted(path))
+            if len(dict(key)) != len(key):
+                raise ValueError(f"rule body repeats a feature: {[f for f, _ in key]}")
+            counts[key] = (node.n_total, node.n_positive)
         for value in sorted(node.children):
             child = node.children[value]
             walk(child, path + [child.incoming_edge])
 
     walk(tree, [])
-    return KnowledgeBase(out)
+    return RuleTable(counts)
 
 
 def format_tree(tree: TreeNode) -> str:

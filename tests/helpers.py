@@ -7,8 +7,10 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+from hypothesis import strategies as st
+
 from plkb.data import Dataset, from_rows
-from plkb.kb import Atom, Clause, KnowledgeBase, Literal, WeightedClause
+from plkb.kb import Atom, Clause, KnowledgeBase, Literal, WeightedClause, rule_clause
 
 # Eight labelled bit-strings over features a1..a4; small enough to check
 # every derived number by hand.
@@ -128,7 +130,46 @@ def relevant_kb_scan(query, kb: KnowledgeBase) -> KnowledgeBase:
     return KnowledgeBase(selected)
 
 
+def kb_from_tree_clauses(tree, mode: str = "leaves") -> KnowledgeBase:
+    """Reference implementation of tree extraction: one clause object per
+    taken root-to-node path, in depth-first order, as a plain KB."""
+    out: list[WeightedClause] = []
+
+    def walk(node, path):
+        take = node.is_leaf if mode == "leaves" else node.incoming_edge is not None
+        if take:
+            prob = Fraction(node.n_positive, node.n_total)
+            out.append(WeightedClause(prob, rule_clause(path)))
+        for value in sorted(node.children):
+            child = node.children[value]
+            walk(child, path + [child.incoming_edge])
+
+    walk(tree, [])
+    return KnowledgeBase(out)
+
+
 def all_subsets(pairs):
     items = sorted(pairs)
     for k in range(1, len(items) + 1):
         yield from combinations(items, k)
+
+
+@st.composite
+def datasets_and_queries(draw):
+    """A small dataset, a max_arity, and queries over its features: full
+    and partial, with values both seen and unseen in training."""
+    n_features = draw(st.integers(1, 4))
+    features = [f"f{i}" for i in range(1, n_features + 1)]
+    values = [str(v) for v in range(draw(st.integers(2, 3)))]
+    value = st.sampled_from(values)
+    rows = draw(st.lists(
+        st.tuples(st.tuples(*[value] * n_features), st.booleans()),
+        min_size=1, max_size=12,
+    ))
+    max_arity = draw(st.none() | st.integers(1, n_features))
+    query_value = st.none() | st.sampled_from([*values, "9"])
+    queries = [dict(zip(features, vals)) for vals, _ in rows[:2]]
+    for _ in range(3):
+        drawn = draw(st.tuples(*[query_value] * n_features))
+        queries.append({f: v for f, v in zip(features, drawn) if v is not None})
+    return from_rows(features, rows), max_arity, queries

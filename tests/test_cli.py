@@ -349,6 +349,51 @@ class TestErrorHandling:
         err = result.stderr if hasattr(result, "stderr") else result.output
         assert [l for l in err.splitlines() if l] == [f"error: {empty}: empty file"]
 
+    @pytest.mark.parametrize(
+        "command",
+        [["classify", "--query", "a1=0,a2=1,zz=3"],
+         ["classify", "--full-kb", "--query", "a1=0,a2=1,zz=3"],
+         ["explain", "-k", "1", "--query", "a1=0,zz=3"]],
+        ids=["classify", "classify-full-kb", "explain"],
+    )
+    def test_query_feature_missing_from_domains(self, runner, strings_csv, tmp_path,
+                                                command):
+        kb_path = tmp_path / "kb.plkb"
+        run_json(
+            runner,
+            ["train", "--method", "tree", "--input", str(strings_csv),
+             "--label-col", "label", "--pos-label", "pos", "--out", str(kb_path)],
+        )
+        result = runner.invoke(
+            main, [*command, "--kb", str(kb_path), "--domains", str(strings_csv)]
+        )
+        assert result.exit_code == 1
+        err = result.stderr if hasattr(result, "stderr") else result.output
+        assert [l for l in err.splitlines() if l] == [
+            "error: query feature 'zz' not in domains"
+        ]
+
+    @pytest.mark.parametrize("flags", [[], ["--full-kb"]], ids=["closed-form", "lp"])
+    def test_query_may_name_a_feature_the_kb_never_mentions(self, runner, tmp_path,
+                                                             flags):
+        # a2 is noise: the tree never splits on it, so the KB lacks it.
+        data = tmp_path / "data.csv"
+        data.write_text("a1,a2,label\n0,0,neg\n0,1,neg\n1,0,pos\n1,1,pos\n",
+                        encoding="utf-8")
+        kb_path = tmp_path / "kb.plkb"
+        run_json(
+            runner,
+            ["train", "--method", "tree", "--input", str(data),
+             "--label-col", "label", "--pos-label", "pos", "--out", str(kb_path)],
+        )
+        assert "a2" not in kb_path.read_text(encoding="utf-8")
+        rep = run_json(
+            runner,
+            ["classify", *flags, "--kb", str(kb_path), "--domains", str(data),
+             "--query", "a1=1,a2=0"],
+        )
+        assert rep["label"] is True
+
     def test_malformed_kb_file(self, runner, strings_csv, tmp_path):
         bad = tmp_path / "bad.plkb"
         bad.write_text("zzz\n", encoding="utf-8")

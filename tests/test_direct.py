@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from helpers import (
     all_subsets,
+    datasets_and_queries,
     empirical_probability,
     query_from_string,
     random_dataset,
@@ -199,27 +199,6 @@ class TestSubsetCounter:
         assert merged.counts == {(("f", "1"),): (5, 1)}
         assert a.counts == {(("f", "1"),): (2, 1)}
         assert b.counts == {(("f", "1"),): (3, 0)}
-
-
-@st.composite
-def datasets_and_queries(draw):
-    """A small dataset, a max_arity, and queries over its features: full
-    and partial, with values both seen and unseen in training."""
-    n_features = draw(st.integers(1, 4))
-    features = [f"f{i}" for i in range(1, n_features + 1)]
-    values = [str(v) for v in range(draw(st.integers(2, 3)))]
-    value = st.sampled_from(values)
-    rows = draw(st.lists(
-        st.tuples(st.tuples(*[value] * n_features), st.booleans()),
-        min_size=1, max_size=12,
-    ))
-    max_arity = draw(st.none() | st.integers(1, n_features))
-    query_value = st.none() | st.sampled_from([*values, "9"])
-    queries = [dict(zip(features, vals)) for vals, _ in rows[:2]]
-    for _ in range(3):
-        drawn = draw(st.tuples(*[query_value] * n_features))
-        queries.append({f: v for f, v in zip(features, drawn) if v is not None})
-    return from_rows(features, rows), max_arity, queries
 
 
 class TestRuleTable:

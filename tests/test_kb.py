@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 
@@ -358,6 +359,80 @@ class TestMerge:
         bad = WeightedClause(1.0, Clause([Literal(Atom("a1", "0"))]))
         with pytest.raises(ValueError, match="positively"):
             merge(kb, [bad])
+
+    def test_rule_extras_merge_into_a_table(self):
+        kb = self.make_kb()
+        assert isinstance(kb, RuleTable)
+        before = dict(kb.counts)
+        extra = [
+            WeightedClause(Fraction(2, 7), rule_clause([("a2", "1"), ("a1", "0")])),
+            WeightedClause(0.95, rule_clause([("a3", "0")])),  # overrides the first row
+            WeightedClause(0.1, rule_clause([])),
+        ]
+        merged = merge(kb, extra)
+        ref = merge(KnowledgeBase(kb.clauses), extra)
+        assert isinstance(merged, RuleTable)
+        assert type(ref) is KnowledgeBase
+        assert [(Fraction(wc.probability), wc.clause) for wc in merged.clauses] == [
+            (Fraction(wc.probability), wc.clause) for wc in ref.clauses
+        ]
+        assert all(type(wc.probability) is Fraction for wc in merged.clauses)
+        assert serialize_kb(merged) == serialize_kb(ref)
+        assert float(merged.probability_of(rule_clause([("a3", "0")]))) == 0.95
+        assert kb.counts == before
+
+    def test_non_rule_extra_gives_a_plain_kb(self):
+        kb = self.make_kb()
+        extra = [
+            WeightedClause(0.9, rule_clause([("a3", "1")])),
+            WeightedClause(0.6, Clause([Literal(POS), Literal(Atom("a1", "0"))])),
+        ]
+        merged = merge(kb, extra)
+        assert type(merged) is KnowledgeBase
+        assert merged.clauses == (*kb.clauses, *extra)
+
+
+def _live_atoms(feature_prefix: str) -> int:
+    gc.collect()
+    return sum(
+        1 for o in gc.get_objects()
+        if isinstance(o, Atom) and o.feature.startswith(feature_prefix)
+    )
+
+
+class TestNoModuleState:
+    """No atom outlives the knowledge base whose clauses made it."""
+
+    @pytest.mark.parametrize("shape", ["pos | !{}=1", "pos | {}=1"],
+                             ids=["rule-table", "general"])
+    def test_parsed_kb(self, shape):
+        prefix = f"gc_parse_{len(shape)}_"
+        text = "\n".join(
+            "0.5 " + shape.format(f"{prefix}{i}") for i in range(1000)
+        )
+        kb = parse_kb(text)
+        assert len(kb.clauses) == 1000
+        assert _live_atoms(prefix) == 1000
+        del kb
+        assert _live_atoms(prefix) == 0
+
+    def test_direct_kb(self):
+        prefix = "gc_direct_"
+        features = [f"{prefix}{i}" for i in range(1000)]
+        kb = build_direct_kb(from_rows(features, [(("0",) * 1000, True)]), max_arity=1)
+        assert len(kb.clauses) == 1000
+        assert _live_atoms(prefix) == 1000
+        del kb
+        assert _live_atoms(prefix) == 0
+
+    def test_tree_kb(self):
+        feature = "gc_tree_feature"
+        rows = [((str(i),), i % 2 == 0) for i in range(1000)]
+        kb = kb_from_tree(build_id3(from_rows([feature], rows)))
+        assert len(kb.clauses) == 1000
+        assert _live_atoms(feature) == 1000
+        del kb
+        assert _live_atoms(feature) == 0
 
 
 class TestKnowledgeBase:

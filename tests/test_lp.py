@@ -12,7 +12,8 @@ from helpers import (
     satisfiable_random_kb,
 )
 
-from plkb.direct import relevant_kb
+from plkb.direct import active_kb, relevant_kb
+from plkb.explain import compute_explanation
 from plkb.kb import (
     POS,
     Atom,
@@ -247,6 +248,30 @@ class TestInfer:
         res = infer_pos(KnowledgeBase(), {"a1": "0"})
         assert (res.p_lower, res.p_upper) == (0.0, 1.0)
         assert res.label is False
+
+    def test_both_engines_check_the_query_against_domains(self, strings_tree_kb, caplog):
+        kb = strings_tree_kb
+        domains = {f"a{i}": frozenset("01") for i in range(1, 5)}
+        unknown = {"a1": "0", "a2": "1", "zz": "3"}
+        messages = []
+        for sub, engine in ((active_kb(unknown, kb), "auto"), (kb, "lp")):
+            with pytest.raises(ValueError) as exc:
+                infer_pos(sub, unknown, domains, engine=engine)
+            messages.append(str(exc.value))
+        assert messages == ["query feature 'zz' not in domains"] * 2
+
+        q = {"a1": "7", "a2": "0", "a3": "0", "a4": "0"}
+        warning = ["query value a1=7 outside the feature's domain"]
+        for sub, engine in ((active_kb(q, kb), "auto"), (kb, "lp")):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="plkb.lp"):
+                infer_pos(sub, q, domains, engine=engine)
+            assert [r.getMessage() for r in caplog.records] == warning
+        for use_relevant in (True, False):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="plkb.lp"):
+                compute_explanation(q, kb, 1, domains, use_relevant=use_relevant)
+            assert [r.getMessage() for r in caplog.records] == warning
 
     def test_missing_target_rejected(self, strings_tree_kb):
         with pytest.raises(ValueError, match="target"):

@@ -2,12 +2,21 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
-from helpers import empirical_probability, random_dataset
+from helpers import (
+    datasets_and_queries,
+    empirical_probability,
+    kb_from_tree_clauses,
+    random_dataset,
+)
 
 from plkb.data import from_rows
-from plkb.direct import build_direct_kb
-from plkb.kb import rule_clause, serialize_kb
+from plkb.direct import active_kb, build_direct_kb, relevant_kb
+from plkb.evaluate import classify_query
+from plkb.explain import compute_explanation
+from plkb.kb import RuleTable, rule_clause, serialize_kb
+from plkb.lp import infer_pos
 from plkb.tree import TreeNode, build_id3, clause_from_path, format_tree, kb_from_tree
 
 # Every root-to-leaf path of the tree grown from the eight-string data,
@@ -118,6 +127,45 @@ class TestKbFromTree:
     def test_unknown_mode(self, strings_ds):
         with pytest.raises(ValueError, match="mode"):
             kb_from_tree(build_id3(strings_ds), mode="forest")
+
+    def test_hand_built_path_repeating_a_feature_rejected(self):
+        leaf = TreeNode(None, 2, 1, ("a1", "1"))
+        inner = TreeNode("a1", 2, 1, ("a1", "0"), {"1": leaf})
+        root = TreeNode("a1", 2, 1, None, {"0": inner})
+        with pytest.raises(ValueError, match="repeats"):
+            kb_from_tree(root)
+
+
+class TestTreeTable:
+    """A tree KB is a count table; it must answer exactly as the clause
+    list the tree's paths give."""
+
+    @pytest.mark.parametrize("mode", ["leaves", "all_nodes"])
+    @settings(max_examples=40, deadline=None)
+    @given(case=datasets_and_queries())
+    def test_table_equals_the_clause_reference(self, mode, case):
+        ds, _, queries = case
+        tree = build_id3(ds)
+        table = kb_from_tree(tree, mode)
+        ref = kb_from_tree_clauses(tree, mode)
+        assert isinstance(table, RuleTable)
+        assert len(table) == len(ref)
+        assert table.universe == ref.universe
+        assert serialize_kb(table) == serialize_kb(ref)
+        for q in queries:
+            for extract in (relevant_kb, active_kb):
+                assert serialize_kb(extract(q, table)) == serialize_kb(extract(q, ref))
+            assert classify_query(table, q) == classify_query(ref, q)
+        for q in queries[:2]:  # full queries: rows of the dataset
+            for k in range(1, len(q) + 1):
+                assert compute_explanation(q, table, k) == compute_explanation(q, ref, k)
+        assert "clauses" not in table.__dict__
+        # The LP path reads the clauses: a partial query on the whole KB.
+        assert infer_pos(table, queries[-1]) == infer_pos(ref, queries[-1])
+        assert [(wc.probability, wc.clause) for wc in table.clauses] == [
+            (wc.probability, wc.clause) for wc in ref.clauses
+        ]
+        assert all(type(wc.probability) is Fraction for wc in table.clauses)
 
 
 class TestTreeProperties:
