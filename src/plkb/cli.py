@@ -109,7 +109,8 @@ method_option = click.option(
 @click.option("--input", "input_path", required=True, type=click.Path())
 @click.option("--label-col", required=True)
 @click.option("--pos-label", required=True)
-@click.option("--max-arity", type=int, default=None)
+@click.option("--max-arity", type=int, default=None,
+              help="Longest rule body to count (direct method only).")
 @click.option("--out", "out_path", required=True, type=click.Path())
 @click.option("--dump-tree", "tree_path", type=click.Path(), default=None,
               help="Write the learned tree as indented text (tree methods only).")
@@ -119,6 +120,8 @@ def train(method, input_path, label_col, pos_label, max_arity, out_path, tree_pa
     ds = load_csv(input_path, label_col, pos_label)
     if tree_path and not method.startswith("tree"):
         raise ValueError("--dump-tree only applies to the tree methods")
+    if max_arity is not None and method != "direct":
+        raise ValueError("--max-arity only applies to the direct method")
     if tree_path:
         # ID3 is deterministic: this is the tree train_kb reads its rules from.
         Path(tree_path).write_text(format_tree(build_id3(ds)) + "\n", encoding="utf-8")
@@ -131,7 +134,10 @@ def train(method, input_path, label_col, pos_label, max_arity, out_path, tree_pa
 @click.option("--kb", "kb_path", required=True, type=click.Path())
 @click.option("--domains", "domains_path", required=True, type=click.Path())
 @click.option("--query", "query_text", required=True)
-@click.option("--full-kb", is_flag=True, help="Skip query-active clause extraction.")
+@click.option("--full-kb", is_flag=True,
+              help="Skip query-active clause extraction: the whole KB goes to "
+                   "inference, whose presolve still drops every clause the query "
+                   "decides.")
 @click.option("--dump-lp", "dump_path", type=click.Path(), default=None,
               help="Write the constrained program in LP text format.")
 @fail_cleanly

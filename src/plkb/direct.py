@@ -137,9 +137,11 @@ def active_kb(query: Query, kb: KnowledgeBase) -> KnowledgeBase:
 
     Used by the evaluation pipeline: a bare ``[p] pos`` clause (single-leaf
     tree) constrains every query, so dropping it would change results.
-    Falls back to the whole KB when some clause is not rule-shaped, since
-    the neutralisation argument only covers rule clauses.  A
-    :class:`~plkb.kb.RuleTable` is rule-shaped by construction.
+    When some clause is not rule-shaped the whole KB is returned, and the
+    presolve in :func:`~plkb.lp.infer_pos` drops what the query decides.
+    A :class:`~plkb.kb.RuleTable` is rule-shaped by construction.  For a
+    full query the bounds equal whole-KB inference; ``objective_min``
+    lacks the deviation of the clauses dropped here.
     """
     if not isinstance(kb, RuleTable) and not all(
         wc.clause.is_rule_shaped for wc in kb.clauses

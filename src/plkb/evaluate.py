@@ -91,7 +91,9 @@ def classify_query(kb: KnowledgeBase, query, domains=None) -> InferenceResult:
 
     For rule-shaped KBs the clauses dropped here are pinned by the query's
     sibling fixings and only add a constant to the deviation objective, so
-    the bounds match whole-KB inference.
+    the bounds match whole-KB inference; ``objective_min`` omits that
+    constant.  Any other KB goes whole to :func:`~plkb.lp.infer_pos`, whose
+    presolve drops what the query decides and keeps its constant.
     """
     sub = active_kb(query, kb)
     return infer_pos(sub, query, domains)

@@ -22,16 +22,22 @@ deviation v*, then min/max of the target probability subject to the
 deviation staying within v* + TAU_LEX.  The label is positive only when
 the midpoint exceeds 0.5.
 
-Two engines answer ``infer_pos``.  The closed form answers when every
-clause is the target plus negated feature-value pairs the query asserts,
-and the query leaves the target's own feature free: each pi(c_i) is
-squeezed to pi(target), so the bounds are the median interval of the
-clause probabilities.  That covers all direct and tree evaluation and
-explanation traffic; on a direct KB, a :class:`~plkb.kb.RuleTable`, it
-reads ``n_pos / n_total`` straight from the subset counts.  The LP
-answers everything else: merged clauses that are not rule-shaped, and
-``--full-kb``.  ``engine="lp"`` forces the LP and is the reference in
-tests.
+Two engines answer ``infer_pos``, after an exact presolve.  The query
+fixes every feature-value atom it asserts or contradicts, so a clause
+with a literal the query makes true sits at pi(c_i) = 1 and a clause
+whose literals are all fixed false at pi(c_i) = 0.  Neither constrains
+anything else: the presolve drops both, keeping their deviations
+(1 - p_i and p_i) as a constant, and removes the fixed-false literals
+from every other clause.  When every residual clause is exactly the
+target literal, each pi(c_i) is squeezed to pi(target) and the closed
+form answers: the bounds are the median interval of the residual
+probabilities.  Otherwise the LP solves the residual only.  Either way
+``objective_min`` is the residual v* plus the constant, the whole
+program's v*.  On a :class:`~plkb.kb.RuleTable` the presolve reads
+``n_pos / n_total`` straight from the subset counts.  A query that
+asserts the target's own feature skips the presolve, and
+``engine="lp"`` forces the unpresolved LP over the whole KB: that is
+the reference in tests.
 
 An exact world-distribution oracle (all 2^n complete conjunctions) is
 included for cross-checking on small universes.
@@ -46,9 +52,18 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field, replace
-from typing import Mapping
+from typing import Iterable, Mapping
 
-from .kb import POS, Atom, KnowledgeBase, Literal, RuleTable
+from .kb import (
+    POS,
+    Atom,
+    Clause,
+    KnowledgeBase,
+    Literal,
+    RuleTable,
+    WeightedClause,
+    rule_clause,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -120,24 +135,27 @@ def _literal_var(atom_index: Mapping[Atom, int], lit: Literal) -> int:
     return atom_index[lit.atom] + (1 if lit.negated else 0)
 
 
-def build_lp(kb: KnowledgeBase) -> LinearProgram:
+def build_lp(clauses: Iterable[WeightedClause]) -> LinearProgram:
     """Construct the program described in the module docstring.
 
-    Variable layout: positive/negative literal pairs per atom, then one
-    variable per clause, then the deviation pair per clause.  Constraint
-    order: union bounds, monotonicity, complement equalities, deviation
-    equalities.
+    ``clauses`` is a knowledge base or any clause sequence; a sequence may
+    repeat a clause, as a presolved residual can, and each copy gets its
+    own variables.  Variable layout: positive/negative literal pairs per
+    atom, then one variable per clause, then the deviation pair per
+    clause.  Constraint order: union bounds, monotonicity, complement
+    equalities, deviation equalities.
     """
-    if len(kb) == 0:
+    clauses = tuple(clauses)
+    if not clauses:
         raise ValueError("cannot build a program from an empty knowledge base")
-    atoms = sorted(kb.universe, key=_atom_sort_key)
+    atoms = sorted({a for wc in clauses for a in wc.clause.atoms}, key=_atom_sort_key)
     atom_index = {a: 2 * i for i, a in enumerate(atoms)}
     names: list[str] = []
     for a in atoms:
         names.append(str(a))
         names.append(f"!{a}")
     n = len(atoms)
-    m = len(kb.clauses)
+    m = len(clauses)
     clause_vars = tuple(2 * n + i for i in range(m))
     names.extend(f"c{i}" for i in range(m))
     dev_vars = tuple(2 * n + m + i for i in range(2 * m))
@@ -146,7 +164,7 @@ def build_lp(kb: KnowledgeBase) -> LinearProgram:
     union_rows: list[Constraint] = []
     mono_rows: list[Constraint] = []
     dev_rows: list[Constraint] = []
-    for i, wc in enumerate(kb.clauses):
+    for i, wc in enumerate(clauses):
         cv = clause_vars[i]
         lit_vars = [_literal_var(atom_index, lit) for lit in wc.clause.literals]
         union_rows.append(
@@ -313,31 +331,60 @@ def _bounded_target(
     return v_star, lo, hi
 
 
-def _pinned_probs(
+def _presolve(
     kb: KnowledgeBase, query: Mapping[str, str], target: Atom
-) -> list[float] | None:
-    """Clause probabilities when the program collapses to one unknown,
-    ``minimise sum |p - p_i|`` (see the module docstring), else None.
+) -> tuple[float, list[float], list[WeightedClause]]:
+    """Drop every clause the query decides: ``(constant, probs, rest)``.
 
-    A query that asserts the target's own feature fixes the target, so
-    the LP answers it.  A rule table is read from its counts: ``n_pos /
+    The query fixes pi(f=v) = 1 for each asserted pair and 0 for its
+    siblings; ``pos`` and bare propositions stay free.  A clause with a
+    literal fixed true leaves with its deviation ``1 - p`` added to
+    ``constant``, one whose literals are all fixed false with ``p``, and
+    fixed-false literals are removed from the clauses that stay (see the
+    module docstring).  ``probs`` are the probabilities of the residual
+    clauses that are exactly the target literal, ``rest`` every other
+    residual clause; different clauses may reduce to the same residual,
+    so ``rest`` can repeat one.
+
+    A rule table with target ``pos`` is read from its counts: ``n_pos /
     n_total`` is correctly rounded, as ``float(Fraction(...))`` is.
     """
-    if target.value is not None and target.feature in query:
-        return None
-    pairs = set(query.items())
-    if isinstance(kb, RuleTable):
-        if target != POS or not all(pairs.issuperset(key) for key in kb.counts):
-            return None
-        return [pos / total for total, pos in kb.counts.values()]
-    target_lit = Literal(target)
+    constant = 0.0
     probs: list[float] = []
+    rest: list[WeightedClause] = []
+    if isinstance(kb, RuleTable) and target == POS:
+        pairs = set(query.items())
+        for key, (total, pos) in kb.counts.items():
+            p = pos / total
+            if pairs.issuperset(key):
+                probs.append(p)
+            elif any(query.get(f, v) != v for f, v in key):  # some !f=v is true
+                constant += 1.0 - p
+            else:
+                free = [pair for pair in key if pair[0] not in query]
+                rest.append(WeightedClause(p, rule_clause(free)))
+        return constant, probs, rest
+    just_target = (Literal(target),)
     for wc in kb.clauses:
-        lits, body = wc.clause.literals, wc.clause.body
-        if not (body <= pairs and len(lits) == len(body) + 1 and target_lit in lits):
-            return None
-        probs.append(float(wc.probability))
-    return probs
+        p = float(wc.probability)
+        kept = []
+        for lit in wc.clause.literals:
+            value = None if lit.atom.value is None else query.get(lit.atom.feature)
+            if value is None:
+                kept.append(lit)
+            elif (value == lit.atom.value) != lit.negated:
+                constant += 1.0 - p
+                break
+        else:
+            if not kept:
+                constant += p
+            elif tuple(kept) == just_target:
+                probs.append(p)
+            elif len(kept) == len(wc.clause.literals):
+                rest.append(wc)
+            else:
+                rest.append(WeightedClause(wc.probability, Clause(kept)))
+    return constant, probs, rest
 
 
 def _median_interval(probs: list[float]) -> tuple[float, float, float]:
@@ -368,10 +415,12 @@ def infer_pos(
     Three-stage solve as described in the module docstring; the label is
     True only when the bound midpoint exceeds 0.5.  An empty knowledge
     base leaves the target unconstrained and yields the maximally
-    uncertain result.  ``engine="lp"`` forces the solver path even when
-    the program collapses to the exact one-unknown form.  Before either
-    engine runs, ``domains`` check the query as in :func:`apply_query`:
-    one warning per out-of-domain value, ValueError for a feature they lack.
+    uncertain result, and so does a query that decides every clause
+    mentioning the target (``objective_min`` is then the deviation of the
+    rest).  ``engine="lp"`` skips the presolve and solves the whole
+    program.  Before either engine runs, ``domains`` check the query as in
+    :func:`apply_query`: one warning per out-of-domain value, ValueError
+    for a feature they lack.
     """
     if engine not in ("auto", "lp"):
         raise ValueError(f"unknown engine {engine!r}")
@@ -379,18 +428,31 @@ def infer_pos(
     _check_query(query, domains)
     if len(kb) == 0:
         return InferenceResult(0.0, 1.0, 0.5, 0.0, False)
-
-    if engine == "auto":
-        probs = _pinned_probs(kb, query, target)
-        if probs is not None:
-            return _result(*_median_interval(probs))
-
-    lp = build_lp(kb)
-    if target not in lp.atom_index:
+    if engine == "auto" and isinstance(kb, RuleTable) and target == POS:
+        # The query asserts every body: the whole table is the closed form.
+        pairs = set(query.items())
+        if all(pairs.issuperset(key) for key in kb.counts):
+            return _result(*_median_interval([pos / total for total, pos in kb.counts.values()]))
+    # A non-empty table's every row contains pos.
+    if not (target == POS and isinstance(kb, RuleTable)) and target not in kb.universe:
         raise ValueError(f"target atom {target} does not occur in the knowledge base")
-    lp = apply_query(lp, query)
-    v_star, lo, hi = _bounded_target(lp, lp.atom_index[target])
-    return _result(v_star, lo, hi)
+
+    constant, clauses = 0.0, kb
+    if engine == "auto" and not (target.value is not None and target.feature in query):
+        constant, probs, rest = _presolve(kb, query, target)
+        if not rest:
+            v_star, lo, hi = _median_interval(probs) if probs else (0.0, 0.0, 1.0)
+            return _result(v_star + constant, lo, hi)
+        unit = Clause([Literal(target)])
+        clauses = [*(WeightedClause(p, unit) for p in probs), *rest]
+    # The residual mentions no atom the query fixes, so applying the query
+    # changes only the unpresolved program.
+    lp = apply_query(build_lp(clauses), query)
+    target_var = lp.atom_index.get(target)
+    v_star, lo, hi = _bounded_target(lp, target_var)
+    if target_var is None:  # the presolve decided every clause on the target
+        lo, hi = 0.0, 1.0
+    return _result(v_star + constant, lo, hi)
 
 
 def _result(v_star: float, lo: float, hi: float) -> InferenceResult:

@@ -116,6 +116,23 @@ class TestTrainClassifyExplain:
         )
         assert out["clauses"] == 8
 
+    @pytest.mark.parametrize("method", ["tree", "tree-all"])
+    def test_max_arity_refused_for_tree_methods(self, runner, strings_csv, tmp_path,
+                                                 method):
+        kb_path = tmp_path / "kb.plkb"
+        result = runner.invoke(
+            main,
+            ["train", "--method", method, "--max-arity", "1",
+             "--input", str(strings_csv), "--label-col", "label",
+             "--pos-label", "pos", "--out", str(kb_path)],
+        )
+        assert result.exit_code == 1
+        err = result.stderr if hasattr(result, "stderr") else result.output
+        assert [l for l in err.splitlines() if l] == [
+            "error: --max-arity only applies to the direct method"
+        ]
+        assert not kb_path.exists()
+
     def test_dump_lp_flag(self, runner, strings_csv, tmp_path):
         kb_path = tmp_path / "kb.plkb"
         run_json(
@@ -185,9 +202,14 @@ class TestColdStart:
             ["train", "--method", "direct", "--input", str(strings_csv),
              "--label-col", "label", "--pos-label", "pos", "--out", str(kb_path)],
         )
-        for extra, solved in (([], False), (["--full-kb"], True)):
+        # A full query decides every clause the presolve cannot reduce to
+        # ``pos``, so even the whole KB answers in closed form; a partial
+        # one leaves rules over free features, which the LP solves.
+        full = "a1=0,a2=1,a3=0,a4=1"
+        for query, extra, solved in ((full, [], False), (full, ["--full-kb"], False),
+                                     ("a1=0", ["--full-kb"], True)):
             args = ["classify", "--kb", str(kb_path), "--domains", str(strings_csv),
-                    "--query", "a1=0,a2=1,a3=0,a4=1", *extra]
+                    "--query", query, *extra]
             out = run_fresh(
                 "import sys\n"
                 "from plkb.cli import main\n"

@@ -6,13 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import plkb.lp as lp_module
 from helpers import (
     arbitrary_random_kb,
+    datasets_and_queries,
     query_from_string,
     satisfiable_random_kb,
 )
 
-from plkb.direct import active_kb, relevant_kb
+from plkb.direct import active_kb, build_direct_kb, relevant_kb
 from plkb.explain import compute_explanation
 from plkb.kb import (
     POS,
@@ -21,6 +23,7 @@ from plkb.kb import (
     KnowledgeBase,
     Literal,
     WeightedClause,
+    merge,
     parse_kb,
     rule_clause,
 )
@@ -30,7 +33,7 @@ from plkb.lp import (
     Constraint,
     LinearProgram,
     _median_interval,
-    _pinned_probs,
+    _presolve,
     apply_query,
     build_lp,
     check_consistency,
@@ -282,15 +285,16 @@ class TestInfer:
         assert infer_pos(kb).label is False
 
     def test_pinned_and_lp_engines_agree(self):
-        # Targets are the class atom or a feature value.  Pinned clauses are
-        # the target plus negated pairs the query asserts; a mixed-in clause
-        # breaks that shape in one way, so the closed form must decline and
+        # Targets are the class atom or a feature value.  Rule clauses are
+        # the target plus negated pairs the query asserts, which the
+        # presolve reduces to the target literal; a mixed-in clause either
+        # is one the query decides (it has a literal the query makes true)
+        # or keeps another free literal, so the closed form must decline and
         # the auto engine fall back to the LP.  A query that also asserts
-        # the target's feature fixes the target, so it declines too.
+        # the target's feature fixes the target, so the LP answers it.
         kb = parse_kb("0.8 t=0 | !f=1\n0.6 t=0")
         query, target = {"f": "1", "t": "1"}, Atom("t", "0")
-        assert _pinned_probs(kb, query, target) is None
-        assert _pinned_probs(kb, {"f": "1"}, target) == [0.8, 0.6]
+        assert _presolve(kb, {"f": "1"}, target) == (0.0, [0.8, 0.6], [])
         for engine in ("auto", "lp"):
             res = infer_pos(kb, query, target=target, engine=engine)
             assert (res.p_lower, res.p_upper) == pytest.approx((0.0, 0.0), abs=1e-9)
@@ -318,22 +322,25 @@ class TestInfer:
             if not pinned:
                 f, v = rng.choice(pairs)
                 other = "1" if v == "0" else "0"
-                clause = rng.choice([
+                shape = rng.randrange(5)
+                clause = [
                     Clause([Literal(target), Literal(Atom(f, v))]),
                     Clause([Literal(target), Literal(Atom(f, other), True)]),
                     Clause([Literal(target, True), Literal(Atom(f, v), True)]),
                     Clause([Literal(target), Literal(Atom("b"), True)]),
                     rule_clause([(f, v)]) if target != POS
                     else Clause([Literal(Atom("t", "0")), Literal(Atom(f, v), True)]),
-                ])
+                ][shape]
                 by_clause[clause] = WeightedClause(rng.random(), clause)
+                pinned = shape < 2  # the query makes its feature literal true
             kb = KnowledgeBase(by_clause.values())
-            assert (_pinned_probs(kb, query, target) is not None) == (
-                pinned and not fixes_target
-            )
+            if not fixes_target:
+                constant, probs, rest = _presolve(kb, query, target)
+                assert (not rest) == pinned
+                assert len(probs) + len(rest) <= len(kb)
             n_pinned += pinned and not fixes_target
-            n_declined += not pinned
-            n_fixed += pinned and fixes_target
+            n_declined += not pinned and not fixes_target
+            n_fixed += fixes_target
             fast = infer_pos(kb, query, target=target)
             slow = infer_pos(kb, query, target=target, engine="lp")
             assert fast.p_lower == pytest.approx(slow.p_lower, abs=1e-6)
@@ -402,6 +409,138 @@ class TestInfer:
                 assert values[idx] >= lo - 1e-7
                 if hi is not None:
                     assert values[idx] <= hi + 1e-7
+
+
+@st.composite
+def mixed_kbs_and_queries(draw):
+    """A KB of every clause shape, a target and a full or partial query.
+
+    Literals come from ``pos``, a bare proposition, feature values of
+    f1..f3 and of the target feature t, either polarity, so the KB mixes
+    rules, positive ``f=v`` literals, ``!pos`` and bare atoms; it may be
+    empty or miss the target.  Twin clauses ``target | !f=v`` (and
+    ``target``) reduce to the same residual when the query asserts
+    ``f=v``.
+    """
+    features = ["f1", "f2", "f3"]
+    values = ["0", "1", "2"]
+    query = {}
+    for f in features:
+        v = draw(st.none() | st.sampled_from([*values, "9"]))
+        if v is not None:
+            query[f] = v
+    target = draw(st.sampled_from([POS, Atom("t", "0")]))
+    if target != POS and draw(st.booleans()):
+        query["t"] = draw(st.sampled_from(["0", "1"]))
+    pool = [POS, Atom("b"), Atom("t", "0"), Atom("t", "1")]
+    pool += [Atom(f, v) for f in features for v in values]
+    prob = st.integers(0, 20).map(lambda i: i / 20)
+    by_clause = {}
+    for lits in draw(st.lists(
+        st.lists(st.tuples(st.sampled_from(pool), st.booleans()),
+                 min_size=1, max_size=4, unique_by=lambda t: t[0]),
+        min_size=0, max_size=8,
+    )):
+        clause = Clause(Literal(a, neg) for a, neg in lits)
+        by_clause.setdefault(clause, WeightedClause(draw(prob), clause))
+    twins = [Clause([Literal(target)])] if draw(st.booleans()) else []
+    for f, v in query.items():
+        if f != "t" and draw(st.booleans()):
+            twins.append(Clause([Literal(target), Literal(Atom(f, v), True)]))
+    for clause in twins:
+        by_clause.setdefault(clause, WeightedClause(draw(prob), clause))
+    return KnowledgeBase(by_clause.values()), query, target
+
+
+class TestPresolve:
+    """The presolved auto engine against the unpresolved ``engine="lp"``."""
+
+    @staticmethod
+    def assert_same_answer(kb, query, target=POS):
+        fast = infer_pos(kb, query, target=target)
+        slow = infer_pos(kb, query, target=target, engine="lp")
+        assert fast.label == slow.label
+        assert fast.p_lower == pytest.approx(slow.p_lower, abs=1e-6)
+        assert fast.p_upper == pytest.approx(slow.p_upper, abs=1e-6)
+        assert fast.objective_min == pytest.approx(slow.objective_min, abs=1e-6)
+        return fast
+
+    @settings(max_examples=150, deadline=None)
+    @given(mixed_kbs_and_queries())
+    def test_matches_the_unpresolved_lp(self, case):
+        kb, query, target = case
+        if target in kb.universe or len(kb) == 0:
+            self.assert_same_answer(kb, query, target)
+            return
+        for engine in ("auto", "lp"):
+            with pytest.raises(ValueError, match="does not occur"):
+                infer_pos(kb, query, target=target, engine=engine)
+
+    @settings(max_examples=40, deadline=None)
+    @given(datasets_and_queries())
+    def test_matches_the_unpresolved_lp_on_direct_tables(self, case):
+        ds, max_arity, queries = case
+        table = build_direct_kb(ds, max_arity)
+        for query in queries:
+            self.assert_same_answer(table, query)
+        assert "clauses" not in table.__dict__
+
+    def test_whole_kb_constant_enters_the_deviation(self):
+        # 0.8 pos | !a=0 is pinned true by a=1: it leaves with deviation 0.2
+        text = "0.5 pos | !a=1\n0.8 pos | !a=0"
+        for kb in (parse_kb(text), KnowledgeBase(list(parse_kb(text).clauses))):
+            fast = self.assert_same_answer(kb, {"a": "1"})
+            assert (fast.p_lower, fast.p_upper) == (0.5, 0.5)
+            assert fast.objective_min == pytest.approx(0.2, abs=1e-12)
+
+    def test_clauses_reducing_to_one_residual_keep_every_copy(self):
+        kb = parse_kb(
+            "0.6 pos | !a=1 | b\n0.7 pos | a=0 | b\n0.9 pos | b\n"
+            "0.2 pos | !a=1\n0.4 pos | a=0\n0.3 pos\n0.1 pos | !b"
+        )
+        constant, probs, rest = _presolve(kb, {"a": "1"}, POS)
+        assert constant == 0.0
+        assert probs == [0.2, 0.4, 0.3]
+        assert [str(wc.clause) for wc in rest] == ["pos | b"] * 3 + ["pos | !b"]
+        assert [float(wc.probability) for wc in rest[:3]] == [0.6, 0.7, 0.9]
+        self.assert_same_answer(kb, {"a": "1"})
+
+    def test_decided_target_is_unconstrained(self):
+        # every clause mentioning the target is decided by the query: [0, 1]
+        # with the constant as v*, and with the residual's stage-1 v* added
+        kb = parse_kb("0.7 pos | !a=0\n0.6 pos | a=1")
+        res = self.assert_same_answer(kb, {"a": "1"})
+        assert (res.p_lower, res.p_upper) == (0.0, 1.0)
+        assert res.objective_min == pytest.approx(0.3 + 0.4, abs=1e-12)
+        kb = parse_kb("0.7 pos | !a=0\n0.9 b\n0.2 !b")
+        res = self.assert_same_answer(kb, {"a": "1"})
+        assert (res.p_lower, res.p_upper) == (0.0, 1.0)
+        assert res.objective_min == pytest.approx(0.3 + 0.1, abs=1e-6)
+
+    @staticmethod
+    def forbid_lp(monkeypatch):
+        def no_lp(clauses):
+            raise AssertionError("the presolved query reached the LP")
+
+        monkeypatch.setattr(lp_module, "build_lp", no_lp)
+
+    def test_full_queries_on_a_mixed_tree_kb_take_no_lp(self, strings_tree_kb, monkeypatch):
+        # a tree merged with a clause that is not rule-shaped: the whole KB
+        # reaches infer_pos, and the presolve still leaves only ``pos``
+        kb = merge(strings_tree_kb, list(parse_kb("0.7 pos | a1=1 | a2=0").clauses))
+        queries = [query_from_string(f"{bits:04b}") for bits in range(16)]
+        expected = [self.assert_same_answer(kb, q) for q in queries]
+        self.forbid_lp(monkeypatch)
+        assert [infer_pos(kb, q) for q in queries] == expected
+
+    def test_direct_table_full_query_builds_no_clause_list(self, strings_ds, monkeypatch):
+        table = build_direct_kb(strings_ds)
+        query = query_from_string("0101")
+        self.forbid_lp(monkeypatch)
+        res = infer_pos(table, query)
+        assert "clauses" not in table.__dict__
+        monkeypatch.undo()
+        assert res == self.assert_same_answer(table, query)
 
 
 class TestMedianInterval:
