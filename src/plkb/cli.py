@@ -120,12 +120,10 @@ def train(method, input_path, label_col, pos_label, max_arity, out_path, tree_pa
     ds = load_csv(input_path, label_col, pos_label)
     if tree_path and not method.startswith("tree"):
         raise ValueError("--dump-tree only applies to the tree methods")
-    if max_arity is not None and method != "direct":
-        raise ValueError("--max-arity only applies to the direct method")
-    if tree_path:
-        # ID3 is deterministic: this is the tree train_kb reads its rules from.
-        Path(tree_path).write_text(format_tree(build_id3(ds)) + "\n", encoding="utf-8")
     kb = train_kb(ds, method, max_arity)
+    if tree_path:
+        # ID3 is deterministic: this is the tree train_kb read its rules from.
+        Path(tree_path).write_text(format_tree(build_id3(ds)) + "\n", encoding="utf-8")
     Path(out_path).write_text(serialize_kb(kb) + "\n", encoding="utf-8")
     _emit({"clauses": len(kb), "atoms": len(kb.universe), "out": str(out_path)})
 

@@ -77,6 +77,10 @@ class ExperimentConfig:
 
 
 def train_kb(train: Dataset, method: str, max_arity: int | None = None) -> KnowledgeBase:
+    """Learn a knowledge base by ``method``; ``max_arity`` caps the direct
+    method's rule bodies and is refused for the tree methods."""
+    if max_arity is not None and method != "direct":
+        raise ValueError("--max-arity only applies to the direct method")
     if method == "tree":
         return kb_from_tree(build_id3(train), mode="leaves")
     if method == "tree-all":

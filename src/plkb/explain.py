@@ -1,4 +1,11 @@
-"""k-feature explanations by exhaustive sub-query enumeration."""
+"""k-feature explanations: the size-k sub-query that moves pi(pos) most.
+
+Every size-k subset of the query is scored.  On relevant sub-KBs (the
+default) a sub-query's answer is the closed-form median over the full
+query's relevant rows whose body lies inside it, so one selection of
+those rows scores every sub-query; on the whole KB each sub-query is its
+own inference.
+"""
 
 from __future__ import annotations
 
@@ -8,8 +15,8 @@ from typing import Mapping
 
 from .data import SeedSpec
 from .direct import relevant_kb
-from .kb import KnowledgeBase
-from .lp import InferenceResult, infer_pos
+from .kb import KnowledgeBase, RuleTable
+from .lp import InferenceResult, check_query, closed_form, infer_pos, median_midpoint
 
 Query = Mapping[str, str]
 
@@ -27,8 +34,8 @@ class Explanation:
     direction: str
 
 
-def _serialized(sub: dict[str, str]) -> str:
-    return ",".join(f"{f}={v}" for f, v in sorted(sub.items()))
+def _serialized(pairs: tuple[tuple[str, str], ...]) -> str:
+    return ",".join(f"{f}={v}" for f, v in pairs)
 
 
 def evaluate_sub_query(
@@ -51,6 +58,59 @@ def evaluate_sub_query(
     return infer_pos(kb, sub, domains)
 
 
+def _relevant_scores(
+    query: dict[str, str], pairs: list[tuple[str, str]], kb: KnowledgeBase, k: int
+) -> tuple[bool, list[float]]:
+    """The full query's label and, in ``combinations(pairs, k)`` order, the
+    score :func:`evaluate_sub_query` gives each k-sub-query, from one
+    :func:`~plkb.direct.relevant_kb` call.
+
+    A sub-query's relevant rows are the full query's relevant rows whose
+    body lies inside it, and its answer is the closed-form median of their
+    probabilities.  So the body of every row with at most k pairs becomes
+    a bitmask over the query's sorted pairs (distinct bodies, distinct
+    masks), and a sub-query collects its rows by enumerating the sub-masks
+    of its own mask or, when it has more sub-masks than there are such
+    rows, by scanning them.
+    """
+    bit = {pair: 1 << i for i, pair in enumerate(pairs)}
+    sub = relevant_kb(query, kb)
+    if isinstance(sub, RuleTable):
+        bodies = sub.counts.keys()
+        probs = [pos / total for total, pos in sub.counts.values()]
+    else:
+        bodies = [wc.clause.body for wc in sub.clauses]
+        probs = [float(wc.probability) for wc in sub.clauses]
+    positive = closed_form(probs).label
+    prob_of = {
+        sum(map(bit.__getitem__, body)): p
+        for body, p in zip(bodies, probs)
+        if len(body) <= k
+    }
+
+    if 1 << k > len(prob_of):
+        rows = sorted((p, mask) for mask, p in prob_of.items())
+
+        def inside(m: int) -> list[float]:
+            return [p for p, mask in rows if mask & m == mask]
+    else:
+        get = prob_of.get
+
+        def inside(m: int) -> list[float]:
+            found = []
+            s = m
+            while s:
+                p = get(s)
+                if p is not None:
+                    found.append(p)
+                s = (s - 1) & m
+            found.sort()
+            return found
+
+    masks = map(sum, combinations(bit.values(), k))
+    return positive, [median_midpoint(inside(m)) for m in masks]
+
+
 def compute_explanation(
     query: Query,
     kb: KnowledgeBase,
@@ -59,30 +119,42 @@ def compute_explanation(
     *,
     use_relevant: bool = True,
 ) -> Explanation:
-    """Evaluate every size-k subset of the query and keep the extremum.
+    """Score every size-k subset of the query and keep the extremum.
 
     If the full query classifies positive, the sub-query maximising the
     bound midpoint is the explanation; otherwise the minimising one.
     Ties break on the lexicographically smallest serialized sub-query.
     ``domains`` check the full query once; its sub-queries assert no other
     pair.
+
+    With ``use_relevant`` every sub-query is answered as
+    :func:`evaluate_sub_query` would, on its own relevant sub-KB, but in
+    one pass: the full query's relevant rows are selected once and each
+    sub-query is scored from those inside it, with no inference call.
+    Without it, each sub-query is one :func:`~plkb.lp.infer_pos` call on
+    the whole KB.
     """
     query = dict(query)
     if not 1 <= k <= len(query):
         raise ValueError(f"k={k} out of range for a query of {len(query)} features")
-    full = evaluate_sub_query(query, kb, domains, use_relevant=use_relevant)
-    positive = full.label
+    pairs = sorted(query.items())
+    if use_relevant:
+        check_query(query, domains)
+        positive, scores = _relevant_scores(query, pairs, kb, k)
+    else:
+        positive = evaluate_sub_query(query, kb, domains, use_relevant=False).label
+        scores = (
+            evaluate_sub_query(dict(combo), kb, use_relevant=False).p_avg
+            for combo in combinations(pairs, k)
+        )
 
-    scored = [
-        (sub, evaluate_sub_query(sub, kb, use_relevant=use_relevant).p_avg)
-        for sub in map(dict, combinations(sorted(query.items()), k))
-    ]
-    best_sub, best_score = min(
-        scored, key=lambda s: (-s[1] if positive else s[1], _serialized(s[0]))
-    )
+    scored = list(zip(combinations(pairs, k), scores))
+    best = (max if positive else min)(score for _, score in scored)
+    ties = [t for t in scored if t[1] == best]
+    combo, score = ties[0] if len(ties) == 1 else min(ties, key=lambda t: _serialized(t[0]))
     return Explanation(
-        sub_query=best_sub,
-        score=best_score,
+        sub_query=dict(combo),
+        score=score,
         direction="max" if positive else "min",
     )
 

@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .kb import (
     POS,
@@ -197,7 +197,7 @@ def build_lp(clauses: Iterable[WeightedClause]) -> LinearProgram:
     )
 
 
-def _check_query(
+def check_query(
     query: Mapping[str, str],
     domains: Mapping[str, frozenset[str] | set[str]] | None,
 ) -> None:
@@ -225,7 +225,7 @@ def apply_query(
     outside its feature's domain is logged as a warning but the asserted
     atom is still fixed if present.
     """
-    _check_query(query, domains)
+    check_query(query, domains)
     by_feature: dict[str, list[Atom]] = {}
     for atom in lp.atom_index:
         if atom.value is not None:
@@ -387,6 +387,12 @@ def _presolve(
     return constant, probs, rest
 
 
+def _median_pair(srt: Sequence[float]) -> tuple[float, float]:
+    """The two middle order statistics of a sorted, non-empty sequence."""
+    n = len(srt)
+    return srt[(n - 1) // 2], srt[n // 2]
+
+
 def _median_interval(probs: list[float]) -> tuple[float, float, float]:
     """(v*, lo, hi) of p in [0,1] minimising f(p) = sum |p - p_i|.
 
@@ -395,11 +401,24 @@ def _median_interval(probs: list[float]) -> tuple[float, float, float]:
     segment between the two middle ones for even counts).
     """
     srt = sorted(probs)
-    n = len(srt)
-    lo = srt[(n - 1) // 2]
-    hi = srt[n // 2]
+    lo, hi = _median_pair(srt)
     v_star = float(sum(abs(lo - p) for p in srt))
     return v_star, lo, hi
+
+
+def closed_form(probs: list[float], constant: float = 0.0) -> InferenceResult:
+    """The answer when every clause left is exactly the target literal:
+    the median interval of their probabilities, and the maximally
+    uncertain answer when none is left.  ``constant`` is the deviation of
+    the clauses the presolve dropped."""
+    v_star, lo, hi = _median_interval(probs) if probs else (0.0, 0.0, 1.0)
+    return _result(v_star + constant, lo, hi)
+
+
+def median_midpoint(srt: Sequence[float]) -> float:
+    """``closed_form(srt).p_avg`` for sorted probabilities, without the
+    deviation sum or the result object."""
+    return _bounds(*_median_pair(srt))[2] if srt else 0.5
 
 
 def infer_pos(
@@ -425,14 +444,14 @@ def infer_pos(
     if engine not in ("auto", "lp"):
         raise ValueError(f"unknown engine {engine!r}")
     query = dict(query or {})
-    _check_query(query, domains)
+    check_query(query, domains)
     if len(kb) == 0:
-        return InferenceResult(0.0, 1.0, 0.5, 0.0, False)
+        return closed_form([])
     if engine == "auto" and isinstance(kb, RuleTable) and target == POS:
         # The query asserts every body: the whole table is the closed form.
         pairs = set(query.items())
         if all(pairs.issuperset(key) for key in kb.counts):
-            return _result(*_median_interval([pos / total for total, pos in kb.counts.values()]))
+            return closed_form([pos / total for total, pos in kb.counts.values()])
     # A non-empty table's every row contains pos.
     if not (target == POS and isinstance(kb, RuleTable)) and target not in kb.universe:
         raise ValueError(f"target atom {target} does not occur in the knowledge base")
@@ -441,8 +460,7 @@ def infer_pos(
     if engine == "auto" and not (target.value is not None and target.feature in query):
         constant, probs, rest = _presolve(kb, query, target)
         if not rest:
-            v_star, lo, hi = _median_interval(probs) if probs else (0.0, 0.0, 1.0)
-            return _result(v_star + constant, lo, hi)
+            return closed_form(probs, constant)
         unit = Clause([Literal(target)])
         clauses = [*(WeightedClause(p, unit) for p in probs), *rest]
     # The residual mentions no atom the query fixes, so applying the query
@@ -455,14 +473,19 @@ def infer_pos(
     return _result(v_star + constant, lo, hi)
 
 
-def _result(v_star: float, lo: float, hi: float) -> InferenceResult:
+def _bounds(lo: float, hi: float) -> tuple[float, float, float]:
+    """``(lo, hi, midpoint)`` clamped into [0, 1] and ordered."""
     # max(0.0, x) rather than max(x, 0.0): a -0.0 from the solver compares
     # equal to 0.0, and max keeps the first of equal arguments.
     lo = float(min(max(0.0, lo), 1.0))
     hi = float(min(max(0.0, hi), 1.0))
     if lo > hi:
         lo, hi = hi, lo
-    avg = (lo + hi) / 2.0
+    return lo, hi, (lo + hi) / 2.0
+
+
+def _result(v_star: float, lo: float, hi: float) -> InferenceResult:
+    lo, hi, avg = _bounds(lo, hi)
     return InferenceResult(
         p_lower=lo,
         p_upper=hi,

@@ -10,6 +10,7 @@ from itertools import combinations
 from hypothesis import strategies as st
 
 from plkb.data import Dataset, from_rows
+from plkb.explain import Explanation, evaluate_sub_query
 from plkb.kb import Atom, Clause, KnowledgeBase, Literal, WeightedClause, rule_clause
 
 # Eight labelled bit-strings over features a1..a4; small enough to check
@@ -128,6 +129,31 @@ def relevant_kb_scan(query, kb: KnowledgeBase) -> KnowledgeBase:
         if wc.clause.is_rule_shaped and wc.clause.body and wc.clause.body <= pairs
     ]
     return KnowledgeBase(selected)
+
+
+def explanation_loop(query, kb: KnowledgeBase, k: int, domains=None, *, use_relevant=True):
+    """Reference implementation of explanation search: one relevant
+    extraction and one inference per size-k sub-query, then the extremum
+    with ties broken on the serialized sub-query."""
+    query = dict(query)
+    if not 1 <= k <= len(query):
+        raise ValueError(f"k={k} out of range for a query of {len(query)} features")
+    full = evaluate_sub_query(query, kb, domains, use_relevant=use_relevant)
+    positive = full.label
+    scored = [
+        (sub, evaluate_sub_query(sub, kb, use_relevant=use_relevant).p_avg)
+        for sub in map(dict, combinations(sorted(query.items()), k))
+    ]
+
+    def key(scored_sub):
+        sub, score = scored_sub
+        serialized = ",".join(f"{f}={v}" for f, v in sorted(sub.items()))
+        return (-score if positive else score, serialized)
+
+    best_sub, best_score = min(scored, key=key)
+    return Explanation(
+        sub_query=best_sub, score=best_score, direction="max" if positive else "min"
+    )
 
 
 def kb_from_tree_clauses(tree, mode: str = "leaves") -> KnowledgeBase:

@@ -280,6 +280,30 @@ class TestSynthAndEval:
         assert rep["n_true"] == 5
         assert rep["n_random"] == 5
 
+    @pytest.mark.parametrize("method", ["tree", "tree-all"])
+    @pytest.mark.parametrize("command", ["eval", "expl-eval", "knowledge-exp"])
+    def test_max_arity_refused_for_tree_methods(self, runner, tmp_path, command, method):
+        out_dir = tmp_path / "syn"
+        run_json(
+            runner,
+            ["synth", "--length", "4", "--alphabet", "2", "--match", "2",
+             "--n", "40", "--rng-seed", "5", "--out", str(out_dir)],
+        )
+        args = {
+            "eval": ["--input", str(out_dir / "data.csv")],
+            "expl-eval": ["--input", str(out_dir), "-k", "1"],
+            "knowledge-exp": ["--input", str(out_dir), "--true", "1"],
+        }[command]
+        result = runner.invoke(
+            main, [command, "--method", method, "--max-arity", "1", "--runs", "1", *args]
+        )
+        assert result.exit_code == 1
+        err = result.stderr if hasattr(result, "stderr") else result.output
+        assert [l for l in err.splitlines() if l] == [
+            "error: --max-arity only applies to the direct method"
+        ]
+        assert result.stdout == ""
+
     def test_eval_with_knowledge_file(self, runner, tmp_path):
         out_dir = tmp_path / "syn"
         run_json(

@@ -1,11 +1,17 @@
 import random
+from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import query_from_string
+from helpers import explanation_loop, query_from_string
 
-from plkb.data import SeedSpec
+import plkb.explain
+from plkb.data import SeedSpec, from_rows
+from plkb.direct import build_direct_kb
 from plkb.explain import (
     Explanation,
     compute_explanation,
@@ -13,7 +19,18 @@ from plkb.explain import (
     explanation_accuracy,
     masked_string,
 )
-from plkb.kb import KnowledgeBase, WeightedClause, parse_kb, rule_clause
+from plkb.kb import (
+    POS,
+    Atom,
+    Clause,
+    KnowledgeBase,
+    Literal,
+    RuleTable,
+    WeightedClause,
+    parse_kb,
+    rule_clause,
+)
+from plkb.tree import build_id3, kb_from_tree
 
 SEED = SeedSpec("3232411132", 10, 4, 5)
 
@@ -104,6 +121,110 @@ class TestComputeExplanation:
         q = query_from_string("0101")
         expl = compute_explanation(q, strings_tree_kb, 1, use_relevant=False)
         assert len(expl.sub_query) == 1
+        for k in (1, 2):
+            assert compute_explanation(q, strings_tree_kb, k, use_relevant=False) == (
+                explanation_loop(q, strings_tree_kb, k, use_relevant=False)
+            )
+
+
+# Few distinct probabilities, so sub-query scores often tie.
+TIED_PROBS = [Fraction(0), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fraction(3, 4), Fraction(1)]
+
+
+@st.composite
+def explanation_cases(draw):
+    """A knowledge base of one of every kind explanations run on, a full
+    query over its features (values seen in training or not) and a k."""
+    n = draw(st.integers(1, 5))
+    features = [f"f{i}" for i in range(1, n + 1)]
+    value = st.sampled_from("012")
+    kind = draw(st.sampled_from(
+        ["direct", "tree-leaves", "tree-all", "plain", "parsed", "empty-table", "empty-plain"]
+    ))
+    if kind in ("direct", "tree-leaves", "tree-all"):
+        rows = draw(st.lists(
+            st.tuples(st.tuples(*[value] * n), st.booleans()), min_size=1, max_size=12,
+        ))
+        ds = from_rows(features, rows)
+        if kind == "direct":
+            kb = build_direct_kb(ds, draw(st.none() | st.integers(1, n)))
+        else:
+            kb = kb_from_tree(build_id3(ds), mode="leaves" if kind == "tree-leaves" else "all_nodes")
+    elif kind in ("plain", "parsed"):
+        by_clause = {}
+        for _ in range(draw(st.integers(1, 10))):
+            body = draw(st.lists(st.tuples(st.sampled_from(features), value),
+                                 min_size=1, max_size=n, unique_by=lambda pair: pair[0]))
+            clause = rule_clause(body)
+            by_clause[clause] = WeightedClause(draw(st.sampled_from(TIED_PROBS)), clause)
+        if kind == "parsed":
+            kb = parse_kb("\n".join(f"{wc.probability} {wc.clause}" for wc in by_clause.values()))
+            assert isinstance(kb, RuleTable)
+        else:
+            # clauses relevant extraction must skip: a positive feature
+            # literal, a bare proposition, a negated class atom
+            others = [
+                Clause([Literal(POS), Literal(Atom(features[0], "0"))]),
+                Clause([Literal(Atom("x")), Literal(Atom(features[-1], "1"), True)]),
+                Clause([Literal(POS, True), Literal(Atom(features[0], "1"), True)]),
+            ]
+            for clause in draw(st.lists(st.sampled_from(others), unique=True)):
+                by_clause[clause] = WeightedClause(draw(st.sampled_from(TIED_PROBS)), clause)
+            kb = KnowledgeBase(by_clause.values())
+    elif kind == "empty-table":
+        kb = RuleTable({})
+    else:
+        kb = KnowledgeBase([])
+    query = dict(zip(features, draw(st.tuples(*[st.sampled_from("0129")] * n))))
+    return kb, query, draw(st.integers(1, n))
+
+
+class TestOnePass:
+    @settings(max_examples=300, deadline=None)
+    @given(explanation_cases())
+    def test_matches_the_per_sub_query_loop(self, case):
+        kb, query, k = case
+        got = compute_explanation(query, kb, k)
+        want = explanation_loop(query, kb, k)
+        assert (got.sub_query, got.score, got.direction) == (
+            want.sub_query, want.score, want.direction
+        )
+
+    def test_ties_break_on_the_serialized_sub_query_in_both_directions(self):
+        # a1 and a10 tie; "a10=1" serializes first although ("a1", "1") < ("a10", "1")
+        kb = parse_kb("1 pos | !a1=1\n1 pos | !a10=1\n0 pos | !a2=1\n"
+                      "0 pos | !a1=0\n0 pos | !a10=0\n1 pos | !a2=0")
+        for value, direction in (("1", "max"), ("0", "min")):
+            query = {"a1": value, "a10": value, "a2": value}
+            for k in (1, 2, 3):
+                got = compute_explanation(query, kb, k)
+                assert got == explanation_loop(query, kb, k)
+                assert got.direction == direction
+            assert compute_explanation(query, kb, 1).sub_query == {"a10": value}
+
+    @pytest.mark.parametrize("use_relevant", [True, False])
+    def test_relevant_kb_and_inference_calls(self, monkeypatch, strings_direct_kb, use_relevant):
+        calls = {"relevant_kb": 0, "infer_pos": 0, "evaluate_sub_query": 0}
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        for name in calls:
+            counting(plkb.explain, name)
+        q = query_from_string("0101")
+        compute_explanation(q, strings_direct_kb, 2, use_relevant=use_relevant)
+        n_subs = comb(4, 2)
+        if use_relevant:
+            assert calls == {"relevant_kb": 1, "infer_pos": 0, "evaluate_sub_query": 0}
+        else:
+            assert calls == {"relevant_kb": 0, "infer_pos": 1 + n_subs,
+                             "evaluate_sub_query": 1 + n_subs}
 
 
 class TestExplanationAccuracy:

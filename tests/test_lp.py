@@ -261,7 +261,11 @@ class TestInfer:
             with pytest.raises(ValueError) as exc:
                 infer_pos(sub, unknown, domains, engine=engine)
             messages.append(str(exc.value))
-        assert messages == ["query feature 'zz' not in domains"] * 2
+        for use_relevant in (True, False):
+            with pytest.raises(ValueError) as exc:
+                compute_explanation(unknown, kb, 1, domains, use_relevant=use_relevant)
+            messages.append(str(exc.value))
+        assert messages == ["query feature 'zz' not in domains"] * 4
 
         q = {"a1": "7", "a2": "0", "a3": "0", "a4": "0"}
         warning = ["query value a1=7 outside the feature's domain"]
