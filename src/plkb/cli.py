@@ -78,7 +78,7 @@ def _domains_for_kb(path: str, kb) -> dict[str, frozenset[str]]:
 
 
 def _emit(payload) -> None:
-    click.echo(json.dumps(payload, indent=2, sort_keys=True))
+    click.echo(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
 
 
 def fail_cleanly(fn):
@@ -216,6 +216,13 @@ def _mean(xs):
     return sum(xs) / len(xs)
 
 
+def _run_configs(runs: int, rng_seed: int, **fixed) -> list[ExperimentConfig]:
+    """One configuration per run, seeded ``rng_seed``, ``rng_seed + 1``, ..."""
+    if runs < 1:
+        raise ValueError("--runs must be at least 1")
+    return [ExperimentConfig(rng_seed=rng_seed + r, **fixed) for r in range(runs)]
+
+
 @main.command(name="eval")
 @method_option
 @click.option("--input", "input_path", required=True, type=click.Path())
@@ -232,13 +239,9 @@ def eval_cmd(method, input_path, label_col, pos_label, max_arity, knowledge_path
     """Train/test evaluation with per-run F1 and the mean over seeds."""
     ds = load_csv(input_path, label_col, pos_label)
     knowledge = _read_kb(knowledge_path) if knowledge_path else None
-    reports = []
-    for r in range(runs):
-        config = ExperimentConfig(
-            dataset=ds, method=method, rng_seed=rng_seed + r,
-            train_fraction=train_fraction, max_arity=max_arity, knowledge=knowledge,
-        )
-        reports.append(run_eval(config))
+    configs = _run_configs(runs, rng_seed, dataset=ds, method=method, knowledge=knowledge,
+                           train_fraction=train_fraction, max_arity=max_arity)
+    reports = [run_eval(config) for config in configs]
     _emit(
         {
             "method": method,
@@ -263,14 +266,11 @@ def expl_eval(method, input_dir, k, max_arity, train_fraction, rng_seed, runs,
               max_instances):
     """Mean ground-truth accuracy of k-explanations on synthetic data."""
     ds, spec = load_synthetic(input_dir)
-    per_run = []
-    for r in range(runs):
-        config = ExperimentConfig(
-            dataset=ds, method=method, rng_seed=rng_seed + r,
-            train_fraction=train_fraction, max_arity=max_arity,
-        )
-        rep = run_explanation_eval(config, spec, k, max_instances)
-        per_run.append(rep)
+    configs = _run_configs(runs, rng_seed, dataset=ds, method=method,
+                           train_fraction=train_fraction, max_arity=max_arity)
+    per_run = [run_explanation_eval(config, spec, k, max_instances) for config in configs]
+    # A run that explained nothing has no accuracy and stays out of the mean.
+    explained = [r.mean_accuracy for r in per_run if r.mean_accuracy is not None]
     _emit(
         {
             "k": k,
@@ -279,7 +279,7 @@ def expl_eval(method, input_dir, k, max_arity, train_fraction, rng_seed, runs,
                 {"mean_accuracy": r.mean_accuracy, "n_explained": r.n_explained}
                 for r in per_run
             ],
-            "mean_accuracy": _mean([r.mean_accuracy for r in per_run]),
+            "mean_accuracy": _mean(explained) if explained else None,
         }
     )
 
@@ -341,15 +341,12 @@ def knowledge_exp(method, input_dir, n_true, n_random, max_arity, train_fraction
                   rng_seed, runs):
     """Evaluate with ground-truth / pollution clauses injected."""
     ds, spec = load_synthetic(input_dir)
-    reports = []
-    for r in range(runs):
-        config = ExperimentConfig(
-            dataset=ds, method=method, rng_seed=rng_seed + r,
-            train_fraction=train_fraction, max_arity=max_arity,
-        )
-        reports.append(
-            run_knowledge_experiment(config, spec, n_true, n_random, rng_seed + r)
-        )
+    configs = _run_configs(runs, rng_seed, dataset=ds, method=method,
+                           train_fraction=train_fraction, max_arity=max_arity)
+    reports = [
+        run_knowledge_experiment(config, spec, n_true, n_random, config.rng_seed)
+        for config in configs
+    ]
     _emit(
         {
             "method": method,

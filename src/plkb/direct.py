@@ -79,72 +79,57 @@ def build_direct_kb(train: Dataset, max_arity: int | None = None) -> RuleTable:
     return counter.to_kb()
 
 
-def _select_table_rules(pairs: set, table: RuleTable, include_empty: bool) -> RuleTable:
-    """The table's rows whose body the query asserts, as a table.
+def _select(query: Query, kb: KnowledgeBase) -> KnowledgeBase:
+    """The rule rows whose body the query asserts, the body-less rule
+    included: its empty body lies inside every query.
 
-    Query subsets are looked up only up to the table's longest body; when
-    even that many lookups would dwarf the table, its keys are scanned.
+    A table's query subsets are looked up only up to its longest body;
+    when even that many lookups would dwarf the table, its keys are
+    scanned.  Any other KB keeps its rule-shaped clauses in order.
     """
-    counts = table.counts
-    lo = 0 if include_empty else 1
-    hi = min(table.arity, len(pairs))
-    if sum(comb(len(pairs), k) for k in range(lo, hi + 1)) <= 8 * len(counts) + 64:
+    pairs = set(query.items())
+    if not isinstance(kb, RuleTable):
+        return KnowledgeBase(
+            [wc for wc in kb.clauses if wc.clause.is_rule_shaped and wc.clause.body <= pairs]
+        )
+    counts = kb.counts
+    hi = min(kb.arity, len(pairs))
+    if sum(comb(len(pairs), k) for k in range(hi + 1)) <= 8 * len(counts) + 64:
         ordered = sorted(pairs)
         hits = {}
-        for k in range(lo, hi + 1):
+        for k in range(hi + 1):
             for key in combinations(ordered, k):
                 entry = counts.get(key)
                 if entry is not None:
                     hits[key] = entry
     else:
-        hits = {
-            key: entry
-            for key, entry in counts.items()
-            if len(key) >= lo and pairs.issuperset(key)
-        }
+        hits = {key: entry for key, entry in counts.items() if pairs.issuperset(key)}
     return RuleTable(hits)
 
 
-def _select_subset_clauses(
-    query: Query, kb: KnowledgeBase, include_empty: bool
-) -> KnowledgeBase:
-    pairs = set(query.items())
-    if isinstance(kb, RuleTable):
-        return _select_table_rules(pairs, kb, include_empty)
-    selected = [
-        wc
-        for wc in kb.clauses
-        if wc.clause.is_rule_shaped
-        and (include_empty or wc.clause.body)
-        and wc.clause.body <= pairs
-    ]
-    return KnowledgeBase(selected)
-
-
 def relevant_kb(query: Query, kb: KnowledgeBase) -> KnowledgeBase:
-    """Clauses whose negated feature-value set is a non-empty subset of
-    the query's pairs.
+    """The rule clauses whose negated feature-value set is a subset of the
+    query's pairs, a body-less ``[p] pos`` included.
 
-    For a full query this sub-KB classifies identically to ``kb``: every
-    dropped clause has a literal the query forces true, which pins the
-    clause and decouples it from the class atom.
+    For a full query on a rule-only KB this sub-KB classifies identically
+    to ``kb``: every dropped clause has a literal the query forces true,
+    which pins the clause and decouples it from the class atom.
     """
-    return _select_subset_clauses(query, kb, include_empty=False)
+    return _select(query, kb)
 
 
 def active_kb(query: Query, kb: KnowledgeBase) -> KnowledgeBase:
-    """Like :func:`relevant_kb` but keeps body-less class-atom clauses too.
+    """The sub-KB the evaluation pipeline classifies a query on.
 
-    Used by the evaluation pipeline: a bare ``[p] pos`` clause (single-leaf
-    tree) constrains every query, so dropping it would change results.
-    When some clause is not rule-shaped the whole KB is returned, and the
-    presolve in :func:`~plkb.lp.infer_pos` drops what the query decides.
-    A :class:`~plkb.kb.RuleTable` is rule-shaped by construction.  For a
-    full query the bounds equal whole-KB inference; ``objective_min``
-    lacks the deviation of the clauses dropped here.
+    On a rule-only KB (a :class:`~plkb.kb.RuleTable` always is one) these
+    are the rows :func:`relevant_kb` selects.  When some clause is not
+    rule-shaped the whole KB is returned, and the presolve in
+    :func:`~plkb.lp.infer_pos` drops what the query decides.  For a full
+    query the bounds equal whole-KB inference; ``objective_min`` lacks the
+    deviation of the clauses dropped here.
     """
     if not isinstance(kb, RuleTable) and not all(
         wc.clause.is_rule_shaped for wc in kb.clauses
     ):
         return kb
-    return _select_subset_clauses(query, kb, include_empty=True)
+    return _select(query, kb)

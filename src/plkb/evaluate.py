@@ -7,6 +7,7 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from .data import Dataset, SeedSpec, balance, split
 from .direct import active_kb, build_direct_kb
@@ -126,7 +127,7 @@ def run_eval(config: ExperimentConfig) -> EvalReport:
 
 @dataclass(frozen=True)
 class ExplanationEvalReport:
-    mean_accuracy: float
+    mean_accuracy: float | None  # None when no instance was explained
     n_explained: int
     k: int
 
@@ -149,7 +150,7 @@ def run_explanation_eval(
         expl = compute_explanation(inst.values, kb, k)
         accuracies.append(explanation_accuracy(expl, spec))
     if not accuracies:
-        return ExplanationEvalReport(float("nan"), 0, k)
+        return ExplanationEvalReport(None, 0, k)
     return ExplanationEvalReport(sum(accuracies) / len(accuracies), len(accuracies), k)
 
 
@@ -237,9 +238,12 @@ class BenchResult:
 
 def random_bench_kb(n_vars: int, n_clauses: int, rng_seed: int) -> KnowledgeBase:
     """Random KB for solver benchmarks: clause lengths uniform in [1, 10],
-    random literal signs, probabilities uniform in [0, 1]."""
+    random literal signs, probabilities uniform in [0, 1]; all distinct."""
     if n_vars < 1 or n_clauses < 1:
         raise ValueError("sizes must be >= 1")
+    capacity = sum(comb(n_vars, s) * 2**s for s in range(1, min(10, n_vars) + 1))
+    if n_clauses > capacity:
+        raise ValueError(f"{n_vars} variables allow {capacity} distinct clauses, not {n_clauses}")
     rng = random.Random(rng_seed)
     atoms = [Atom(f"v{i}") for i in range(1, n_vars + 1)]
     by_clause: dict[Clause, WeightedClause] = {}

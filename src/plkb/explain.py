@@ -25,8 +25,9 @@ Query = Mapping[str, str]
 class Explanation:
     """The size-k sub-query that extremises the class probability.
 
-    ``direction`` is "max" when the full query classified positive (the
-    sub-query most responsible for pushing it up), "min" otherwise.
+    ``direction`` is "max" when the full query classifies positive, as
+    ``classify_query`` labels it on a rule-only KB (the sub-query most
+    responsible for pushing it up), "min" otherwise.
     """
 
     sub_query: dict[str, str]
@@ -71,7 +72,8 @@ def _relevant_scores(
     a bitmask over the query's sorted pairs (distinct bodies, distinct
     masks), and a sub-query collects its rows by enumerating the sub-masks
     of its own mask or, when it has more sub-masks than there are such
-    rows, by scanning them.
+    rows, by scanning them.  A body-less row has mask 0, inside every
+    sub-query; the sub-mask walk stops before 0, so it starts with that row.
     """
     bit = {pair: 1 << i for i, pair in enumerate(pairs)}
     sub = relevant_kb(query, kb)
@@ -95,9 +97,10 @@ def _relevant_scores(
             return [p for p, mask in rows if mask & m == mask]
     else:
         get = prob_of.get
+        empty = [prob_of[0]] if 0 in prob_of else []
 
         def inside(m: int) -> list[float]:
-            found = []
+            found = empty[:]
             s = m
             while s:
                 p = get(s)
@@ -122,7 +125,9 @@ def compute_explanation(
     """Score every size-k subset of the query and keep the extremum.
 
     If the full query classifies positive, the sub-query maximising the
-    bound midpoint is the explanation; otherwise the minimising one.
+    bound midpoint is the explanation; otherwise the minimising one.  With
+    ``use_relevant`` on a rule-only KB that label is the one
+    :func:`~plkb.evaluate.classify_query` gives, from the same rows.
     Ties break on the lexicographically smallest serialized sub-query.
     ``domains`` check the full query once; its sub-queries assert no other
     pair.

@@ -121,12 +121,11 @@ def arbitrary_random_kb(
 
 def relevant_kb_scan(query, kb: KnowledgeBase) -> KnowledgeBase:
     """Reference implementation of relevant extraction: scan every clause
-    and keep those whose body is a non-empty subset of the query."""
+    and keep the rules whose body is a subset of the query, a body-less
+    ``[p] pos`` included."""
     pairs = set(query.items())
     selected = [
-        wc
-        for wc in kb.clauses
-        if wc.clause.is_rule_shaped and wc.clause.body and wc.clause.body <= pairs
+        wc for wc in kb.clauses if wc.clause.is_rule_shaped and wc.clause.body <= pairs
     ]
     return KnowledgeBase(selected)
 

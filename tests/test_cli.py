@@ -10,7 +10,7 @@ from click.testing import CliRunner
 from helpers import NEGATIVE_STRINGS, POSITIVE_STRINGS
 
 import plkb
-from plkb.cli import main, parse_query
+from plkb.cli import _emit, main, parse_query
 from plkb.kb import parse_kb, rule_clause
 
 
@@ -132,6 +132,24 @@ class TestTrainClassifyExplain:
             "error: --max-arity only applies to the direct method"
         ]
         assert not kb_path.exists()
+
+    def test_single_class_explanation_follows_the_classification(self, runner, tmp_path):
+        # One class trains a single-leaf tree, "1.000000 pos": every query
+        # classifies positive, and its explanation must maximise.
+        csv_path = tmp_path / "one.csv"
+        csv_path.write_text("a1,a2,label\n0,1,pos\n1,1,pos\n0,0,pos\n", encoding="utf-8")
+        kb_path = tmp_path / "tree.plkb"
+        run_json(
+            runner,
+            ["train", "--method", "tree", "--input", str(csv_path),
+             "--label-col", "label", "--pos-label", "pos", "--out", str(kb_path)],
+        )
+        assert kb_path.read_text(encoding="utf-8") == "1.000000 pos\n"
+        common = ["--kb", str(kb_path), "--domains", str(csv_path), "--query", "a1=0,a2=1"]
+        cls = run_json(runner, ["classify", *common])
+        assert (cls["label"], cls["p_avg"]) == (True, 1.0)
+        expl = run_json(runner, ["explain", *common, "-k", "1"])
+        assert (expl["direction"], expl["score"]) == ("max", 1.0)
 
     def test_dump_lp_flag(self, runner, strings_csv, tmp_path):
         kb_path = tmp_path / "kb.plkb"
@@ -304,6 +322,50 @@ class TestSynthAndEval:
         ]
         assert result.stdout == ""
 
+    @pytest.mark.parametrize("runs", ["0", "-1"])
+    @pytest.mark.parametrize("command", ["eval", "expl-eval", "knowledge-exp"])
+    def test_runs_below_one_refused(self, runner, tmp_path, command, runs):
+        out_dir = tmp_path / "syn"
+        run_json(
+            runner,
+            ["synth", "--length", "4", "--alphabet", "2", "--match", "2",
+             "--n", "40", "--rng-seed", "5", "--out", str(out_dir)],
+        )
+        args = {
+            "eval": ["--input", str(out_dir / "data.csv")],
+            "expl-eval": ["--input", str(out_dir), "-k", "1"],
+            "knowledge-exp": ["--input", str(out_dir)],
+        }[command]
+        result = runner.invoke(main, [command, "--runs", runs, *args])
+        assert result.exit_code == 1
+        err = result.stderr if hasattr(result, "stderr") else result.output
+        assert [l for l in err.splitlines() if l] == ["error: --runs must be at least 1"]
+        assert result.stdout == ""
+
+    def test_expl_eval_that_explains_nothing_prints_null(self, runner, tmp_path):
+        out_dir = tmp_path / "syn"
+        run_json(
+            runner,
+            ["synth", "--length", "4", "--alphabet", "2", "--match", "2",
+             "--n", "40", "--rng-seed", "5", "--out", str(out_dir)],
+        )
+        result = runner.invoke(
+            main, ["expl-eval", "--input", str(out_dir), "-k", "1", "--runs", "2",
+                   "--max-instances", "0"],
+        )
+        assert result.exit_code == 0, result.output
+
+        def refuse(constant):
+            raise AssertionError(f"{constant} is not JSON")
+
+        rep = json.loads(result.stdout, parse_constant=refuse)
+        assert rep["mean_accuracy"] is None
+        assert rep["runs"] == [{"mean_accuracy": None, "n_explained": 0}] * 2
+
+    def test_nan_is_refused_not_printed(self):
+        with pytest.raises(ValueError):
+            _emit({"x": float("nan")})
+
     def test_eval_with_knowledge_file(self, runner, tmp_path):
         out_dir = tmp_path / "syn"
         run_json(
@@ -333,6 +395,23 @@ class TestBenchCli:
         lines = csv_path.read_text(encoding="utf-8").strip().splitlines()
         assert lines[0] == "n_vars,n_clauses,seconds,objective"
         assert len(lines) == 2
+
+    def test_more_clauses_than_the_atoms_allow_refused(self):
+        # One atom has two distinct clauses; a third could never be drawn.
+        # The timeout fails a regression instead of hanging on it.
+        src = str(Path(plkb.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p
+        ))
+        proc = subprocess.run(
+            [sys.executable, "-m", "plkb", "bench-lp", "--vars", "1", "--clauses", "3"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            "error: 1 variables allow 2 distinct clauses, not 3"
+        ]
 
 
 class TestInject:

@@ -26,11 +26,13 @@ from plkb.kb import (
     KnowledgeBase,
     RuleTable,
     WeightedClause,
+    merge,
     parse_kb,
     rule_clause,
     serialize_kb,
 )
 from plkb.lp import infer_pos
+from plkb.tree import build_id3, kb_from_tree
 
 # Clauses whose bodies are subsets of the assignment a1=0,a2=1,a3=0,a4=1,
 # with the exact label frequency of each subset in the eight strings.
@@ -172,6 +174,52 @@ class TestActiveKb:
             via_full = infer_pos(strings_tree_kb, q, engine="lp")
             assert via_active.label == via_full.label
             assert via_active.p_avg == pytest.approx(via_full.p_avg, abs=1e-6)
+
+
+def rows(kb):
+    """A KB's clauses with their exact probabilities, order aside."""
+    return {(wc.clause, Fraction(wc.probability)) for wc in kb}
+
+
+class TestBodylessRule:
+    """A body-less ``[p] pos`` lies inside every query, so relevant and
+    active extraction both keep it and select the same rows."""
+
+    @pytest.fixture()
+    def kbs(self, strings_direct_kb):
+        single_class = from_rows(["a1", "a2"], [(("0", "1"), True), (("1", "1"), True)])
+        single_leaf = kb_from_tree(build_id3(single_class), mode="leaves")
+        merged = merge(strings_direct_kb, [WeightedClause(Fraction(3, 4), rule_clause([]))])
+        parsed = parse_kb("0.25 pos\n0.9 pos | !a1=0\n0.1 pos | !a1=0 | !a2=1\n0.6 pos | !a4=1")
+        plain = KnowledgeBase([
+            WeightedClause(0.75, rule_clause([])),
+            WeightedClause(0.5, rule_clause([("a1", "1")])),
+            WeightedClause(0.2, rule_clause([("a1", "1"), ("a3", "0")])),
+        ])
+        assert serialize_kb(single_leaf) == "1.000000 pos"
+        assert all(isinstance(kb, RuleTable) for kb in (single_leaf, merged, parsed))
+        assert not isinstance(plain, RuleTable)
+        return [single_leaf, merged, parsed, plain]
+
+    def test_relevant_equals_active_and_the_reference_scan(self, kbs):
+        queries = [{}, {"a2": "1"}, {"a1": "1", "a3": "0"}, {"a1": "0", "a9": "x"}]
+        queries += [query_from_string(format(bits, "04b")) for bits in range(16)]
+        for kb in kbs:
+            for q in queries:
+                rel = relevant_kb(q, kb)
+                assert type(rel) is type(kb)
+                assert rows(rel) == rows(active_kb(q, kb))
+                assert rows(rel) == rows(relevant_kb_scan(q, KnowledgeBase(kb.clauses)))
+                assert any(not wc.clause.body for wc in rel)
+
+    def test_full_queries_classify_as_the_whole_kb(self, kbs):
+        for kb in kbs:
+            for bits in range(16):
+                q = query_from_string(format(bits, "04b"))
+                via_relevant = infer_pos(relevant_kb(q, kb), q)
+                via_full = infer_pos(kb, q, engine="lp")
+                assert via_relevant.label == via_full.label
+                assert via_relevant.p_avg == pytest.approx(via_full.p_avg, abs=1e-6)
 
 
 class TestSubsetCounter:

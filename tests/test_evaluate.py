@@ -224,3 +224,11 @@ class TestBench:
     def test_sizes_validated(self):
         with pytest.raises(ValueError):
             random_bench_kb(0, 5, 0)
+
+    def test_clause_count_capped_by_distinct_clauses(self):
+        # n atoms give sum_{s=1..min(10,n)} C(n,s) 2^s distinct clauses.
+        for n_vars, n_clauses in ((1, 3), (2, 9)):
+            with pytest.raises(ValueError, match="distinct clauses"):
+                random_bench_kb(n_vars, n_clauses, 0)
+        for n_vars, n_clauses in ((1, 2), (2, 8)):
+            assert len(random_bench_kb(n_vars, n_clauses, 0)) == n_clauses

@@ -12,6 +12,7 @@ from helpers import explanation_loop, query_from_string
 import plkb.explain
 from plkb.data import SeedSpec, from_rows
 from plkb.direct import build_direct_kb
+from plkb.evaluate import classify_query
 from plkb.explain import (
     Explanation,
     compute_explanation,
@@ -27,6 +28,7 @@ from plkb.kb import (
     Literal,
     RuleTable,
     WeightedClause,
+    merge,
     parse_kb,
     rule_clause,
 )
@@ -134,7 +136,11 @@ TIED_PROBS = [Fraction(0), Fraction(1, 4), Fraction(1, 3), Fraction(1, 2), Fract
 @st.composite
 def explanation_cases(draw):
     """A knowledge base of one of every kind explanations run on, a full
-    query over its features (values seen in training or not) and a k."""
+    query over its features (values seen in training or not) and a k.
+
+    Any kind may also hold a body-less ``[p] pos`` rule, which lies inside
+    every sub-query; a single-class training set gives one by itself.
+    """
     n = draw(st.integers(1, 5))
     features = [f"f{i}" for i in range(1, n + 1)]
     value = st.sampled_from("012")
@@ -175,6 +181,9 @@ def explanation_cases(draw):
         kb = RuleTable({})
     else:
         kb = KnowledgeBase([])
+    bodyless = draw(st.none() | st.sampled_from(TIED_PROBS))
+    if bodyless is not None:
+        kb = merge(kb, [WeightedClause(bodyless, rule_clause([]))])
     query = dict(zip(features, draw(st.tuples(*[st.sampled_from("0129")] * n))))
     return kb, query, draw(st.integers(1, n))
 
@@ -201,6 +210,30 @@ class TestOnePass:
                 assert got == explanation_loop(query, kb, k)
                 assert got.direction == direction
             assert compute_explanation(query, kb, 1).sub_query == {"a10": value}
+
+    @pytest.mark.parametrize("k, score", [(1, 0.55), (2, 0.3), (3, 0.3)])
+    def test_bodyless_row_enters_every_sub_query(self, k, score):
+        # k = 1 has fewer sub-masks (2) than rows (3) and walks them; k = 2
+        # and 3 scan the rows.  Either way "0.9 pos" scores in every
+        # sub-query, and the full query's median 0.3 classifies negative.
+        kb = parse_kb("0.9 pos\n0.2 pos | !a=1\n0.3 pos | !b=1")
+        query = {"a": "1", "b": "1", "c": "1"}
+        got = compute_explanation(query, kb, k)
+        assert got == explanation_loop(query, kb, k)
+        assert (got.direction, got.score) == ("min", pytest.approx(score))
+        assert not classify_query(kb, query).label
+
+    @settings(max_examples=300, deadline=None)
+    @given(explanation_cases(), st.data())
+    def test_direction_is_the_classification(self, case, data):
+        kb, query, _ = case
+        if not isinstance(kb, RuleTable):
+            kb = KnowledgeBase(wc for wc in kb.clauses if wc.clause.is_rule_shaped)
+        kept = data.draw(st.lists(st.sampled_from(sorted(query)), min_size=1, unique=True))
+        query = {f: query[f] for f in kept}
+        k = data.draw(st.integers(1, len(query)))
+        positive = classify_query(kb, query).label
+        assert compute_explanation(query, kb, k).direction == ("max" if positive else "min")
 
     @pytest.mark.parametrize("use_relevant", [True, False])
     def test_relevant_kb_and_inference_calls(self, monkeypatch, strings_direct_kb, use_relevant):
