@@ -120,10 +120,10 @@ def train(method, input_path, label_col, pos_label, max_arity, out_path, tree_pa
     ds = load_csv(input_path, label_col, pos_label)
     if tree_path and not method.startswith("tree"):
         raise ValueError("--dump-tree only applies to the tree methods")
-    kb = train_kb(ds, method, max_arity)
+    tree = build_id3(ds) if tree_path else None
+    kb = train_kb(ds, method, max_arity, tree=tree)
     if tree_path:
-        # ID3 is deterministic: this is the tree train_kb read its rules from.
-        Path(tree_path).write_text(format_tree(build_id3(ds)) + "\n", encoding="utf-8")
+        Path(tree_path).write_text(format_tree(tree) + "\n", encoding="utf-8")
     Path(out_path).write_text(serialize_kb(kb) + "\n", encoding="utf-8")
     _emit({"clauses": len(kb), "atoms": len(kb.universe), "out": str(out_path)})
 

@@ -128,8 +128,10 @@ def active_kb(query: Query, kb: KnowledgeBase) -> KnowledgeBase:
     query the bounds equal whole-KB inference; ``objective_min`` lacks the
     deviation of the clauses dropped here.
     """
-    if not isinstance(kb, RuleTable) and not all(
-        wc.clause.is_rule_shaped for wc in kb.clauses
-    ):
-        return kb
-    return _select(query, kb)
+    return _select(query, kb) if rule_only(kb) else kb
+
+
+def rule_only(kb: KnowledgeBase) -> bool:
+    """Whether every clause is a rule ``pos | !f1=v1 | ...``; a
+    :class:`~plkb.kb.RuleTable` always is."""
+    return isinstance(kb, RuleTable) or all(wc.clause.is_rule_shaped for wc in kb.clauses)

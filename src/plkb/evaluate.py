@@ -14,7 +14,7 @@ from .direct import active_kb, build_direct_kb
 from .explain import compute_explanation, explanation_accuracy
 from .kb import Atom, Clause, KnowledgeBase, Literal, WeightedClause, merge, rule_clause
 from .lp import InferenceResult, build_lp, infer_pos, minimum_deviation
-from .tree import build_id3, kb_from_tree
+from .tree import TreeNode, build_id3, kb_from_tree
 
 METHODS = ("tree", "tree-all", "direct")
 
@@ -77,15 +77,18 @@ class ExperimentConfig:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
 
 
-def train_kb(train: Dataset, method: str, max_arity: int | None = None) -> KnowledgeBase:
+def train_kb(
+    train: Dataset, method: str, max_arity: int | None = None, *, tree: TreeNode | None = None
+) -> KnowledgeBase:
     """Learn a knowledge base by ``method``; ``max_arity`` caps the direct
-    method's rule bodies and is refused for the tree methods."""
+    method's rule bodies and is refused for the tree methods.  A tree
+    method reads its rules off ``tree`` when given, the ID3 tree of
+    ``train`` a caller has grown already, and grows it otherwise."""
     if max_arity is not None and method != "direct":
         raise ValueError("--max-arity only applies to the direct method")
-    if method == "tree":
-        return kb_from_tree(build_id3(train), mode="leaves")
-    if method == "tree-all":
-        return kb_from_tree(build_id3(train), mode="all_nodes")
+    if method in ("tree", "tree-all"):
+        tree = build_id3(train) if tree is None else tree
+        return kb_from_tree(tree, mode="leaves" if method == "tree" else "all_nodes")
     if method == "direct":
         return build_direct_kb(train, max_arity)
     raise ValueError(f"method must be one of {METHODS}, got {method!r}")

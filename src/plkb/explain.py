@@ -14,7 +14,7 @@ from itertools import combinations
 from typing import Mapping
 
 from .data import SeedSpec
-from .direct import relevant_kb
+from .direct import relevant_kb, rule_only
 from .kb import KnowledgeBase, RuleTable
 from .lp import InferenceResult, check_query, closed_form, infer_pos, median_midpoint
 
@@ -25,9 +25,8 @@ Query = Mapping[str, str]
 class Explanation:
     """The size-k sub-query that extremises the class probability.
 
-    ``direction`` is "max" when the full query classifies positive, as
-    ``classify_query`` labels it on a rule-only KB (the sub-query most
-    responsible for pushing it up), "min" otherwise.
+    ``direction`` is "max" when the full query classifies positive (the
+    sub-query most responsible for pushing it up), "min" otherwise.
     """
 
     sub_query: dict[str, str]
@@ -126,8 +125,10 @@ def compute_explanation(
 
     If the full query classifies positive, the sub-query maximising the
     bound midpoint is the explanation; otherwise the minimising one.  With
-    ``use_relevant`` on a rule-only KB that label is the one
-    :func:`~plkb.evaluate.classify_query` gives, from the same rows.
+    ``use_relevant`` that label is the one
+    :func:`~plkb.evaluate.classify_query` gives: from the same rows on a
+    rule-only KB, and from whole-KB inference when some clause is not a
+    rule, as the rule rows cannot see such a clause.
     Ties break on the lexicographically smallest serialized sub-query.
     ``domains`` check the full query once; its sub-queries assert no other
     pair.
@@ -146,6 +147,8 @@ def compute_explanation(
     if use_relevant:
         check_query(query, domains)
         positive, scores = _relevant_scores(query, pairs, kb, k)
+        if not rule_only(kb):
+            positive = infer_pos(kb, query).label
     else:
         positive = evaluate_sub_query(query, kb, domains, use_relevant=False).label
         scores = (

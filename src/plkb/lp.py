@@ -1,18 +1,31 @@
 """Linear-programming inference over weighted-clause knowledge bases.
 
-The program built here estimates literal probabilities from clause
-probabilities.  For a KB with clauses c_i (probability p_i) over literals
-z, the variables are pi(z), pi(!z) per atom and pi(c_i) per clause, with
+The program estimates literal probabilities from clause probabilities.
+For a KB with clauses c_i (probability p_i) over literals z, the paper's
+program has variables pi(z) per literal and pi(c_i) per clause, with
 
-    pi(c_i) <= sum of pi(z) for z in c_i          (union bound)
-    pi(c_i) >= pi(z)        for each z in c_i     (monotonicity)
+    pi(z) <= pi(c_i) <= sum of pi(z) for z in c_i
     pi(z) + pi(!z) = 1,  all variables in [0, 1]
 
-and objective  minimise sum_i |pi(c_i) - p_i|,  linearised through
-deviation variables e+_i, e-_i >= 0 with pi(c_i) - p_i = e+_i - e-_i.
-Minimising the deviation instead of forcing pi(c_i) = p_i is what lets
-inconsistent knowledge coexist: clause probabilities bend as little as
-possible.
+and objective  minimise sum_i |pi(c_i) - p_i|.  Minimising the deviation
+instead of forcing pi(c_i) = p_i is what lets inconsistent knowledge
+coexist: clause probabilities bend as little as possible.
+
+What is built and solved here is that program's exact projection onto
+the atoms.  Fix the literal probabilities: pi(c_i) ranges over
+[max_z pi(z), min(1, sum_z pi(z))], never empty, so its least deviation
+is max(0, max_z pi(z) - p_i, p_i - sum_z pi(z)) (as p_i <= 1, the cap at
+1 never binds it).  So there is one variable x_a in [0, 1] per atom, with
+pi(a) = x_a and pi(!a) = 1 - x_a, and one deviation d_i >= 0 per clause,
+as in Potyka & Thimm (IJAR 2017), under the rows
+
+    d_i + sum of pi(z) for z in c_i >= p_i
+    pi(z) - d_i <= p_i     for each z in c_i
+
+and objective  minimise sum_i d_i.  For every choice of atom values the
+least objective is the paper's, so v* and the range of every atom at v*
+are the same.  The program has n_atoms + n_clauses variables, no
+equality rows, and is written straight into CSR arrays.
 
 Classification asks for the class atom's probability under a query.
 Query feature values are hard constraints (pi(a=v) fixed to 1, sibling
@@ -42,10 +55,9 @@ the reference in tests.
 An exact world-distribution oracle (all 2^n complete conjunctions) is
 included for cross-checking on small universes.
 
-numpy and scipy are imported inside the functions that build arrays for
-or solve a program, so importing this module, and every closed-form
-answer, loads neither; every solve goes through the module-level
-:func:`linprog`.
+numpy and scipy are imported inside the functions that solve a program,
+so importing this module, and every closed-form answer, loads neither;
+every solve goes through the module-level :func:`linprog`.
 """
 
 from __future__ import annotations
@@ -78,33 +90,37 @@ TAU_ZERO = 1e-6   # deviation below this hints consistency
 # rule stable when solver noise perturbs the midpoint by ~TAU_LEX.
 LABEL_EPS = 1e-6
 
-LE = "<="
-EQ = "=="
-
 
 @dataclass(frozen=True)
-class Constraint:
-    coeffs: tuple[tuple[int, float], ...]
-    sense: str
-    rhs: float
+class Rows:
+    """Constraint rows ``A x <= rhs`` in compressed sparse row form: row r
+    has coefficient ``data[j]`` on variable ``indices[j]`` for each j in
+    ``range(indptr[r], indptr[r + 1])``."""
+
+    indptr: list[int]
+    indices: list[int]
+    data: list[float]
+    rhs: list[float]
+
+    def __len__(self) -> int:
+        return len(self.rhs)
 
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """A minimisation LP with boxed variables.
+    """Minimise ``objective @ x`` subject to ``constraints`` within
+    ``bounds``; ``objective`` has one coefficient per variable and an
+    upper bound of None is no bound.
 
-    ``atom_index`` maps each atom to the variable index of its positive
-    literal; the negative literal sits at the next index.  The semantic
-    maps are empty for hand-built programs.
+    ``atom_index`` maps each atom to its variable; it is empty for
+    hand-built programs.
     """
 
     variables: tuple[str, ...]
-    constraints: tuple[Constraint, ...]
-    objective: tuple[tuple[int, float], ...]
+    constraints: Rows
+    objective: tuple[float, ...]
     bounds: tuple[tuple[float, float | None], ...]
     atom_index: dict[Atom, int] = field(default_factory=dict)
-    clause_vars: tuple[int, ...] = ()
-    deviation_vars: tuple[int, ...] = ()
 
     @property
     def n_variables(self) -> int:
@@ -131,69 +147,44 @@ def _atom_sort_key(atom: Atom):
     return (0 if atom.is_class_atom else 1, atom.feature, atom.value or "")
 
 
-def _literal_var(atom_index: Mapping[Atom, int], lit: Literal) -> int:
-    return atom_index[lit.atom] + (1 if lit.negated else 0)
-
-
 def build_lp(clauses: Iterable[WeightedClause]) -> LinearProgram:
     """Construct the program described in the module docstring.
 
     ``clauses`` is a knowledge base or any clause sequence; a sequence may
     repeat a clause, as a presolved residual can, and each copy gets its
-    own variables.  Variable layout: positive/negative literal pairs per
-    atom, then one variable per clause, then the deviation pair per
-    clause.  Constraint order: union bounds, monotonicity, complement
-    equalities, deviation equalities.
+    own deviation.  Variables: the atoms in sorted order, then ``d<i>``
+    per clause.  Rows, clause by clause: ``-d_i - sum_z pi(z) <= -p_i``,
+    then ``pi(z) - d_i <= p_i`` per literal, the constant of each
+    ``pi(!a) = 1 - x_a`` moved to the right-hand side.
     """
     clauses = tuple(clauses)
     if not clauses:
         raise ValueError("cannot build a program from an empty knowledge base")
     atoms = sorted({a for wc in clauses for a in wc.clause.atoms}, key=_atom_sort_key)
-    atom_index = {a: 2 * i for i, a in enumerate(atoms)}
-    names: list[str] = []
-    for a in atoms:
-        names.append(str(a))
-        names.append(f"!{a}")
-    n = len(atoms)
-    m = len(clauses)
-    clause_vars = tuple(2 * n + i for i in range(m))
-    names.extend(f"c{i}" for i in range(m))
-    dev_vars = tuple(2 * n + m + i for i in range(2 * m))
-    names.extend(x for i in range(m) for x in (f"dev+{i}", f"dev-{i}"))
-
-    union_rows: list[Constraint] = []
-    mono_rows: list[Constraint] = []
-    dev_rows: list[Constraint] = []
+    atom_index = {a: i for i, a in enumerate(atoms)}
+    n, m = len(atoms), len(clauses)
+    indptr, indices, data, rhs = [0], [], [], []
     for i, wc in enumerate(clauses):
-        cv = clause_vars[i]
-        lit_vars = [_literal_var(atom_index, lit) for lit in wc.clause.literals]
-        union_rows.append(
-            Constraint(
-                ((cv, 1.0), *((v, -1.0) for v in lit_vars)), LE, 0.0
-            )
-        )
-        for v in lit_vars:
-            mono_rows.append(Constraint(((v, 1.0), (cv, -1.0)), LE, 0.0))
-        ep, em = dev_vars[2 * i], dev_vars[2 * i + 1]
-        dev_rows.append(
-            Constraint(((cv, 1.0), (ep, -1.0), (em, 1.0)), EQ, float(wc.probability))
-        )
-    complement_rows = [
-        Constraint(((atom_index[a], 1.0), (atom_index[a] + 1, 1.0)), EQ, 1.0)
-        for a in atoms
-    ]
-
-    bounds: list[tuple[float, float | None]] = [(0.0, 1.0)] * (2 * n + m)
-    bounds.extend([(0.0, None)] * (2 * m))
-    objective = tuple((v, 1.0) for v in dev_vars)
+        d, p = n + i, float(wc.probability)
+        lits = [(atom_index[lit.atom], lit.negated) for lit in wc.clause.literals]
+        indices.append(d)
+        data.append(-1.0)
+        for x, negated in lits:
+            indices.append(x)
+            data.append(1.0 if negated else -1.0)
+        rhs.append(sum(negated for _, negated in lits) - p)
+        indptr.append(len(indices))
+        for x, negated in lits:
+            indices += (x, d)
+            data += (-1.0 if negated else 1.0, -1.0)
+            rhs.append(p - 1.0 if negated else p)
+            indptr.append(len(indices))
     return LinearProgram(
-        variables=tuple(names),
-        constraints=tuple(union_rows + mono_rows + complement_rows + dev_rows),
-        objective=objective,
-        bounds=tuple(bounds),
+        variables=(*map(str, atoms), *(f"d{i}" for i in range(m))),
+        constraints=Rows(indptr, indices, data, rhs),
+        objective=(0.0,) * n + (1.0,) * m,
+        bounds=((0.0, 1.0),) * n + ((0.0, None),) * m,
         atom_index=atom_index,
-        clause_vars=clause_vars,
-        deviation_vars=dev_vars,
     )
 
 
@@ -239,28 +230,24 @@ def apply_query(
     return replace(lp, bounds=tuple(bounds))
 
 
-def _arrays(lp: LinearProgram):
-    """The objective vector and the CSR blocks A_ub, b_ub, A_eq, b_eq, rows
-    in constraint order; an empty block is None."""
+def _ub(lp: LinearProgram, cap: float | None = None):
+    """A_ub as a CSR array and b_ub, or (None, None) without rows; with a
+    ``cap``, the row ``objective @ x <= cap`` comes last."""
     import numpy as np
-    from scipy.sparse import csr_matrix
+    from scipy.sparse import csr_array
 
-    c = np.zeros(lp.n_variables)
-    for idx, coef in lp.objective:
-        c[idx] += coef
-
-    def block(sense):
-        cons = [con for con in lp.constraints if con.sense == sense]
-        if not cons:
-            return None, None
-        coeffs = [cv for con in cons for cv in con.coeffs]
-        rows = np.repeat(np.arange(len(cons)), [len(con.coeffs) for con in cons])
-        cols = np.fromiter((col for col, _ in coeffs), dtype=np.intp, count=len(coeffs))
-        vals = np.fromiter((val for _, val in coeffs), dtype=float, count=len(coeffs))
-        a = csr_matrix((vals, (rows, cols)), shape=(len(cons), lp.n_variables))
-        return a, np.array([con.rhs for con in cons])
-
-    return (c, *block(LE), *block(EQ))
+    rows = lp.constraints
+    indptr, indices, data, rhs = rows.indptr, rows.indices, rows.data, rows.rhs
+    if cap is not None:
+        cols = [j for j, coef in enumerate(lp.objective) if coef]
+        indptr = [*indptr, indptr[-1] + len(cols)]
+        indices = [*indices, *cols]
+        data = [*data, *(lp.objective[j] for j in cols)]
+        rhs = [*rhs, cap]
+    if not rhs:
+        return None, None
+    a = csr_array((data, indices, indptr), shape=(len(rhs), lp.n_variables))
+    return a, np.array(rhs)
 
 
 _STATUS = {0: "optimal", 1: "iteration limit", 2: "infeasible", 3: "unbounded", 4: "numerical"}
@@ -274,12 +261,11 @@ def linprog(*args, **kwargs):
     return scipy_linprog(*args, **kwargs)
 
 
-def _linprog(c, a_ub, b_ub, a_eq, b_eq, bounds):
+def _linprog(c, a_ub, b_ub, bounds):
     """One HiGHS solve: the result and its status name.  Every program
     here is boxed or minimises non-negative deviations, so an unbounded
     report is an internal error."""
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq, bounds=bounds,
-                  method="highs")
+    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
     status = _STATUS.get(res.status, "numerical")
     if status == "unbounded":
         raise RuntimeError("internal error: boxed program reported unbounded")
@@ -288,7 +274,7 @@ def _linprog(c, a_ub, b_ub, a_eq, b_eq, bounds):
 
 def solve_lp(lp: LinearProgram) -> LpSolution:
     """Minimise the program's own objective; exact within solver tolerance."""
-    res, status = _linprog(*_arrays(lp), list(lp.bounds))
+    res, status = _linprog(lp.objective, *_ub(lp), lp.bounds)
     values = {} if res.x is None else dict(zip(lp.variables, map(float, res.x)))
     objective = float(res.fun) if res.fun is not None else float("nan")
     return LpSolution(values=values, objective_value=objective, status=status)
@@ -305,29 +291,23 @@ def _bounded_target(
     """Lexicographic solve: (v*, min, max) of the target variable.  Without
     a target only stage 1 runs and the bounds are None."""
     import numpy as np
-    from scipy.sparse import csr_matrix, vstack
-
-    c1, a_ub, b_ub, a_eq, b_eq = _arrays(lp)
-    bounds = list(lp.bounds)
 
     def optimum(c, a_ub, b_ub):
-        res, status = _linprog(c, a_ub, b_ub, a_eq, b_eq, bounds)
+        res, status = _linprog(c, a_ub, b_ub, lp.bounds)
         if status != "optimal":
             raise RuntimeError(f"internal error: solver returned {status}")
         return res
 
-    v_star = float(optimum(c1, a_ub, b_ub).fun)
+    v_star = float(optimum(lp.objective, *_ub(lp)).fun)
     if target_var is None:
         return v_star, None, None
 
-    # Stages 2 and 3 keep the stage-1 objective within v* + TAU_LEX.  A
-    # program from build_lp always has union rows, so A_ub exists.
-    a_ub2 = vstack([a_ub, csr_matrix(c1)])
-    b_ub2 = np.append(b_ub, v_star + TAU_LEX)
+    # Stages 2 and 3 keep the stage-1 objective within v* + TAU_LEX.
+    a_ub, b_ub = _ub(lp, v_star + TAU_LEX)
     ct = np.zeros(lp.n_variables)
     ct[target_var] = 1.0
-    lo = float(optimum(ct, a_ub2, b_ub2).x[target_var])
-    hi = float(optimum(-ct, a_ub2, b_ub2).x[target_var])
+    lo = float(optimum(ct, a_ub, b_ub).x[target_var])
+    hi = float(optimum(-ct, a_ub, b_ub).x[target_var])
     return v_star, lo, hi
 
 
@@ -563,18 +543,18 @@ def dump_lp(lp: LinearProgram) -> str:
     variable names, mapped back in leading comments."""
     lines = ["\\ variable map"]
     lines.extend(f"\\ x{i} = {name}" for i, name in enumerate(lp.variables))
-    terms = " + ".join(f"{coef:g} x{i}" for i, coef in lp.objective) or "0 x0"
+    terms = " + ".join(f"{coef:g} x{i}" for i, coef in enumerate(lp.objective) if coef)
     lines.append("Minimize")
-    lines.append(f" obj: {terms}")
+    lines.append(f" obj: {terms or '0 x0'}")
     lines.append("Subject To")
-    for r, con in enumerate(lp.constraints):
-        parts = []
-        for col, val in con.coeffs:
-            sign = "-" if val < 0 else "+"
-            parts.append(f"{sign} {abs(val):g} x{col}")
-        body = " ".join(parts).lstrip("+ ")
-        op = "<=" if con.sense == LE else "="
-        lines.append(f" r{r}: {body} {op} {con.rhs:g}")
+    rows = lp.constraints
+    for r, rhs in enumerate(rows.rhs):
+        span = range(rows.indptr[r], rows.indptr[r + 1])
+        body = " ".join(
+            f"{'-' if rows.data[j] < 0 else '+'} {abs(rows.data[j]):g} x{rows.indices[j]}"
+            for j in span
+        )
+        lines.append(f" r{r}: {body.lstrip('+ ')} <= {rhs:g}")
     lines.append("Bounds")
     for i, (lo, hi) in enumerate(lp.bounds):
         if hi is None:

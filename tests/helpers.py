@@ -10,8 +10,10 @@ from itertools import combinations
 from hypothesis import strategies as st
 
 from plkb.data import Dataset, from_rows
+from plkb.evaluate import classify_query
 from plkb.explain import Explanation, evaluate_sub_query
-from plkb.kb import Atom, Clause, KnowledgeBase, Literal, WeightedClause, rule_clause
+from plkb.kb import POS, Atom, Clause, KnowledgeBase, Literal, WeightedClause, rule_clause
+from plkb.lp import TAU_LEX, InferenceResult, _result
 
 # Eight labelled bit-strings over features a1..a4; small enough to check
 # every derived number by hand.
@@ -130,15 +132,93 @@ def relevant_kb_scan(query, kb: KnowledgeBase) -> KnowledgeBase:
     return KnowledgeBase(selected)
 
 
+def reference_program(clauses):
+    """The paper's program, in the layout ``plkb.lp`` solved before it
+    solved the projection onto the atoms.
+
+    Variables: pi(a), pi(!a) per atom, then pi(c_i) per clause, then the
+    pair e+_i, e-_i per clause.  Rows: pi(c_i) <= sum of pi(z) and
+    pi(z) <= pi(c_i) (``<=``); pi(a) + pi(!a) = 1 and
+    pi(c_i) - e+_i + e-_i = p_i (``==``).  The objective sums the pairs.
+    Returns ``(c, a_ub, b_ub, a_eq, b_eq, bounds, column)`` as dense
+    arrays, ``column`` mapping each atom to its pi(a) variable.
+    """
+    import numpy as np
+
+    clauses = list(clauses)
+    atoms = sorted({a for wc in clauses for a in wc.clause.atoms}, key=str)
+    n, m = len(atoms), len(clauses)
+    column = {a: 2 * i for i, a in enumerate(atoms)}
+    n_vars = 2 * n + 3 * m
+
+    def row(*terms):
+        r = np.zeros(n_vars)
+        for col, coef in terms:
+            r[col] += coef
+        return r
+
+    ub, b_ub, eq, b_eq = [], [], [], []
+    for i, wc in enumerate(clauses):
+        ci, ep = 2 * n + i, 2 * n + m + 2 * i
+        lits = [column[lit.atom] + lit.negated for lit in wc.clause.literals]
+        ub.append(row((ci, 1.0), *((z, -1.0) for z in lits)))
+        b_ub.append(0.0)
+        for z in lits:
+            ub.append(row((z, 1.0), (ci, -1.0)))
+            b_ub.append(0.0)
+        eq.append(row((ci, 1.0), (ep, -1.0), (ep + 1, 1.0)))
+        b_eq.append(float(wc.probability))
+    for a in atoms:
+        eq.append(row((column[a], 1.0), (column[a] + 1, 1.0)))
+        b_eq.append(1.0)
+    c = np.zeros(n_vars)
+    c[2 * n + m:] = 1.0
+    bounds = [(0.0, 1.0)] * (2 * n + m) + [(0.0, None)] * (2 * m)
+    return c, np.array(ub), np.array(b_ub), np.array(eq), np.array(b_eq), bounds, column
+
+
+def reference_infer(kb: KnowledgeBase, query, target: Atom = POS) -> InferenceResult:
+    """The three-stage solve of :func:`reference_program` over the whole KB:
+    v*, then the least and greatest pi(target) with the deviation held
+    within v* + TAU_LEX, every query pair fixing its feature's atoms."""
+    import numpy as np
+    from scipy.optimize import linprog
+
+    if len(kb) == 0:
+        return _result(0.0, 0.0, 1.0)
+    c, a_ub, b_ub, a_eq, b_eq, bounds, column = reference_program(kb.clauses)
+    for atom, col in column.items():
+        if atom.value is not None and atom.feature in query:
+            fixed = float(atom.value == query[atom.feature])
+            bounds[col] = (fixed, fixed)
+
+    def optimum(objective, a_ub, b_ub):
+        res = linprog(objective, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
+                      bounds=bounds, method="highs")
+        assert res.status == 0, res.message
+        return res
+
+    v_star = optimum(c, a_ub, b_ub).fun
+    a_ub, b_ub = np.vstack([a_ub, c]), np.append(b_ub, v_star + TAU_LEX)
+    ct = np.zeros(len(c))
+    ct[column[target]] = 1.0
+    lo = optimum(ct, a_ub, b_ub).x[column[target]]
+    hi = optimum(-ct, a_ub, b_ub).x[column[target]]
+    return _result(v_star, lo, hi)
+
+
 def explanation_loop(query, kb: KnowledgeBase, k: int, domains=None, *, use_relevant=True):
     """Reference implementation of explanation search: one relevant
     extraction and one inference per size-k sub-query, then the extremum
-    with ties broken on the serialized sub-query."""
+    with ties broken on the serialized sub-query.  With ``use_relevant``
+    the direction follows ``classify_query``'s label for the full query."""
     query = dict(query)
     if not 1 <= k <= len(query):
         raise ValueError(f"k={k} out of range for a query of {len(query)} features")
-    full = evaluate_sub_query(query, kb, domains, use_relevant=use_relevant)
-    positive = full.label
+    if use_relevant:
+        positive = classify_query(kb, query, domains).label
+    else:
+        positive = evaluate_sub_query(query, kb, domains, use_relevant=False).label
     scored = [
         (sub, evaluate_sub_query(sub, kb, use_relevant=use_relevant).p_avg)
         for sub in map(dict, combinations(sorted(query.items()), k))

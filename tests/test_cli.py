@@ -106,6 +106,33 @@ class TestTrainClassifyExplain:
         )
         assert result.exit_code == 1
 
+    @pytest.mark.parametrize("method", ["tree", "tree-all"])
+    def test_dump_tree_grows_one_tree(self, runner, strings_csv, tmp_path, monkeypatch, method):
+        grown = []
+        original = plkb.tree.build_id3
+
+        def counting(ds):
+            grown.append(ds)
+            return original(ds)
+
+        # every module that binds the name
+        for module in (plkb.tree, plkb.evaluate, plkb.cli):
+            monkeypatch.setattr(module, "build_id3", counting)
+        kb_path = tmp_path / "kb.plkb"
+        tree_path = tmp_path / "tree.txt"
+        run_json(
+            runner,
+            ["train", "--method", method, "--input", str(strings_csv),
+             "--label-col", "label", "--pos-label", "pos",
+             "--out", str(kb_path), "--dump-tree", str(tree_path)],
+        )
+        assert len(grown) == 1
+        monkeypatch.undo()
+        assert tree_path.read_text(encoding="utf-8") == plkb.format_tree(
+            plkb.build_id3(grown[0])) + "\n"
+        assert kb_path.read_text(encoding="utf-8") == plkb.serialize_kb(
+            plkb.train_kb(grown[0], method)) + "\n"
+
     def test_max_arity_flag(self, runner, strings_csv, tmp_path):
         kb_path = tmp_path / "kb.plkb"
         out = run_json(

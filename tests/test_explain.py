@@ -227,13 +227,21 @@ class TestOnePass:
     @given(explanation_cases(), st.data())
     def test_direction_is_the_classification(self, case, data):
         kb, query, _ = case
-        if not isinstance(kb, RuleTable):
-            kb = KnowledgeBase(wc for wc in kb.clauses if wc.clause.is_rule_shaped)
         kept = data.draw(st.lists(st.sampled_from(sorted(query)), min_size=1, unique=True))
         query = {f: query[f] for f in kept}
         k = data.draw(st.integers(1, len(query)))
         positive = classify_query(kb, query).label
         assert compute_explanation(query, kb, k).direction == ("max" if positive else "min")
+
+    def test_direction_on_a_kb_with_a_clause_that_is_not_a_rule(self):
+        # the rule rows alone (0.2 pos | !a=1) would classify negative; the
+        # whole KB, as classify_query reads it, classifies positive
+        kb = parse_kb("0.2 pos | !a=1\n0.9 pos | b=1")
+        query = {"a": "1", "b": "0"}
+        assert classify_query(kb, query).label
+        got = compute_explanation(query, kb, 1)
+        assert got == Explanation(sub_query={"b": "0"}, score=0.5, direction="max")
+        assert got == explanation_loop(query, kb, 1)
 
     @pytest.mark.parametrize("use_relevant", [True, False])
     def test_relevant_kb_and_inference_calls(self, monkeypatch, strings_direct_kb, use_relevant):

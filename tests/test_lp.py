@@ -11,6 +11,7 @@ from helpers import (
     arbitrary_random_kb,
     datasets_and_queries,
     query_from_string,
+    reference_infer,
     satisfiable_random_kb,
 )
 
@@ -27,11 +28,10 @@ from plkb.kb import (
     parse_kb,
     rule_clause,
 )
+from plkb.evaluate import random_bench_kb
 from plkb.lp import (
-    EQ,
-    LE,
-    Constraint,
     LinearProgram,
+    Rows,
     _median_interval,
     _presolve,
     apply_query,
@@ -53,54 +53,77 @@ def query_unit_clauses(s: str):
     ]
 
 
+def program_rows(lp):
+    """Each row as (frozenset of (variable name, coefficient), rhs)."""
+    rows = lp.constraints
+    return [
+        (
+            frozenset(
+                (lp.variables[rows.indices[j]], rows.data[j])
+                for j in range(rows.indptr[r], rows.indptr[r + 1])
+            ),
+            pytest.approx(rhs, abs=1e-12),
+        )
+        for r, rhs in enumerate(rows.rhs)
+    ]
+
+
+def row_sides(lp, values):
+    """(left-hand side, rhs) of every row at the given variable values."""
+    rows = lp.constraints
+    return [
+        (sum(rows.data[j] * values[rows.indices[j]]
+             for j in range(rows.indptr[r], rows.indptr[r + 1])), rhs)
+        for r, rhs in enumerate(rows.rhs)
+    ]
+
+
+def least_deviation(wc, values, atom_index):
+    """The least |pi(c) - p| the clause admits at the given atom values."""
+    lits = [
+        1.0 - values[atom_index[lit.atom]] if lit.negated else values[atom_index[lit.atom]]
+        for lit in wc.clause.literals
+    ]
+    p = float(wc.probability)
+    return max(0.0, max(lits) - p, p - sum(lits))
+
+
 class TestBuildLp:
     def test_two_clause_structure(self, implication_kb):
         lp = build_lp(implication_kb)
-        # 2 atoms -> 4 literal vars, 2 clause vars, 4 deviation vars
-        assert lp.n_variables == 10
-        senses = [c.sense for c in lp.constraints]
-        assert senses.count(LE) == 2 + 3  # union bounds + monotonicity rows
-        assert senses.count(EQ) == 2 + 2  # complement + deviation rows
-        for idx in lp.clause_vars:
-            assert lp.bounds[idx] == (0.0, 1.0)
-        for idx in lp.deviation_vars:
-            assert lp.bounds[idx] == (0.0, None)
+        # 2 atoms, then one deviation per clause
+        assert lp.variables == ("a", "b", "d0", "d1")
+        # 2 cover rows + 3 literal rows, all <=
+        assert len(lp.constraints) == 2 + 3
+        assert lp.objective == (0.0, 0.0, 1.0, 1.0)
+        assert lp.bounds == ((0.0, 1.0),) * 2 + ((0.0, None),) * 2
 
     def test_two_clause_constraints_written_out(self, implication_kb):
         lp = build_lp(implication_kb)
         # clause order follows the KB: c0 = !a | b (0.6), c1 = a (0.8)
         assert [str(wc.clause) for wc in implication_kb] == ["!a | b", "a"]
-
-        def rows(sense):
-            out = set()
-            for con in lp.constraints:
-                if con.sense != sense:
-                    continue
-                terms = frozenset(
-                    (lp.variables[i], coef) for i, coef in con.coeffs
-                )
-                out.add((terms, con.rhs))
-            return out
-
-        le = rows(LE)
-        assert (frozenset({("c0", 1.0), ("!a", -1.0), ("b", -1.0)}), 0.0) in le
-        assert (frozenset({("c1", 1.0), ("a", -1.0)}), 0.0) in le
-        assert (frozenset({("!a", 1.0), ("c0", -1.0)}), 0.0) in le
-        assert (frozenset({("b", 1.0), ("c0", -1.0)}), 0.0) in le
-        assert (frozenset({("a", 1.0), ("c1", -1.0)}), 0.0) in le
-        eq = rows(EQ)
-        assert (frozenset({("a", 1.0), ("!a", 1.0)}), 1.0) in eq
-        assert (frozenset({("b", 1.0), ("!b", 1.0)}), 1.0) in eq
-        assert (frozenset({("c0", 1.0), ("dev+0", -1.0), ("dev-0", 1.0)}), 0.6) in eq
-        assert (frozenset({("c1", 1.0), ("dev+1", -1.0), ("dev-1", 1.0)}), 0.8) in eq
+        assert program_rows(lp) == [
+            # d0 + (1 - a) + b >= 0.6
+            (frozenset({("d0", -1.0), ("a", 1.0), ("b", -1.0)}), 0.4),
+            # (1 - a) - d0 <= 0.6
+            (frozenset({("a", -1.0), ("d0", -1.0)}), -0.4),
+            # b - d0 <= 0.6
+            (frozenset({("b", 1.0), ("d0", -1.0)}), 0.6),
+            # d1 + a >= 0.8
+            (frozenset({("d1", -1.0), ("a", -1.0)}), -0.8),
+            # a - d1 <= 0.8
+            (frozenset({("a", 1.0), ("d1", -1.0)}), 0.8),
+        ]
 
     def test_single_unit_clause(self):
         kb = parse_kb("1.0 pos")
         lp = build_lp(kb)
-        assert lp.n_variables == 2 + 1 + 2
-        union = [c for c in lp.constraints if c.sense == LE]
-        # pi(c) <= pi(pos) and pi(pos) <= pi(c): the clause variable is pinned
-        assert len(union) == 2
+        assert lp.variables == ("pos", "d0")
+        # d0 + pos >= 1 and pos - d0 <= 1
+        assert program_rows(lp) == [
+            (frozenset({("d0", -1.0), ("pos", -1.0)}), -1.0),
+            (frozenset({("pos", 1.0), ("d0", -1.0)}), 1.0),
+        ]
 
     def test_structural_counts_on_random_kbs(self):
         rng = random.Random(5)
@@ -110,11 +133,9 @@ class TestBuildLp:
             n = len(kb.universe)
             m = len(kb.clauses)
             total_literals = sum(len(wc.clause.literals) for wc in kb)
-            assert lp.n_variables == 2 * n + 3 * m
-            le = sum(1 for c in lp.constraints if c.sense == LE)
-            eq = sum(1 for c in lp.constraints if c.sense == EQ)
-            assert le == m + total_literals
-            assert eq == n + m
+            assert lp.n_variables == n + m
+            assert len(lp.constraints) == m + total_literals
+            assert len(lp.constraints.indices) == 2 * total_literals + m + total_literals
 
     def test_empty_kb_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -174,12 +195,12 @@ class TestApplyQuery:
 
 class TestSolveLp:
     def test_hand_built_deviation_program(self):
-        # minimise e+ + e-  s.t.  x - e+ + e- = 0.3, x in [0, 1]
+        # minimise d  s.t.  x - d <= 0.3, -x - d <= -0.3, x in [0, 1]
         lp = LinearProgram(
-            variables=("x", "ep", "em"),
-            constraints=(Constraint(((0, 1.0), (1, -1.0), (2, 1.0)), EQ, 0.3),),
-            objective=((1, 1.0), (2, 1.0)),
-            bounds=((0.0, 1.0), (0.0, None), (0.0, None)),
+            variables=("x", "d"),
+            constraints=Rows([0, 2, 4], [0, 1, 0, 1], [1.0, -1.0, -1.0, -1.0], [0.3, -0.3]),
+            objective=(0.0, 1.0),
+            bounds=((0.0, 1.0), (0.0, None)),
         )
         sol = solve_lp(lp)
         assert sol.status == "optimal"
@@ -187,10 +208,11 @@ class TestSolveLp:
         assert sol.values["x"] == pytest.approx(0.3, abs=1e-9)
 
     def test_infeasible_status(self):
+        # -x <= -2 with x in [0, 1]
         lp = LinearProgram(
             variables=("x",),
-            constraints=(Constraint(((0, 1.0),), EQ, 2.0),),
-            objective=((0, 1.0),),
+            constraints=Rows([0, 1], [0], [-1.0], [-2.0]),
+            objective=(1.0,),
             bounds=((0.0, 1.0),),
         )
         assert solve_lp(lp).status == "infeasible"
@@ -198,8 +220,8 @@ class TestSolveLp:
     def test_unbounded_is_an_internal_error(self):
         lp = LinearProgram(
             variables=("x",),
-            constraints=(),
-            objective=((0, -1.0),),
+            constraints=Rows([0], [], [], []),
+            objective=(-1.0,),
             bounds=((0.0, None),),
         )
         with pytest.raises(RuntimeError, match="unbounded"):
@@ -382,16 +404,16 @@ class TestInfer:
         assert a == b
 
     def test_probability_laws_on_an_optimal_solution(self, implication_kb):
-        sol = solve_lp(build_lp(implication_kb))
+        lp = build_lp(implication_kb)
+        sol = solve_lp(lp)
         v = sol.values
-        assert v["a"] + v["!a"] == pytest.approx(1.0, abs=1e-7)
-        assert v["b"] + v["!b"] == pytest.approx(1.0, abs=1e-7)
-        assert v["c0"] <= v["!a"] + v["b"] + 1e-7
-        assert v["c0"] >= v["!a"] - 1e-7
-        assert v["c0"] >= v["b"] - 1e-7
-        for name, val in v.items():
-            if not name.startswith("dev"):
-                assert -1e-7 <= val <= 1 + 1e-7
+        assert 0.0 <= v["a"] <= 1.0 and 0.0 <= v["b"] <= 1.0
+        # c0 = !a | b at 0.6: pi(c0) fits in [max(1 - a, b), 1 - a + b]
+        assert max(1.0 - v["a"], v["b"]) <= 0.6 + v["d0"] + 1e-7
+        assert 1.0 - v["a"] + v["b"] >= 0.6 - v["d0"] - 1e-7
+        # c1 = a at 0.8
+        assert abs(v["a"] - 0.8) <= v["d1"] + 1e-7
+        assert v["d0"] + v["d1"] == pytest.approx(sol.objective_value, abs=1e-9)
 
     def test_probability_laws_hold_on_random_optima(self):
         rng = random.Random(99)
@@ -401,18 +423,17 @@ class TestInfer:
             sol = solve_lp(lp)
             assert sol.status == "optimal"
             values = [sol.values[name] for name in lp.variables]
-            for idx in list(lp.atom_index.values()):
-                assert values[idx] + values[idx + 1] == pytest.approx(1.0, abs=1e-7)
-            for con in lp.constraints:
-                lhs = sum(coef * values[i] for i, coef in con.coeffs)
-                if con.sense == LE:
-                    assert lhs <= con.rhs + 1e-7
-                else:
-                    assert lhs == pytest.approx(con.rhs, abs=1e-7)
+            for lhs, rhs in row_sides(lp, values):
+                assert lhs <= rhs + 1e-7
             for idx, (lo, hi) in enumerate(lp.bounds):
                 assert values[idx] >= lo - 1e-7
                 if hi is not None:
                     assert values[idx] <= hi + 1e-7
+            # at the optimum each deviation is the least its clause admits
+            n = len(lp.atom_index)
+            for i, wc in enumerate(kb.clauses):
+                expected = least_deviation(wc, values, lp.atom_index)
+                assert values[n + i] == pytest.approx(expected, abs=1e-7)
 
 
 @st.composite
@@ -547,6 +568,41 @@ class TestPresolve:
         assert res == self.assert_same_answer(table, query)
 
 
+class TestProjection:
+    """The program against the paper's layout with pi(c_i) variables
+    (``helpers.reference_program``): same v*, bounds and label."""
+
+    @staticmethod
+    def assert_matches_reference(kb, query, target=POS):
+        ref = reference_infer(kb, query, target)
+        for engine in ("auto", "lp"):
+            res = infer_pos(kb, query, target=target, engine=engine)
+            assert res.label == ref.label
+            assert res.p_lower == pytest.approx(ref.p_lower, abs=1e-6)
+            assert res.p_upper == pytest.approx(ref.p_upper, abs=1e-6)
+            assert res.objective_min == pytest.approx(ref.objective_min, abs=1e-6)
+
+    @settings(max_examples=150, deadline=None)
+    @given(mixed_kbs_and_queries())
+    def test_matches_the_reference_program(self, case):
+        kb, query, target = case
+        if target in kb.universe or len(kb) == 0:
+            self.assert_matches_reference(kb, query, target)
+
+    def test_matches_on_random_and_bench_kbs(self):
+        # arbitrary probabilities, so mostly inconsistent KBs, and one
+        # bench-lp KB with clauses of up to 10 literals
+        rng = random.Random(7)
+        kbs = [arbitrary_random_kb(rng, rng.randint(1, 8), rng.randint(1, 12))[0]
+               for _ in range(20)]
+        kbs.append(random_bench_kb(40, 80, 0))
+        for kb in kbs:
+            target = sorted(kb.universe, key=str)[0]
+            self.assert_matches_reference(kb, {}, target)
+            v_star = reference_infer(kb, {}, target).objective_min
+            assert check_consistency(kb)[1] == pytest.approx(v_star, abs=1e-6)
+
+
 class TestMedianInterval:
     @settings(max_examples=100, deadline=None)
     @given(
@@ -654,3 +710,8 @@ class TestDump:
         for token in ("Minimize", "Subject To", "Bounds", "End"):
             assert token in text
         assert "\\ x0 = a" in text
+        assert "\\ x2 = d0" in text
+        rows = text.split("Subject To\n")[1].split("\nBounds")[0].splitlines()
+        assert len(rows) == 5 and all(" <= " in row for row in rows)
+        # c1 = a at 0.8: d1 + a >= 0.8
+        assert rows[3] == " r3: - 1 x3 - 1 x0 <= -0.8"
