@@ -25,6 +25,7 @@ from .data import (
 from .evaluate import (
     ExperimentConfig,
     bench_lp,
+    classify_query,
     run_eval,
     run_explanation_eval,
     run_knowledge_experiment,
@@ -144,12 +145,15 @@ def classify(kb_path, domains_path, query_text, full_kb, dump_path):
     kb = _read_kb(kb_path)
     domains = _domains_for_kb(domains_path, kb)
     query = parse_query(query_text)
-    sub = kb if full_kb else active_kb(query, kb)
-    res = infer_pos(sub, query, domains)
+    res = infer_pos(kb, query, domains) if full_kb else classify_query(kb, query, domains)
     if dump_path:
-        Path(dump_path).write_text(
-            dump_lp(apply_query(build_lp(sub), query)) + "\n", encoding="utf-8"
-        )
+        sub = kb if full_kb else active_kb(query, kb)
+        if len(sub):
+            Path(dump_path).write_text(
+                dump_lp(apply_query(build_lp(sub), query)) + "\n", encoding="utf-8"
+            )
+        else:
+            click.echo(f"no program to write to {dump_path}: no clause is selected", err=True)
     _emit(
         {
             "label": res.label,

@@ -206,10 +206,6 @@ def label_synthetic(s: str, spec: SeedSpec) -> bool:
     return matches == spec.match_count
 
 
-def instance_string(inst: Instance, spec: SeedSpec) -> str:
-    return "".join(inst.values[f] for f in spec.feature_names)
-
-
 def generate_synthetic(spec: SeedSpec, n_samples: int, rng_seed: int) -> Dataset:
     """Draw uniform strings until both class buckets are full.
 

@@ -9,7 +9,7 @@ from math import comb
 from typing import Mapping
 
 from .data import Dataset
-from .kb import KnowledgeBase, RuleKey, RuleTable
+from .kb import KnowledgeBase, RuleKey
 
 Query = Mapping[str, str]
 
@@ -22,8 +22,7 @@ class SubsetCounter:
     """(total, positive) sample counts per feature-value subset.
 
     Keys are sorted tuples of (feature, value) pairs, the canonical set
-    encoding.  Counters merge associatively, so counting can be
-    partitioned across instance chunks and combined in any order.
+    encoding.
     """
 
     counts: dict[RuleKey, tuple[int, int]] = field(default_factory=dict)
@@ -39,23 +38,16 @@ class SubsetCounter:
                 e = counts.get(key)
                 counts[key] = (1, hit) if e is None else (e[0] + 1, e[1] + hit)
 
-    def merge(self, other: "SubsetCounter") -> "SubsetCounter":
-        out = dict(self.counts)
-        for key, (total, pos) in other.counts.items():
-            e = out.get(key)
-            out[key] = (total, pos) if e is None else (e[0] + total, e[1] + pos)
-        return SubsetCounter(out)
-
-    def to_kb(self) -> RuleTable:
-        """The counts as a knowledge base; the table shares this counter's
-        dict, so add no instances afterwards."""
-        return RuleTable(self.counts)
+    def to_kb(self) -> KnowledgeBase:
+        """The counts as a knowledge base's rules; the KB shares this
+        counter's dict, so add no instances afterwards."""
+        return KnowledgeBase(counts=self.counts)
 
 
-def build_direct_kb(train: Dataset, max_arity: int | None = None) -> RuleTable:
-    """One clause ``[n_pos/n_total] pos | !k1 | ... | !kj`` per observed
+def build_direct_kb(train: Dataset, max_arity: int | None = None) -> KnowledgeBase:
+    """One rule ``[n_pos/n_total] pos | !k1 | ... | !kj`` per observed
     feature-value subset of size <= max_arity (None = unbounded), kept as
-    the count table those clauses are built from when read.
+    the ``counts`` those clauses are built from when read.
 
     Probabilities are exact rationals.  The unbounded pass enumerates
     2^n subsets per instance, so it is refused above
@@ -83,15 +75,11 @@ def _select(query: Query, kb: KnowledgeBase) -> KnowledgeBase:
     """The rule rows whose body the query asserts, the body-less rule
     included: its empty body lies inside every query.
 
-    A table's query subsets are looked up only up to its longest body;
-    when even that many lookups would dwarf the table, its keys are
-    scanned.  Any other KB keeps its rule-shaped clauses in order.
+    The query's subsets are looked up in ``kb.counts`` only up to its
+    longest body; when even that many lookups would dwarf the rows, their
+    keys are scanned.
     """
     pairs = set(query.items())
-    if not isinstance(kb, RuleTable):
-        return KnowledgeBase(
-            [wc for wc in kb.clauses if wc.clause.is_rule_shaped and wc.clause.body <= pairs]
-        )
     counts = kb.counts
     hi = min(kb.arity, len(pairs))
     if sum(comb(len(pairs), k) for k in range(hi + 1)) <= 8 * len(counts) + 64:
@@ -104,7 +92,7 @@ def _select(query: Query, kb: KnowledgeBase) -> KnowledgeBase:
                     hits[key] = entry
     else:
         hits = {key: entry for key, entry in counts.items() if pairs.issuperset(key)}
-    return RuleTable(hits)
+    return KnowledgeBase(counts=hits)
 
 
 def relevant_kb(query: Query, kb: KnowledgeBase) -> KnowledgeBase:
@@ -121,17 +109,11 @@ def relevant_kb(query: Query, kb: KnowledgeBase) -> KnowledgeBase:
 def active_kb(query: Query, kb: KnowledgeBase) -> KnowledgeBase:
     """The sub-KB the evaluation pipeline classifies a query on.
 
-    On a rule-only KB (a :class:`~plkb.kb.RuleTable` always is one) these
-    are the rows :func:`relevant_kb` selects.  When some clause is not
-    rule-shaped the whole KB is returned, and the presolve in
-    :func:`~plkb.lp.infer_pos` drops what the query decides.  For a full
-    query the bounds equal whole-KB inference; ``objective_min`` lacks the
-    deviation of the clauses dropped here.
+    On a rule-only KB these are the rows :func:`relevant_kb` selects.
+    When some clause is not a rule the whole KB is returned, and the
+    presolve in :func:`~plkb.lp.infer_pos` drops what the query decides.
+    For a full query the bounds equal whole-KB inference;
+    ``objective_min`` lacks the deviation of the clauses dropped here.
     """
-    return _select(query, kb) if rule_only(kb) else kb
+    return kb if kb.others else _select(query, kb)
 
-
-def rule_only(kb: KnowledgeBase) -> bool:
-    """Whether every clause is a rule ``pos | !f1=v1 | ...``; a
-    :class:`~plkb.kb.RuleTable` always is."""
-    return isinstance(kb, RuleTable) or all(wc.clause.is_rule_shaped for wc in kb.clauses)

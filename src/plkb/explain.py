@@ -14,8 +14,8 @@ from itertools import combinations
 from typing import Mapping
 
 from .data import SeedSpec
-from .direct import relevant_kb, rule_only
-from .kb import KnowledgeBase, RuleTable
+from .direct import relevant_kb
+from .kb import KnowledgeBase
 from .lp import InferenceResult, check_query, closed_form, infer_pos, median_midpoint
 
 Query = Mapping[str, str]
@@ -75,17 +75,12 @@ def _relevant_scores(
     sub-query; the sub-mask walk stops before 0, so it starts with that row.
     """
     bit = {pair: 1 << i for i, pair in enumerate(pairs)}
-    sub = relevant_kb(query, kb)
-    if isinstance(sub, RuleTable):
-        bodies = sub.counts.keys()
-        probs = [pos / total for total, pos in sub.counts.values()]
-    else:
-        bodies = [wc.clause.body for wc in sub.clauses]
-        probs = [float(wc.probability) for wc in sub.clauses]
+    counts = relevant_kb(query, kb).counts
+    probs = [pos / total for total, pos in counts.values()]
     positive = closed_form(probs).label
     prob_of = {
         sum(map(bit.__getitem__, body)): p
-        for body, p in zip(bodies, probs)
+        for body, p in zip(counts, probs)
         if len(body) <= k
     }
 
@@ -147,7 +142,7 @@ def compute_explanation(
     if use_relevant:
         check_query(query, domains)
         positive, scores = _relevant_scores(query, pairs, kb, k)
-        if not rule_only(kb):
+        if kb.others:
             positive = infer_pos(kb, query).label
     else:
         positive = evaluate_sub_query(query, kb, domains, use_relevant=False).label

@@ -2,17 +2,19 @@
 
 A knowledge base is a set of disjunction clauses, each paired with a
 probability.  Learned clauses always have the shape
-``pos | !f1=v1 | ... | !fk=vk`` ("these feature values imply the positive
-class"), but the container and the text format also accept arbitrary
-clauses over bare propositional atoms, which is useful for hand-written
-knowledge and for consistency experiments.
+``pos | !f1=v1 | ... | !fk=vk`` over distinct features, a rule ("these
+feature values imply the positive class"), but the container and the
+text format also accept arbitrary clauses over bare propositional atoms,
+which is useful for hand-written knowledge and for consistency
+experiments.
 
-Every knowledge base of rule clauses only is a :class:`RuleTable`: the
-integer pairs its rule probabilities are read from, keyed by rule body,
-with the clauses built only when something reads them.  That covers the
-direct and tree builders' output, a parsed rule-only text such as a saved
-model, and rule clauses merged into a table.  A plain
-:class:`KnowledgeBase` holds any other, mixed or hand-built, clause list.
+There is one knowledge-base type, :class:`KnowledgeBase`, and it keeps a
+rule in one place: ``counts``, the integer pairs rule probabilities are
+read from, keyed by rule body, with the clause objects built only when
+something reads them.  Every other clause sits in ``others``, in order.
+The direct and tree builders fill ``counts`` directly, :func:`parse_kb`
+reads a rule line straight into it, and a rule given as a clause object
+is routed into it.
 
 All values are immutable; operations that change a knowledge base return
 a new one, so instances can be shared freely across threads.
@@ -21,9 +23,10 @@ a new one, so instances can be shared freely across threads.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 Probability = Union[float, Fraction]
@@ -201,13 +204,27 @@ class Clause:
 
     @property
     def is_rule_shaped(self) -> bool:
-        """True when the clause is ``pos`` plus negated feature-value literals:
-        canonical order puts ``pos`` first, and the rest must be the body."""
-        lits = self.literals
-        return lits[0] == _POS_LITERAL and len(lits) == len(self.body) + 1
+        """True when the clause is ``pos`` plus negated feature-value literals
+        over distinct features: canonical order puts ``pos`` first, and the
+        rest must be the body, one pair per feature."""
+        lits, body = self.literals, self.body
+        return lits[0] == _POS_LITERAL and len(lits) - 1 == len(body) == len(dict(body))
 
     def __str__(self) -> str:
         return " | ".join(str(lit) for lit in self.literals)
+
+
+def _trusted_rule(key: Sequence[tuple[str, str]], literals: dict) -> Clause:
+    """``pos | !f1=v1 | ...`` for a sorted key over distinct features,
+    already canonical, each literal shared through ``literals`` (pair ->
+    its negated literal) by the clauses one pass builds."""
+    lits = [_POS_LITERAL]
+    for pair in key:
+        lit = literals.get(pair)
+        if lit is None:
+            lit = literals[pair] = Literal(Atom(*pair), True)
+        lits.append(lit)
+    return Clause._trusted(tuple(lits), frozenset(key))
 
 
 def rule_clause(pairs: Iterable[tuple[str, str]]) -> Clause:
@@ -234,34 +251,78 @@ class WeightedClause:
         return f"{float(self.probability):.6f} {self.clause}"
 
 
-@dataclass(frozen=True)
+RuleKey = tuple[tuple[str, str], ...]
+
+
+@dataclass(frozen=True, eq=False)
 class KnowledgeBase:
     """An immutable collection of weighted clauses, unique by clause.
 
-    Duplicate clauses with the same probability collapse at construction;
-    duplicates with different probabilities are an error (use
-    :func:`merge` for override semantics).
+    ``counts`` holds the rules.  It maps a rule body, a sorted tuple of
+    (feature, value) pairs over distinct features, to a pair ``(total,
+    pos)``: the sample counts of a subset or a tree node in a KB the direct
+    or tree builder trained, the probability's denominator and numerator
+    otherwise.  The rule it stands for is ``[Fraction(pos, total)] pos |
+    !f1=v1 | ...``.  ``others`` holds every clause that is not a rule, in
+    order.
+
+    :attr:`clauses` lists the rules in key order, then ``others``.  No
+    rule clause object exists until something reads :attr:`clauses`,
+    which builds them once; until then iteration builds each rule clause
+    on the fly and keeps none, so writing a KB out never holds all of its
+    clauses at once.
+
+    The constructor routes each rule-shaped clause of ``clauses`` into
+    ``counts`` and keeps the mapping it is given in place: a builder hands
+    over its dict and does not change it afterwards.  Duplicate clauses
+    with the same probability collapse; duplicates with different
+    probabilities are an error (use :func:`merge` for override semantics).
     """
 
-    clauses: tuple[WeightedClause, ...] = field(default=())
+    counts: Mapping[RuleKey, Sequence[int]]
+    others: tuple[WeightedClause, ...]
 
-    def __init__(self, clauses: Iterable[WeightedClause] = ()):
-        by_clause: dict[Clause, WeightedClause] = {}
+    def __init__(
+        self,
+        clauses: Iterable[WeightedClause] = (),
+        counts: dict[RuleKey, tuple[int, int]] | None = None,
+    ):
+        counts = {} if counts is None else counts
+        others: dict[Clause, WeightedClause] = {}
         for wc in clauses:
-            prev = by_clause.get(wc.clause)
-            if prev is not None and prev.probability != wc.probability:
+            if wc.clause.is_rule_shaped:
+                p = Fraction(wc.probability)
+                entry = (p.denominator, p.numerator)
+                prev = counts.setdefault(tuple(sorted(wc.clause.body)), entry)
+                prev_p = p if prev == entry else Fraction(prev[1], prev[0])
+            else:
+                prev_p = others.setdefault(wc.clause, wc).probability
+            if prev_p != wc.probability:
                 raise ValueError(
                     f"duplicate clause {wc.clause} with conflicting "
-                    f"probabilities {prev.probability} and {wc.probability}"
+                    f"probabilities {prev_p} and {wc.probability}"
                 )
-            by_clause[wc.clause] = wc
-        object.__setattr__(self, "clauses", tuple(by_clause.values()))
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "others", tuple(others.values()))
+
+    @cached_property
+    def clauses(self) -> tuple[WeightedClause, ...]:
+        return (*self._rules(), *self.others)
+
+    def _rules(self) -> Iterator[WeightedClause]:
+        # Clauses built in one pass share one literal per pair; nothing
+        # outlives the pass.
+        literals: dict[tuple[str, str], Literal] = {}
+        for key, (total, pos) in self.counts.items():
+            yield WeightedClause(Fraction(pos, total), _trusted_rule(key, literals))
 
     def __len__(self) -> int:
-        return len(self.clauses)
+        return len(self.counts) + len(self.others)
 
     def __iter__(self) -> Iterator[WeightedClause]:
-        return iter(self.clauses)
+        if "clauses" in self.__dict__:
+            return iter(self.clauses)
+        return chain(self._rules(), self.others)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, KnowledgeBase):
@@ -273,73 +334,11 @@ class KnowledgeBase:
 
     @cached_property
     def universe(self) -> frozenset[Atom]:
-        return frozenset(a for wc in self.clauses for a in wc.clause.atoms)
-
-    @cached_property
-    def _probabilities(self) -> dict[Clause, Probability]:
-        return {wc.clause: wc.probability for wc in self.clauses}
-
-    def probability_of(self, clause: Clause) -> Probability | None:
-        return self._probabilities.get(clause)
-
-
-RuleKey = tuple[tuple[str, str], ...]
-
-
-class RuleTable(KnowledgeBase):
-    """Rule clauses kept as the integer pairs they are read from.
-
-    ``counts`` maps a rule body, a sorted tuple of (feature, value) pairs,
-    to a pair ``(total, pos)``: the sample counts of a subset or a tree
-    node for a table the direct or tree builder trained, the probability's
-    denominator and numerator for a row :func:`parse_kb` read or
-    :func:`merge` supplied.  The clause it stands for is
-    ``[Fraction(pos, total)] pos | !f1=v1 | ...``.  No clause object
-    exists until something reads :attr:`clauses`, which builds them once,
-    in key order.
-    Until then iteration builds each clause on the fly and keeps none, so
-    writing a table out never holds all of its clauses at once.  The table
-    reads ``counts`` in place: do not change the mapping afterwards.
-    """
-
-    counts: Mapping[RuleKey, Sequence[int]]
-
-    def __init__(self, counts: Mapping[RuleKey, Sequence[int]]):
-        object.__setattr__(self, "counts", counts)
-
-    @cached_property
-    def clauses(self) -> tuple[WeightedClause, ...]:
-        return tuple(self._build())
-
-    def _build(self) -> Iterator[WeightedClause]:
-        # Keys are sorted and repeat no feature, so ``pos`` followed by the
-        # key's literals is already canonical.  Clauses built in one pass
-        # share one literal per pair; nothing outlives the pass.
-        literals: dict[tuple[str, str], Literal] = {}
-        for key, (total, pos) in self.counts.items():
-            lits = [_POS_LITERAL]
-            for pair in key:
-                lit = literals.get(pair)
-                if lit is None:
-                    lit = literals[pair] = Literal(Atom(*pair), True)
-                lits.append(lit)
-            clause = Clause._trusted(tuple(lits), frozenset(key))
-            yield WeightedClause(Fraction(pos, total), clause)
-
-    def __len__(self) -> int:
-        return len(self.counts)
-
-    def __iter__(self) -> Iterator[WeightedClause]:
-        if "clauses" in self.__dict__:
-            return iter(self.clauses)
-        return self._build()
-
-    @cached_property
-    def universe(self) -> frozenset[Atom]:
-        if not self.counts:
-            return frozenset()
-        pairs = {pair for key in self.counts for pair in key}
-        return frozenset([POS, *(Atom(f, v) for f, v in pairs)])
+        atoms = {a for wc in self.others for a in wc.clause.atoms}
+        if self.counts:
+            pairs = {pair for key in self.counts for pair in key}
+            atoms.update([POS, *(Atom(f, v) for f, v in pairs)])
+        return frozenset(atoms)
 
     @cached_property
     def arity(self) -> int:
@@ -351,9 +350,9 @@ class RuleTable(KnowledgeBase):
 def _clause_lines(text: str) -> Iterator[tuple[int, Fraction, str]]:
     """``(line number, probability, clause text)`` for each clause line.
 
-    The line grammar both parse paths share: ``#`` comments and blank
-    lines are skipped, and the probability is an exact rational in [0, 1].
-    Each distinct probability text is parsed once.
+    ``#`` comments and blank lines are skipped, and the probability is an
+    exact rational in [0, 1].  Each distinct probability text is parsed
+    once.
     """
     probs: dict[str, Fraction] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -392,16 +391,54 @@ def _parse_literal(tok: str, line_no: int) -> Literal:
     return Literal(atom, negated)
 
 
-def _parse_rule_table(text: str) -> RuleTable | None:
-    """The text as a table of ``(denominator, numerator)`` per rule body,
-    or None when some line is not a rule clause (``pos`` plus negated
-    feature-value literals over distinct features) or gives a body a
-    second probability; :func:`_parse_clauses` then reads the text, and
-    reports such a conflict with the line that gave the first.
+def _parse_clause(clause_text: str, line_no: int, literals: dict[str, Literal]) -> Clause:
+    """One line's clause, its literals shared through ``literals`` (literal
+    text -> its literal)."""
+    lits = []
+    for tok in clause_text.split("|"):
+        lit = literals.get(tok)
+        if lit is None:
+            lit = literals[tok] = _parse_literal(tok, line_no)
+        lits.append(lit)
+    try:
+        return Clause(lits)
+    except ValueError as exc:
+        raise KBParseError(line_no, str(exc)) from None
+
+
+def _conflict(text: str, line_no: int, clause: Clause, prev: Probability) -> KBParseError:
+    """The error for line ``line_no`` giving ``clause`` a second probability.
+    The line that gave the first is looked for only here, so parsing keeps
+    no per-line record."""
+    first = next(n for n, _, clause_text in _clause_lines(text)
+                 if _parse_clause(clause_text, n, {}) == clause)
+    return KBParseError(
+        line_no,
+        f"clause {clause} already given probability {float(prev):.6f} on line {first}",
+    )
+
+
+def parse_kb(text: str) -> KnowledgeBase:
+    """Parse the one-clause-per-line text format.
+
+    Grammar per line: ``prob SP lit (" | " lit)*`` where ``lit`` is an
+    optionally ``!``-prefixed atom (``pos``, a bare name, or ``name=value``).
+    ``#`` starts a comment; blank lines are skipped.  Probabilities are
+    parsed as exact decimals.
+
+    A rule line, ``pos`` and negated feature-value literals over distinct
+    features in any order, becomes a row of ``counts`` with its
+    probability's ``(denominator, numerator)`` and builds no clause
+    object, so a saved learned model parses without one.  Any other line
+    is built as a :class:`Clause`, which becomes a row too when it
+    canonicalises to a rule (``pos | pos | !a=1``).
     """
     counts: dict[RuleKey, tuple[int, int]] = {}
-    parts: dict[str, Atom | tuple[str, str]] = {}  # literal text -> POS or its pair
+    others: dict[Clause, WeightedClause] = {}
+    parts: dict[str, Atom | tuple[str, str]] = {}  # rule literal text -> POS or its pair
+    literals: dict[str, Literal] = {}  # literal text -> its literal, shared by clauses
     for line_no, prob, clause_text in _clause_lines(text):
+        key = None
         body = []
         n_pos = 0
         for tok in clause_text.split("|"):
@@ -413,70 +450,29 @@ def _parse_rule_table(text: str) -> RuleTable | None:
                 elif lit.negated and lit.atom.value is not None:
                     part = (lit.atom.feature, lit.atom.value)
                 else:
-                    return None
+                    break
                 parts[tok] = part
             if part is POS:
                 n_pos += 1
             else:
                 body.append(part)
-        if n_pos != 1:
-            return None
-        if len(dict(body)) != len(body):  # a feature repeats
-            return None
-        body.sort()
-        key = tuple(body)
+        else:
+            if n_pos == 1 and len(dict(body)) == len(body):
+                body.sort()
+                key = tuple(body)
+        if key is None:
+            clause = _parse_clause(clause_text, line_no, literals)
+            if not clause.is_rule_shaped:
+                prev_prob = others.setdefault(clause, WeightedClause(prob, clause)).probability
+                if prev_prob != prob:
+                    raise _conflict(text, line_no, clause, prev_prob)
+                continue
+            key = tuple(sorted(clause.body))
         entry = (prob.denominator, prob.numerator)
-        if counts.setdefault(key, entry) != entry:
-            return None
-    return RuleTable(counts)
-
-
-def _parse_clauses(text: str) -> KnowledgeBase:
-    """The general path of :func:`parse_kb`: any clause, as clause objects."""
-    out: list[WeightedClause] = []
-    seen: dict[Clause, tuple[int, Probability]] = {}
-    parsed: dict[str, Literal] = {}  # literal text -> its literal, shared by clauses
-    for line_no, prob, clause_text in _clause_lines(text):
-        literals = []
-        for tok in clause_text.split("|"):
-            lit = parsed.get(tok)
-            if lit is None:
-                lit = parsed[tok] = _parse_literal(tok, line_no)
-            literals.append(lit)
-        try:
-            clause = Clause(literals)
-        except ValueError as exc:
-            raise KBParseError(line_no, str(exc)) from None
-        prev = seen.get(clause)
-        if prev is not None:
-            prev_line, prev_prob = prev
-            if prev_prob != prob:
-                raise KBParseError(
-                    line_no,
-                    f"clause {clause} already given probability "
-                    f"{float(prev_prob):.6f} on line {prev_line}",
-                )
-            continue
-        seen[clause] = (line_no, prob)
-        out.append(WeightedClause(prob, clause))
-    return KnowledgeBase(out)
-
-
-def parse_kb(text: str) -> KnowledgeBase:
-    """Parse the one-clause-per-line text format.
-
-    Grammar per line: ``prob SP lit (" | " lit)*`` where ``lit`` is an
-    optionally ``!``-prefixed atom (``pos``, a bare name, or ``name=value``).
-    ``#`` starts a comment; blank lines are skipped.  Probabilities are
-    parsed as exact decimals.
-
-    A text of rule clauses only, such as a saved learned model, parses to
-    a :class:`RuleTable` and builds no clause object; any other text
-    parses to a plain :class:`KnowledgeBase`.  Both give the same clauses
-    in the same order, and the same error for the same malformed line.
-    """
-    table = _parse_rule_table(text)
-    return table if table is not None else _parse_clauses(text)
+        prev = counts.setdefault(key, entry)
+        if prev != entry:
+            raise _conflict(text, line_no, rule_clause(key), Fraction(prev[1], prev[0]))
+    return KnowledgeBase(others.values(), counts)
 
 
 def serialize_kb(kb: KnowledgeBase) -> str:
@@ -493,22 +489,23 @@ def merge(kb: KnowledgeBase, extra: Sequence[WeightedClause]) -> KnowledgeBase:
     domain knowledge wins over the learned value.  Inconsistency between
     the merged clauses is fine; inference tolerates it.
 
-    Rule clauses merged into a :class:`RuleTable` give a table, each
-    probability kept exactly as its ``(denominator, numerator)``; any
-    other merge gives a plain :class:`KnowledgeBase`.
+    A rule's probability is kept exactly as its ``(denominator,
+    numerator)``.  The result shares ``kb.counts`` unless some supplied
+    clause is a rule.
     """
     for wc in extra:
         if not wc.clause.has_positive(POS):
             raise ValueError(
                 f"merged clause {wc.clause} does not contain {CLASS_ATOM_NAME!r} positively"
             )
-    if isinstance(kb, RuleTable) and all(wc.clause.is_rule_shaped for wc in extra):
-        counts = dict(kb.counts)
-        for wc in extra:
+    counts = kb.counts
+    others = {wc.clause: wc for wc in kb.others}
+    for wc in extra:
+        if wc.clause.is_rule_shaped:
+            if counts is kb.counts:
+                counts = dict(counts)
             p = Fraction(wc.probability)
             counts[tuple(sorted(wc.clause.body))] = (p.denominator, p.numerator)
-        return RuleTable(counts)
-    merged: dict[Clause, WeightedClause] = {wc.clause: wc for wc in kb.clauses}
-    for wc in extra:
-        merged[wc.clause] = wc
-    return KnowledgeBase(merged.values())
+        else:
+            others[wc.clause] = wc
+    return KnowledgeBase(others.values(), counts)

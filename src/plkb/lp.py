@@ -46,11 +46,10 @@ target literal, each pi(c_i) is squeezed to pi(target) and the closed
 form answers: the bounds are the median interval of the residual
 probabilities.  Otherwise the LP solves the residual only.  Either way
 ``objective_min`` is the residual v* plus the constant, the whole
-program's v*.  On a :class:`~plkb.kb.RuleTable` the presolve reads
-``n_pos / n_total`` straight from the subset counts.  A query that
-asserts the target's own feature skips the presolve, and
-``engine="lp"`` forces the unpresolved LP over the whole KB: that is
-the reference in tests.
+program's v*.  The presolve reads a KB's rules as ``n_pos / n_total``
+straight from its ``counts``.  A query that asserts the target's own
+feature skips the presolve, and ``engine="lp"`` forces the unpresolved
+LP over the whole KB: that is the reference in tests.
 
 An exact world-distribution oracle (all 2^n complete conjunctions) is
 included for cross-checking on small universes.
@@ -72,9 +71,8 @@ from .kb import (
     Clause,
     KnowledgeBase,
     Literal,
-    RuleTable,
     WeightedClause,
-    rule_clause,
+    _trusted_rule,
 )
 
 logger = logging.getLogger(__name__)
@@ -326,26 +324,34 @@ def _presolve(
     residual clause; different clauses may reduce to the same residual,
     so ``rest`` can repeat one.
 
-    A rule table with target ``pos`` is read from its counts: ``n_pos /
-    n_total`` is correctly rounded, as ``float(Fraction(...))`` is.
+    With target ``pos`` the rules are read from ``kb.counts``: ``n_pos /
+    n_total`` is correctly rounded, as ``float(Fraction(...))`` is, and a
+    residual rule is built from literals shared within the call; the loop
+    over clause objects runs over ``kb.others`` only.
     """
     constant = 0.0
     probs: list[float] = []
     rest: list[WeightedClause] = []
-    if isinstance(kb, RuleTable) and target == POS:
+    if target == POS:
         pairs = set(query.items())
+        literals: dict[tuple[str, str], Literal] = {}
         for key, (total, pos) in kb.counts.items():
             p = pos / total
             if pairs.issuperset(key):
                 probs.append(p)
-            elif any(query.get(f, v) != v for f, v in key):  # some !f=v is true
-                constant += 1.0 - p
+                continue
+            free = []
+            for pair in key:
+                value = query.get(pair[0])
+                if value is None:
+                    free.append(pair)
+                elif value != pair[1]:  # the literal !f=v is true
+                    constant += 1.0 - p
+                    break
             else:
-                free = [pair for pair in key if pair[0] not in query]
-                rest.append(WeightedClause(p, rule_clause(free)))
-        return constant, probs, rest
+                rest.append(WeightedClause(p, _trusted_rule(free, literals)))
     just_target = (Literal(target),)
-    for wc in kb.clauses:
+    for wc in kb.others if target == POS else kb.clauses:
         p = float(wc.probability)
         kept = []
         for lit in wc.clause.literals:
@@ -427,13 +433,8 @@ def infer_pos(
     check_query(query, domains)
     if len(kb) == 0:
         return closed_form([])
-    if engine == "auto" and isinstance(kb, RuleTable) and target == POS:
-        # The query asserts every body: the whole table is the closed form.
-        pairs = set(query.items())
-        if all(pairs.issuperset(key) for key in kb.counts):
-            return closed_form([pos / total for total, pos in kb.counts.values()])
-    # A non-empty table's every row contains pos.
-    if not (target == POS and isinstance(kb, RuleTable)) and target not in kb.universe:
+    # Every rule contains pos.
+    if not (target == POS and kb.counts) and target not in kb.universe:
         raise ValueError(f"target atom {target} does not occur in the knowledge base")
 
     constant, clauses = 0.0, kb

@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass, field
 
 from .data import Dataset, Instance
-from .kb import Clause, RuleKey, RuleTable, rule_clause
+from .kb import KnowledgeBase, RuleKey
 
 
 @dataclass
@@ -79,18 +79,13 @@ def build_id3(train: Dataset) -> TreeNode:
     return grow(list(train.instances), tuple(train.features), None)
 
 
-def clause_from_path(path: list[tuple[str, str]]) -> Clause:
-    """Turn a feature-value path into ``pos | !f1=v1 | ... | !fk=vk``."""
-    return rule_clause(path)
-
-
-def kb_from_tree(tree: TreeNode, mode: str = "leaves") -> RuleTable:
+def kb_from_tree(tree: TreeNode, mode: str = "leaves") -> KnowledgeBase:
     """Extract weighted rule clauses from tree paths.
 
     mode="leaves": one clause per root-to-leaf path.  mode="all_nodes": one
     clause per root-to-node path for every non-root node.  Probability is
-    the end node's positive ratio, kept as the node's sample counts in a
-    :class:`~plkb.kb.RuleTable`, in depth-first order.  An ID3 path never
+    the end node's positive ratio, kept as the node's sample counts in the
+    KB's ``counts``, in depth-first order.  An ID3 path never
     repeats a feature, so its pairs determine the node it ends at; a
     hand-built tree whose path does is refused.
     """
@@ -110,7 +105,7 @@ def kb_from_tree(tree: TreeNode, mode: str = "leaves") -> RuleTable:
             walk(child, path + [child.incoming_edge])
 
     walk(tree, [])
-    return RuleTable(counts)
+    return KnowledgeBase(counts=counts)
 
 
 def format_tree(tree: TreeNode) -> str:

@@ -12,7 +12,18 @@ from hypothesis import strategies as st
 from plkb.data import Dataset, from_rows
 from plkb.evaluate import classify_query
 from plkb.explain import Explanation, evaluate_sub_query
-from plkb.kb import POS, Atom, Clause, KnowledgeBase, Literal, WeightedClause, rule_clause
+from plkb.kb import (
+    POS,
+    Atom,
+    Clause,
+    KBParseError,
+    KnowledgeBase,
+    Literal,
+    WeightedClause,
+    _clause_lines,
+    _parse_literal,
+    rule_clause,
+)
 from plkb.lp import TAU_LEX, InferenceResult, _result
 
 # Eight labelled bit-strings over features a1..a4; small enough to check
@@ -130,6 +141,40 @@ def relevant_kb_scan(query, kb: KnowledgeBase) -> KnowledgeBase:
         wc for wc in kb.clauses if wc.clause.is_rule_shaped and wc.clause.body <= pairs
     ]
     return KnowledgeBase(selected)
+
+
+def reference_parse(text: str) -> list[WeightedClause]:
+    """Reference implementation of :func:`plkb.kb.parse_kb`: every line
+    built as a clause object, the clauses in line order with same-clause
+    duplicates collapsed, and a duplicate with another probability
+    reported with the line that gave the first."""
+    out: list[WeightedClause] = []
+    seen: dict[Clause, tuple[int, Fraction]] = {}
+    parsed: dict[str, Literal] = {}  # literal text -> its literal, shared by clauses
+    for line_no, prob, clause_text in _clause_lines(text):
+        literals = []
+        for tok in clause_text.split("|"):
+            lit = parsed.get(tok)
+            if lit is None:
+                lit = parsed[tok] = _parse_literal(tok, line_no)
+            literals.append(lit)
+        try:
+            clause = Clause(literals)
+        except ValueError as exc:
+            raise KBParseError(line_no, str(exc)) from None
+        prev = seen.get(clause)
+        if prev is not None:
+            prev_line, prev_prob = prev
+            if prev_prob != prob:
+                raise KBParseError(
+                    line_no,
+                    f"clause {clause} already given probability "
+                    f"{float(prev_prob):.6f} on line {prev_line}",
+                )
+            continue
+        seen[clause] = (line_no, prob)
+        out.append(WeightedClause(prob, clause))
+    return out
 
 
 def reference_program(clauses):

@@ -58,7 +58,7 @@ class TestTrainClassifyExplain:
         )
         assert out["clauses"] == 59
         kb = parse_kb(kb_path.read_text(encoding="utf-8"))
-        assert kb.probability_of(rule_clause([("a4", "1")])) is not None
+        assert rule_clause([("a4", "1")]) in {wc.clause for wc in kb.clauses}
 
         res = run_json(
             runner,
@@ -194,6 +194,23 @@ class TestTrainClassifyExplain:
         text = dump.read_text(encoding="utf-8")
         assert "Minimize" in text and "End" in text
 
+    def test_dump_lp_with_no_selected_rule(self, runner, strings_csv, tmp_path):
+        # no tree rule's body lies inside a1=1: the query is classified and
+        # there is no program to write
+        kb_path = tmp_path / "kb.plkb"
+        run_json(
+            runner,
+            ["train", "--method", "tree", "--input", str(strings_csv),
+             "--label-col", "label", "--pos-label", "pos", "--out", str(kb_path)],
+        )
+        args = ["classify", "--kb", str(kb_path), "--domains", str(strings_csv), "--query", "a1=1"]
+        dump = tmp_path / "program.lp"
+        proc = run_plkb([*args, "--dump-lp", str(dump)])
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == run_json(runner, args)
+        assert proc.stderr.splitlines() == [f"no program to write to {dump}: no clause is selected"]
+        assert not dump.exists()
+
     def test_full_kb_flag_matches_extraction_on_full_queries(
         self, runner, strings_csv, tmp_path
     ):
@@ -218,14 +235,24 @@ class TestTrainClassifyExplain:
         assert fast["p_avg"] == pytest.approx(slow["p_avg"], abs=1e-6)
 
 
-def run_fresh(code: str) -> str:
-    """Run Python code in a new interpreter that imports this plkb; its stdout."""
+def run_python(args: list[str], timeout: float = 120) -> subprocess.CompletedProcess:
+    """Run a new interpreter that imports this plkb, capturing its output."""
     src = str(Path(plkb.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p
     ))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=120)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True,
+                          text=True, timeout=timeout)
+
+
+def run_plkb(args: list[str], timeout: float = 120) -> subprocess.CompletedProcess:
+    """``python -m plkb`` in a new interpreter, with stdout and stderr apart."""
+    return run_python(["-m", "plkb", *args], timeout)
+
+
+def run_fresh(code: str) -> str:
+    """Run Python code in a new interpreter that imports this plkb; its stdout."""
+    proc = run_python(["-c", code])
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
 
@@ -426,14 +453,7 @@ class TestBenchCli:
     def test_more_clauses_than_the_atoms_allow_refused(self):
         # One atom has two distinct clauses; a third could never be drawn.
         # The timeout fails a regression instead of hanging on it.
-        src = str(Path(plkb.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p
-        ))
-        proc = subprocess.run(
-            [sys.executable, "-m", "plkb", "bench-lp", "--vars", "1", "--clauses", "3"],
-            env=env, capture_output=True, text=True, timeout=60,
-        )
+        proc = run_plkb(["bench-lp", "--vars", "1", "--clauses", "3"], timeout=60)
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert proc.stderr.splitlines() == [
@@ -455,8 +475,9 @@ class TestInject:
         )
         assert rep["clauses"] == 3
         merged = parse_kb(out_path.read_text(encoding="utf-8"))
-        assert float(merged.probability_of(rule_clause([("a3", "0")]))) == 0.9
-        assert float(merged.probability_of(rule_clause([("a4", "1")]))) == 0.2
+        probs = {wc.clause: wc.probability for wc in merged.clauses}
+        assert float(probs[rule_clause([("a3", "0")])]) == 0.9
+        assert float(probs[rule_clause([("a4", "1")])]) == 0.2
 
 
 class TestErrorHandling:

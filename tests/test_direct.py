@@ -15,7 +15,6 @@ from helpers import (
 
 from plkb.data import from_rows
 from plkb.direct import (
-    SubsetCounter,
     active_kb,
     build_direct_kb,
     relevant_kb,
@@ -24,7 +23,6 @@ from plkb.evaluate import classify_query
 from plkb.explain import compute_explanation
 from plkb.kb import (
     KnowledgeBase,
-    RuleTable,
     WeightedClause,
     merge,
     parse_kb,
@@ -197,9 +195,9 @@ class TestBodylessRule:
             WeightedClause(0.2, rule_clause([("a1", "1"), ("a3", "0")])),
         ])
         assert serialize_kb(single_leaf) == "1.000000 pos"
-        assert all(isinstance(kb, RuleTable) for kb in (single_leaf, merged, parsed))
-        assert not isinstance(plain, RuleTable)
-        return [single_leaf, merged, parsed, plain]
+        kbs = [single_leaf, merged, parsed, plain]
+        assert all(len(kb.counts) == len(kb) for kb in kbs)
+        return kbs
 
     def test_relevant_equals_active_and_the_reference_scan(self, kbs):
         queries = [{}, {"a2": "1"}, {"a1": "1", "a3": "0"}, {"a1": "0", "a9": "x"}]
@@ -222,36 +220,9 @@ class TestBodylessRule:
                 assert via_relevant.p_avg == pytest.approx(via_full.p_avg, abs=1e-6)
 
 
-class TestSubsetCounter:
-    def test_merge_is_partition_independent(self):
-        rng = random.Random(13)
-        ds = random_dataset(rng, max_features=4, max_rows=20)
-        arity = len(ds.features)
-        whole = SubsetCounter()
-        for inst in ds.instances:
-            whole.add_instance(inst.values, inst.label, arity)
-        for cut in (1, len(ds) // 2, len(ds) - 1):
-            left = SubsetCounter()
-            right = SubsetCounter()
-            for inst in ds.instances[:cut]:
-                left.add_instance(inst.values, inst.label, arity)
-            for inst in ds.instances[cut:]:
-                right.add_instance(inst.values, inst.label, arity)
-            assert left.merge(right).counts == whole.counts
-            assert right.merge(left).counts == whole.counts
-
-    def test_merge_does_not_mutate_inputs(self):
-        a = SubsetCounter({(("f", "1"),): (2, 1)})
-        b = SubsetCounter({(("f", "1"),): (3, 0)})
-        merged = a.merge(b)
-        assert merged.counts == {(("f", "1"),): (5, 1)}
-        assert a.counts == {(("f", "1"),): (2, 1)}
-        assert b.counts == {(("f", "1"),): (3, 0)}
-
-
 class TestRuleTable:
-    """The direct KB is a count table; it must answer exactly as the
-    clause list it stands for."""
+    """The direct KB keeps its rules as sample counts; it must answer
+    exactly as the KB of the clause objects it stands for."""
 
     @settings(max_examples=40, deadline=None)
     @given(datasets_and_queries())
@@ -259,7 +230,7 @@ class TestRuleTable:
         ds, max_arity, queries = case
         table = build_direct_kb(ds, max_arity)
         ref = KnowledgeBase(list(build_direct_kb(ds, max_arity).clauses))
-        assert isinstance(table, RuleTable)
+        assert not table.others
         assert len(table) == len(ref)
         assert table.universe == ref.universe
         assert serialize_kb(table) == serialize_kb(ref)
@@ -279,8 +250,9 @@ class TestRuleTable:
         ]
         assert all(type(wc.probability) is Fraction for wc in table.clauses)
         assert table == ref and ref == table
-        for wc in ref:
-            assert table.probability_of(wc.clause) == wc.probability
+        assert {wc.clause: wc.probability for wc in table.clauses} == {
+            wc.clause: wc.probability for wc in ref
+        }
 
     def test_iteration_builds_no_cache(self, strings_ds):
         table = build_direct_kb(strings_ds)

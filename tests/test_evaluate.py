@@ -21,7 +21,7 @@ from plkb.evaluate import (
 )
 from plkb.direct import active_kb
 from plkb.explain import compute_explanation
-from plkb.kb import RuleTable, parse_kb, serialize_kb
+from plkb.kb import parse_kb, serialize_kb
 from plkb.lp import infer_pos
 
 SEED = SeedSpec("3232411132", 10, 4, 5)
@@ -124,12 +124,12 @@ class TestClassifyQuery:
         assert "clauses" not in kb.__dict__
 
     def test_saved_direct_model_builds_no_clause_list(self):
-        # A direct model read back from its text is a table too: the CLI's
+        # A direct model read back from its text keeps rows only: the CLI's
         # classify and explain answer from it without clause objects.
         ds = generate_synthetic(SEED, 120, 5)
         trained = train_kb(ds, "direct")
         kb = parse_kb(serialize_kb(trained))
-        assert isinstance(kb, RuleTable)
+        assert not kb.others
         positives = []
         for inst in ds.instances:
             label = infer_pos(active_kb(inst.values, kb), inst.values).label

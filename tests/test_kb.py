@@ -1,12 +1,13 @@
 import gc
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_dataset
+from helpers import random_dataset, reference_parse
 
 from plkb.data import from_rows
 from plkb.direct import build_direct_kb
@@ -17,9 +18,7 @@ from plkb.kb import (
     KBParseError,
     KnowledgeBase,
     Literal,
-    RuleTable,
     WeightedClause,
-    _parse_clauses,
     merge,
     parse_kb,
     rule_clause,
@@ -99,6 +98,9 @@ class TestClause:
                         Literal(Atom("a", "1"), True)])
         assert fresh.is_rule_shaped
         assert fresh == rule_clause([("a", "1"), ("b", "2")])
+        repeated = Clause([Literal(POS), Literal(Atom("t", "0"), True),
+                           Literal(Atom("t", "1"), True)])
+        assert not repeated.is_rule_shaped
 
 
 class TestWeightedClause:
@@ -237,24 +239,91 @@ def rule_texts(draw):
     return "\n".join(lines)
 
 
+_malformed_lines = st.sampled_from([
+    "0.5 pos | ", "x pos | !a1=0", "1.5 pos", "0.5 pos | !a b=1", "0.5 pos | !pos", "0.3",
+])
+
+
+@st.composite
+def mixed_texts(draw):
+    """Texts of every line shape: rule lines, other clauses, ``pos | pos |
+    !f=v``, duplicated literals, repeated features, an earlier clause again
+    with the same or another probability, and now and then a malformed
+    line."""
+    kinds = ["rule"] * 3 + ["other"] * 2 + [
+        "double-pos", "dup-literal", "repeat-feature", "again", "again", "malformed",
+    ]
+    drawn: list[list[str]] = []
+    lines = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "malformed":
+            lines.append(draw(_malformed_lines))
+            continue
+        body = draw(st.lists(st.tuples(_rule_features, _rule_values), max_size=3,
+                             unique_by=lambda pair: pair[0]))
+        lits = ["pos", *(f"!{f}={v}" for f, v in body)]
+        if kind == "other":
+            if draw(st.booleans()):
+                lits.pop(0)
+            lits.append(draw(st.sampled_from(["a1=0", "b", "!b", "!dd=2"])))
+        elif kind == "double-pos":
+            lits.append("pos")
+        elif kind == "dup-literal":
+            lits.append(lits[-1])
+        elif kind == "repeat-feature":
+            lits += ["!zz=0", "!zz=1"]
+        elif kind == "again" and drawn:
+            lits = draw(st.sampled_from(drawn))
+        drawn.append(lits)
+        lits = draw(st.permutations(lits))
+        sep = draw(st.sampled_from([" | ", "|", " |  "]))
+        lines.append(f"{draw(_probability_texts)} {sep.join(lits)}")
+    return "\n".join(lines)
+
+
+def exact_rows(clauses) -> Counter:
+    """The multiset of (clause, exact probability)."""
+    return Counter((wc.clause, Fraction(wc.probability)) for wc in clauses)
+
+
 class TestRuleTableParse:
-    """A text of rule clauses parses to a RuleTable that must equal what the
-    general, clause-building path makes of the same text."""
+    """The one parse loop against ``helpers.reference_parse``, which builds
+    every line as a clause object: the same clauses and probabilities, the
+    rules in ``counts`` and every other clause in ``others``, and the same
+    error for the same malformed text."""
+
+    @staticmethod
+    def assert_matches_reference(text):
+        try:
+            ref = reference_parse(text)
+        except KBParseError as exc:
+            with pytest.raises(KBParseError) as got:
+                parse_kb(text)
+            assert (got.value.line_no, str(got.value)) == (exc.line_no, str(exc))
+            return None
+        kb = parse_kb(text)
+        assert serialize_kb(kb) == serialize_kb(ref)
+        assert exact_rows(kb.clauses) == exact_rows(ref)
+        assert len(kb) == len(ref)
+        assert all(type(wc.probability) is Fraction for wc in kb.clauses)
+        rules = [wc for wc in ref if wc.clause.is_rule_shaped]
+        assert list(kb.counts) == [tuple(sorted(wc.clause.body)) for wc in rules]
+        assert kb.others == tuple(wc for wc in ref if not wc.clause.is_rule_shaped)
+        assert kb.clauses == (*rules, *kb.others)
+        return kb
 
     @settings(max_examples=150, deadline=None)
     @given(rule_texts())
     def test_both_paths_agree(self, text):
-        table = parse_kb(text)
-        ref = _parse_clauses(text)
-        assert type(table) is RuleTable and type(ref) is KnowledgeBase
-        assert serialize_kb(table) == serialize_kb(ref)
-        assert len(table) == len(ref)
-        assert table.universe == ref.universe
-        assert [(wc.probability, wc.clause) for wc in table.clauses] == [
-            (wc.probability, wc.clause) for wc in ref.clauses
-        ]
-        assert all(type(wc.probability) is Fraction for wc in table.clauses)
-        assert table == ref
+        kb = self.assert_matches_reference(text)
+        assert not kb.others
+        assert kb.universe == {a for wc in reference_parse(text) for a in wc.clause.atoms}
+
+    @settings(max_examples=300, deadline=None)
+    @given(mixed_texts())
+    def test_mixed_texts_match_the_reference(self, text):
+        self.assert_matches_reference(text)
 
     @pytest.mark.parametrize("text", [
         "0.5 a",
@@ -269,9 +338,7 @@ class TestRuleTableParse:
         "0.5 pos | !a=1\n0.5 a | b",
     ])
     def test_other_shapes_parse_to_clauses(self, text):
-        kb = parse_kb(text)
-        assert type(kb) is KnowledgeBase
-        assert kb.clauses == _parse_clauses(text).clauses
+        self.assert_matches_reference(text)
 
     @pytest.mark.parametrize("text, line_no, message", [
         ("0.5 pos | !a=1\n0.5 pos | !a b=1", 2, "invalid atom name 'a b'"),
@@ -282,10 +349,16 @@ class TestRuleTableParse:
         ("0.5 pos | !a=1\n0.3", 2, "expected 'probability clause', got '0.3'"),
         ("0.3 pos | !a=1\n0.3 pos | !b=2\n\n0.4 !a=1 | pos", 4,
          "clause pos | !a=1 already given probability 0.300000 on line 1"),
+        ("0.3 pos | pos | !a=1\n0.4 pos | !a=1", 2,
+         "clause pos | !a=1 already given probability 0.300000 on line 1"),
+        ("0.3 pos | !a=1\n0.2 b\n0.4 pos | !a=1 | !a=1", 3,
+         "clause pos | !a=1 already given probability 0.300000 on line 1"),
+        ("0.3 pos | a\n0.5 pos | !b=1\n0.4 a | pos", 3,
+         "clause pos | a already given probability 0.300000 on line 1"),
     ])
     def test_errors_match_the_general_path(self, text, line_no, message):
         raised = []
-        for parse in (parse_kb, _parse_clauses):
+        for parse in (parse_kb, reference_parse):
             with pytest.raises(KBParseError) as exc:
                 parse(text)
             raised.append((exc.value.line_no, str(exc.value)))
@@ -305,7 +378,7 @@ class TestRuleTableParse:
         for kb in kbs:
             text = serialize_kb(kb)
             parsed = parse_kb(text)
-            assert type(parsed) is RuleTable
+            assert not parsed.others
             assert serialize_kb(parsed) == text
             assert "clauses" not in parsed.__dict__
 
@@ -322,6 +395,10 @@ class TestRoundTrip:
         assert once == twice
 
 
+def probabilities(kb) -> dict:
+    return {wc.clause: wc.probability for wc in kb.clauses}
+
+
 class TestMerge:
     def make_kb(self):
         return parse_kb("0.5 pos | !a3=0\n0.2 pos | !a4=1")
@@ -334,8 +411,8 @@ class TestMerge:
         ]
         merged = merge(kb, extra)
         assert len(merged) == 3
-        assert merged.probability_of(rule_clause([("a3", "0")])) == 0.9
-        assert merged.probability_of(rule_clause([("a4", "0")])) == 0.9
+        assert probabilities(merged)[rule_clause([("a3", "0")])] == 0.9
+        assert probabilities(merged)[rule_clause([("a4", "0")])] == 0.9
 
     def test_identity_on_empty_extra(self):
         kb = self.make_kb()
@@ -345,7 +422,7 @@ class TestMerge:
         kb = self.make_kb()
         merged = merge(kb, [WeightedClause(0.95, rule_clause([("a4", "1")]))])
         assert len(merged) == 2
-        assert merged.probability_of(rule_clause([("a4", "1")])) == 0.95
+        assert probabilities(merged)[rule_clause([("a4", "1")])] == 0.95
 
     def test_idempotent_for_identical_extras(self):
         kb = self.make_kb()
@@ -361,8 +438,9 @@ class TestMerge:
             merge(kb, [bad])
 
     def test_rule_extras_merge_into_a_table(self):
+        # rule extras become rows: an existing body keeps its position and
+        # takes the supplied probability exactly, a new one is appended
         kb = self.make_kb()
-        assert isinstance(kb, RuleTable)
         before = dict(kb.counts)
         extra = [
             WeightedClause(Fraction(2, 7), rule_clause([("a2", "1"), ("a1", "0")])),
@@ -370,26 +448,30 @@ class TestMerge:
             WeightedClause(0.1, rule_clause([])),
         ]
         merged = merge(kb, extra)
-        ref = merge(KnowledgeBase(kb.clauses), extra)
-        assert isinstance(merged, RuleTable)
-        assert type(ref) is KnowledgeBase
-        assert [(Fraction(wc.probability), wc.clause) for wc in merged.clauses] == [
-            (Fraction(wc.probability), wc.clause) for wc in ref.clauses
+        assert not merged.others
+        assert list(merged.counts.items()) == [
+            ((("a3", "0"),), Fraction(0.95).as_integer_ratio()[::-1]),
+            ((("a4", "1"),), (5, 1)),
+            ((("a1", "0"), ("a2", "1")), (7, 2)),
+            ((), Fraction(0.1).as_integer_ratio()[::-1]),
         ]
         assert all(type(wc.probability) is Fraction for wc in merged.clauses)
-        assert serialize_kb(merged) == serialize_kb(ref)
-        assert float(merged.probability_of(rule_clause([("a3", "0")]))) == 0.95
+        assert float(probabilities(merged)[rule_clause([("a3", "0")])]) == 0.95
         assert kb.counts == before
 
     def test_non_rule_extra_gives_a_plain_kb(self):
+        # a clause that is not a rule joins ``others`` after the rules; the
+        # rows are shared with the learned KB when no extra is a rule
         kb = self.make_kb()
-        extra = [
-            WeightedClause(0.9, rule_clause([("a3", "1")])),
-            WeightedClause(0.6, Clause([Literal(POS), Literal(Atom("a1", "0"))])),
-        ]
+        other = WeightedClause(0.6, Clause([Literal(POS), Literal(Atom("a1", "0"))]))
+        extra = [WeightedClause(0.9, rule_clause([("a3", "1")])), other]
         merged = merge(kb, extra)
-        assert type(merged) is KnowledgeBase
+        assert merged.others == (other,)
         assert merged.clauses == (*kb.clauses, *extra)
+        assert merge(kb, [other]).counts is kb.counts
+        assert merge(merged, [WeightedClause(0.7, other.clause)]).others == (
+            WeightedClause(0.7, other.clause),
+        )
 
 
 def _live_atoms(feature_prefix: str) -> int:
@@ -439,6 +521,16 @@ class TestKnowledgeBase:
     def test_universe(self):
         kb = parse_kb("0.5 pos | !a1=0\n0.5 pos | !a2=1")
         assert kb.universe == {POS, Atom("a1", "0"), Atom("a2", "1")}
+
+    def test_rules_are_routed_into_counts(self):
+        rule = WeightedClause(0.25, rule_clause([("b", "2"), ("a", "1")]))
+        other = WeightedClause(0.5, Clause([Literal(POS), Literal(Atom("a", "1"))]))
+        kb = KnowledgeBase([other, rule, rule])
+        assert kb.counts == {(("a", "1"), ("b", "2")): (4, 1)}
+        assert kb.others == (other,)
+        assert kb.clauses == (rule, other)
+        with pytest.raises(ValueError, match="conflicting"):
+            KnowledgeBase([rule, WeightedClause(0.3, rule.clause)])
 
     def test_conflicting_duplicates_rejected_at_construction(self):
         wc1 = WeightedClause(0.4, rule_clause([("a", "1")]))

@@ -15,6 +15,7 @@ from helpers import (
     satisfiable_random_kb,
 )
 
+from plkb.data import from_rows
 from plkb.direct import active_kb, build_direct_kb, relevant_kb
 from plkb.explain import compute_explanation
 from plkb.kb import (
@@ -525,7 +526,7 @@ class TestPresolve:
         )
         constant, probs, rest = _presolve(kb, {"a": "1"}, POS)
         assert constant == 0.0
-        assert probs == [0.2, 0.4, 0.3]
+        assert sorted(probs) == [0.2, 0.3, 0.4]
         assert [str(wc.clause) for wc in rest] == ["pos | b"] * 3 + ["pos | !b"]
         assert [float(wc.probability) for wc in rest[:3]] == [0.6, 0.7, 0.9]
         self.assert_same_answer(kb, {"a": "1"})
@@ -541,6 +542,17 @@ class TestPresolve:
         res = self.assert_same_answer(kb, {"a": "1"})
         assert (res.p_lower, res.p_upper) == (0.0, 1.0)
         assert res.objective_min == pytest.approx(0.3 + 0.1, abs=1e-6)
+
+    def test_rule_body_repeating_a_feature_is_not_a_row(self):
+        # pos | !t=0 | !t=1 is no rule: it joins ``others``, and the rows
+        # and the presolve never meet a body that repeats a feature
+        ds = from_rows(["t", "u"], [(("0", "1"), True), (("1", "0"), False), (("0", "0"), True)])
+        clause = Clause([Literal(POS), Literal(Atom("t", "0"), True), Literal(Atom("t", "1"), True)])
+        kb = merge(build_direct_kb(ds), [WeightedClause(0.5, clause)])
+        assert kb.others == (WeightedClause(0.5, clause),)
+        assert all(len(dict(key)) == len(key) for key in kb.counts)
+        for query in ({}, {"u": "1"}):
+            self.assert_same_answer(kb, query)
 
     @staticmethod
     def forbid_lp(monkeypatch):

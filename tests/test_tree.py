@@ -15,9 +15,9 @@ from plkb.data import from_rows
 from plkb.direct import active_kb, build_direct_kb, relevant_kb
 from plkb.evaluate import classify_query
 from plkb.explain import compute_explanation
-from plkb.kb import RuleTable, rule_clause, serialize_kb
+from plkb.kb import rule_clause, serialize_kb
 from plkb.lp import infer_pos
-from plkb.tree import TreeNode, build_id3, clause_from_path, format_tree, kb_from_tree
+from plkb.tree import TreeNode, build_id3, format_tree, kb_from_tree
 
 # Every root-to-leaf path of the tree grown from the eight-string data,
 # with the exact positive ratio at its leaf.
@@ -86,19 +86,21 @@ class TestBuildId3:
 
 
 class TestClauseFromPath:
+    """A tree path's rule is ``rule_clause`` of its pairs."""
+
     def test_empty_path(self):
-        assert str(clause_from_path([])) == "pos"
+        assert str(rule_clause([])) == "pos"
 
     def test_single_edge(self):
-        assert str(clause_from_path([("a4", "1")])) == "pos | !a4=1"
+        assert str(rule_clause([("a4", "1")])) == "pos | !a4=1"
 
     def test_four_edges_canonicalised(self):
-        c = clause_from_path([("a4", "0"), ("a1", "0"), ("a2", "0"), ("a3", "0")])
+        c = rule_clause([("a4", "0"), ("a1", "0"), ("a2", "0"), ("a3", "0")])
         assert str(c) == "pos | !a1=0 | !a2=0 | !a3=0 | !a4=0"
 
     def test_repeated_feature_rejected(self):
         with pytest.raises(ValueError, match="repeats"):
-            clause_from_path([("a1", "0"), ("a1", "1")])
+            rule_clause([("a1", "0"), ("a1", "1")])
 
 
 class TestKbFromTree:
@@ -137,8 +139,8 @@ class TestKbFromTree:
 
 
 class TestTreeTable:
-    """A tree KB is a count table; it must answer exactly as the clause
-    list the tree's paths give."""
+    """A tree KB keeps its rules as node counts; it must answer exactly as
+    the KB of the clause objects the tree's paths give."""
 
     @pytest.mark.parametrize("mode", ["leaves", "all_nodes"])
     @settings(max_examples=40, deadline=None)
@@ -148,7 +150,7 @@ class TestTreeTable:
         tree = build_id3(ds)
         table = kb_from_tree(tree, mode)
         ref = kb_from_tree_clauses(tree, mode)
-        assert isinstance(table, RuleTable)
+        assert not table.others
         assert len(table) == len(ref)
         assert table.universe == ref.universe
         assert serialize_kb(table) == serialize_kb(ref)
