@@ -4,12 +4,12 @@ feature-value subsets of each instance, plus query-relevant extraction."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import compress
 from math import comb
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .data import Dataset
-from .kb import KnowledgeBase, RuleKey
+from .kb import AtomBits, KnowledgeBase
 
 Query = Mapping[str, str]
 
@@ -17,31 +17,45 @@ Query = Mapping[str, str]
 MAX_UNBOUNDED_FEATURES = 20
 
 
+def subset_codes(bits: Iterable[int], most: int) -> list[int]:
+    """The code of every subset of ``bits`` with at most ``most`` members,
+    the empty one first.  Without a bound each bit doubles the list, so
+    the list index of a subset is its mask over ``bits``."""
+    bits = list(bits)
+    if most >= len(bits):
+        codes = [0]
+        for b in bits:
+            codes += [c | b for c in codes]
+        return codes
+    by_size = [[0]] + [[] for _ in range(most)]
+    for b in bits:
+        for k in range(most, 0, -1):
+            by_size[k] += [c | b for c in by_size[k - 1]]
+    return [c for codes in by_size for c in codes]
+
+
 @dataclass
 class SubsetCounter:
-    """(total, positive) sample counts per feature-value subset.
+    """(total, positive) sample counts per feature-value subset, keyed by
+    the subset's code over ``bits``, the atom table the counter numbers
+    pairs into as it first sees them."""
 
-    Keys are sorted tuples of (feature, value) pairs, the canonical set
-    encoding.
-    """
-
-    counts: dict[RuleKey, tuple[int, int]] = field(default_factory=dict)
+    counts: dict[int, tuple[int, int]] = field(default_factory=dict)
+    bits: AtomBits = field(default_factory=AtomBits)
 
     def add_instance(self, values: Mapping[str, str], label: bool, max_arity: int):
-        pairs = sorted(values.items())
         hit = int(label)
         counts = self.counts
-        for k in range(1, min(max_arity, len(pairs)) + 1):
-            # combinations of a sorted list come out sorted: canonical keys.
-            # Tuples of ints, unlike lists, are untracked by the cyclic GC.
-            for key in combinations(pairs, k):
-                e = counts.get(key)
-                counts[key] = (1, hit) if e is None else (e[0] + 1, e[1] + hit)
+        codes = subset_codes(map(self.bits.__getitem__, values.items()), max_arity)
+        # Tuples of ints, unlike lists, are untracked by the cyclic GC.
+        for code in codes[1:]:
+            e = counts.get(code)
+            counts[code] = (1, hit) if e is None else (e[0] + 1, e[1] + hit)
 
     def to_kb(self) -> KnowledgeBase:
         """The counts as a knowledge base's rules; the KB shares this
         counter's dict, so add no instances afterwards."""
-        return KnowledgeBase(counts=self.counts)
+        return KnowledgeBase(counts=self.counts, atoms=self.bits.atoms)
 
 
 def build_direct_kb(train: Dataset, max_arity: int | None = None) -> KnowledgeBase:
@@ -75,24 +89,22 @@ def _select(query: Query, kb: KnowledgeBase) -> KnowledgeBase:
     """The rule rows whose body the query asserts, the body-less rule
     included: its empty body lies inside every query.
 
-    The query's subsets are looked up in ``kb.counts`` only up to its
-    longest body; when even that many lookups would dwarf the rows, their
-    keys are scanned.
+    The codes of the query's subsets are looked up in ``kb.counts`` only
+    up to its longest body; when even that many lookups would dwarf the
+    rows, the rows are scanned.  A query pair the atom table lacks lies in
+    no body, so it is left out of both.
     """
-    pairs = set(query.items())
     counts = kb.counts
-    hi = min(kb.arity, len(pairs))
-    if sum(comb(len(pairs), k) for k in range(hi + 1)) <= 8 * len(counts) + 64:
-        ordered = sorted(pairs)
-        hits = {}
-        for k in range(hi + 1):
-            for key in combinations(ordered, k):
-                entry = counts.get(key)
-                if entry is not None:
-                    hits[key] = entry
+    bits = [b for b in map(kb.bit.get, sorted(query.items())) if b is not None]
+    most = min(kb.arity, len(bits))
+    if sum(comb(len(bits), k) for k in range(most + 1)) <= 8 * len(counts) + 64:
+        codes = subset_codes(bits, most)
+        entries = list(map(counts.get, codes))
+        hits = dict(compress(zip(codes, entries), entries))
     else:
-        hits = {key: entry for key, entry in counts.items() if pairs.issuperset(key)}
-    return KnowledgeBase(counts=hits)
+        outside = ~sum(bits)
+        hits = {c: e for c, e in counts.items() if not c & outside}
+    return kb.with_rows(hits)
 
 
 def relevant_kb(query: Query, kb: KnowledgeBase) -> KnowledgeBase:

@@ -16,7 +16,7 @@ from typing import Mapping
 from .data import SeedSpec
 from .direct import relevant_kb
 from .kb import KnowledgeBase
-from .lp import InferenceResult, check_query, closed_form, infer_pos, median_midpoint
+from .lp import LABEL_EPS, InferenceResult, check_query, closed_form, infer_pos, median_midpoint
 
 Query = Mapping[str, str]
 
@@ -67,28 +67,23 @@ def _relevant_scores(
 
     A sub-query's relevant rows are the full query's relevant rows whose
     body lies inside it, and its answer is the closed-form median of their
-    probabilities.  So the body of every row with at most k pairs becomes
-    a bitmask over the query's sorted pairs (distinct bodies, distinct
-    masks), and a sub-query collects its rows by enumerating the sub-masks
-    of its own mask or, when it has more sub-masks than there are such
-    rows, by scanning them.  A body-less row has mask 0, inside every
-    sub-query; the sub-mask walk stops before 0, so it starts with that row.
+    probabilities.  A sub-query's code is the OR of its pairs' bits in the
+    KB's atom table (a pair the table lacks, in no body, adds none), and
+    it collects its rows by enumerating the sub-masks of its code or, when
+    it has more sub-masks than there are rows, by scanning them.  A
+    body-less row has code 0, inside every sub-query; the sub-mask walk
+    stops before 0, so it starts with that row.
     """
-    bit = {pair: 1 << i for i, pair in enumerate(pairs)}
     counts = relevant_kb(query, kb).counts
     probs = [pos / total for total, pos in counts.values()]
     positive = closed_form(probs).label
-    prob_of = {
-        sum(map(bit.__getitem__, body)): p
-        for body, p in zip(counts, probs)
-        if len(body) <= k
-    }
+    prob_of = dict(zip(counts, probs))
 
     if 1 << k > len(prob_of):
-        rows = sorted((p, mask) for mask, p in prob_of.items())
+        rows = sorted((p, code) for code, p in prob_of.items())
 
         def inside(m: int) -> list[float]:
-            return [p for p, mask in rows if mask & m == mask]
+            return [p for p, code in rows if code & m == code]
     else:
         get = prob_of.get
         empty = [prob_of[0]] if 0 in prob_of else []
@@ -104,8 +99,8 @@ def _relevant_scores(
             found.sort()
             return found
 
-    masks = map(sum, combinations(bit.values(), k))
-    return positive, [median_midpoint(inside(m)) for m in masks]
+    bits = [kb.bit.get(pair, 0) for pair in pairs]
+    return positive, [median_midpoint(inside(m)) for m in map(sum, combinations(bits, k))]
 
 
 def compute_explanation(
@@ -124,7 +119,9 @@ def compute_explanation(
     :func:`~plkb.evaluate.classify_query` gives: from the same rows on a
     rule-only KB, and from whole-KB inference when some clause is not a
     rule, as the rule rows cannot see such a clause.
-    Ties break on the lexicographically smallest serialized sub-query.
+    Ties break on the lexicographically smallest serialized sub-query;
+    without ``use_relevant`` a score within ``LABEL_EPS`` of the extremum
+    ties with it, as solver noise would otherwise pick the winner.
     ``domains`` check the full query once; its sub-queries assert no other
     pair.
 
@@ -153,7 +150,10 @@ def compute_explanation(
 
     scored = list(zip(combinations(pairs, k), scores))
     best = (max if positive else min)(score for _, score in scored)
-    ties = [t for t in scored if t[1] == best]
+    # Closed-form scores are exact medians: only equal scores tie.  LP
+    # scores carry solver noise, so scores within LABEL_EPS of the best tie.
+    tolerance = 0.0 if use_relevant else LABEL_EPS
+    ties = [t for t in scored if abs(t[1] - best) <= tolerance]
     combo, score = ties[0] if len(ties) == 1 else min(ties, key=lambda t: _serialized(t[0]))
     return Explanation(
         sub_query=dict(combo),

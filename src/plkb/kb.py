@@ -10,11 +10,19 @@ experiments.
 
 There is one knowledge-base type, :class:`KnowledgeBase`, and it keeps a
 rule in one place: ``counts``, the integer pairs rule probabilities are
-read from, keyed by rule body, with the clause objects built only when
-something reads them.  Every other clause sits in ``others``, in order.
-The direct and tree builders fill ``counts`` directly, :func:`parse_kb`
-reads a rule line straight into it, and a rule given as a clause object
-is routed into it.
+read from, keyed by the rule body's code, with the clause objects built
+only when something reads them.  Every other clause sits in ``others``,
+in order.  A code is an ``int`` with one bit per feature-value pair: bit
+``i`` stands for ``atoms[i]``, the KB's atom table, so a body is the OR of
+its pairs' bits, a body lies inside a query when ``code & ~query == 0``,
+and a query's subsets are listed by doubling a list of codes.  The direct
+and tree builders fill ``counts`` directly, :func:`parse_kb` reads a rule
+line straight into it, and a rule given as a clause object is routed into
+it; each numbers a pair when it first sees it, so no code is ever
+re-coded.  A code is as wide as the atom table: past 63 atoms it is a
+multi-digit int, which works the same but hashes more slowly.  Pairs are
+decoded from a code only to build clause objects and to write a rule
+line.
 
 All values are immutable; operations that change a knowledge base return
 a new one, so instances can be shared freely across threads.
@@ -25,11 +33,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import chain
+from operator import or_
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 Probability = Union[float, Fraction]
+Pair = tuple[str, str]
 
 CLASS_ATOM_NAME = "pos"
 
@@ -214,17 +224,24 @@ class Clause:
         return " | ".join(str(lit) for lit in self.literals)
 
 
-def _trusted_rule(key: Sequence[tuple[str, str]], literals: dict) -> Clause:
-    """``pos | !f1=v1 | ...`` for a sorted key over distinct features,
-    already canonical, each literal shared through ``literals`` (pair ->
-    its negated literal) by the clauses one pass builds."""
+def _coded_rule(code: int, atoms: Sequence[Pair], literals: dict) -> Clause:
+    """``pos | !f1=v1 | ...`` for the rule body coded ``code`` over the atom
+    table ``atoms``, built canonical, each literal shared through
+    ``literals`` (pair -> its negated literal) by the clauses one pass
+    builds."""
+    pairs = []
+    while code:
+        low = code & -code
+        pairs.append(atoms[low.bit_length() - 1])
+        code ^= low
+    pairs.sort()
     lits = [_POS_LITERAL]
-    for pair in key:
+    for pair in pairs:
         lit = literals.get(pair)
         if lit is None:
             lit = literals[pair] = Literal(Atom(*pair), True)
         lits.append(lit)
-    return Clause._trusted(tuple(lits), frozenset(key))
+    return Clause._trusted(tuple(lits), frozenset(pairs))
 
 
 def rule_clause(pairs: Iterable[tuple[str, str]]) -> Clause:
@@ -251,49 +268,86 @@ class WeightedClause:
         return f"{float(self.probability):.6f} {self.clause}"
 
 
-RuleKey = tuple[tuple[str, str], ...]
+class AtomBits(dict):
+    """An atom table under construction: each feature-value pair maps to
+    its bit, a pair not yet numbered getting the next one when looked up
+    with ``[]`` (``get`` numbers nothing); ``atoms`` lists the pairs in bit
+    order."""
+
+    def __init__(self, atoms: Iterable[Pair] = ()):
+        self.atoms = list(atoms)
+        super().__init__((pair, 1 << i) for i, pair in enumerate(self.atoms))
+
+    def __missing__(self, pair: Pair) -> int:
+        bit = self[pair] = 1 << len(self.atoms)
+        self.atoms.append(pair)
+        return bit
+
+    def code(self, pairs: Iterable[Pair]) -> int:
+        """The code of a body: the OR of its pairs' bits."""
+        code = 0
+        for pair in pairs:
+            code |= self[pair]
+        return code
+
+
+def _rule_pairs(clause: Clause) -> Iterator[Pair]:
+    """A rule-shaped clause's body in canonical order: its literals after
+    ``pos``."""
+    return ((lit.atom.feature, lit.atom.value) for lit in clause.literals[1:])
 
 
 @dataclass(frozen=True, eq=False)
 class KnowledgeBase:
     """An immutable collection of weighted clauses, unique by clause.
 
-    ``counts`` holds the rules.  It maps a rule body, a sorted tuple of
-    (feature, value) pairs over distinct features, to a pair ``(total,
-    pos)``: the sample counts of a subset or a tree node in a KB the direct
-    or tree builder trained, the probability's denominator and numerator
-    otherwise.  The rule it stands for is ``[Fraction(pos, total)] pos |
-    !f1=v1 | ...``.  ``others`` holds every clause that is not a rule, in
-    order.
+    ``counts`` holds the rules.  It maps a rule body's code to a pair
+    ``(total, pos)``: the sample counts of a subset or a tree node in a KB
+    the direct or tree builder trained, the probability's denominator and
+    numerator otherwise.  The rule it stands for is ``[Fraction(pos,
+    total)] pos | !f1=v1 | ...``.  ``others`` holds every clause that is
+    not a rule, in order.
 
-    :attr:`clauses` lists the rules in key order, then ``others``.  No
-    rule clause object exists until something reads :attr:`clauses`,
+    ``atoms`` is the atom table the codes are read with: bit ``i`` of a
+    code stands for the pair ``atoms[i]``, and the body-less rule has code
+    0.  A code is as wide as the table; past 63 atoms it is still a code,
+    a multi-digit int that hashes more slowly.  The sub-KBs selected from
+    a KB share its table, so the table may hold pairs no row uses.
+
+    :attr:`clauses` lists the rules in ``counts`` order, then ``others``.
+    No rule clause object exists until something reads :attr:`clauses`,
     which builds them once; until then iteration builds each rule clause
     on the fly and keeps none, so writing a KB out never holds all of its
     clauses at once.
 
     The constructor routes each rule-shaped clause of ``clauses`` into
-    ``counts`` and keeps the mapping it is given in place: a builder hands
-    over its dict and does not change it afterwards.  Duplicate clauses
-    with the same probability collapse; duplicates with different
-    probabilities are an error (use :func:`merge` for override semantics).
+    ``counts``, numbering its new pairs after ``atoms``, and keeps the
+    mapping it is given in place: a builder hands over its dict and does
+    not change it afterwards.  Duplicate clauses with the same probability
+    collapse; duplicates with different probabilities are an error (use
+    :func:`merge` for override semantics).
     """
 
-    counts: Mapping[RuleKey, Sequence[int]]
+    counts: Mapping[int, Sequence[int]]
+    atoms: tuple[Pair, ...]
     others: tuple[WeightedClause, ...]
 
     def __init__(
         self,
         clauses: Iterable[WeightedClause] = (),
-        counts: dict[RuleKey, tuple[int, int]] | None = None,
+        counts: dict[int, tuple[int, int]] | None = None,
+        atoms: Sequence[Pair] = (),
     ):
         counts = {} if counts is None else counts
+        bits = None
         others: dict[Clause, WeightedClause] = {}
         for wc in clauses:
             if wc.clause.is_rule_shaped:
+                if bits is None:
+                    bits = AtomBits(atoms)
                 p = Fraction(wc.probability)
                 entry = (p.denominator, p.numerator)
-                prev = counts.setdefault(tuple(sorted(wc.clause.body)), entry)
+                prev = counts.setdefault(bits.code(_rule_pairs(wc.clause)), entry)
                 prev_p = p if prev == entry else Fraction(prev[1], prev[0])
             else:
                 prev_p = others.setdefault(wc.clause, wc).probability
@@ -303,7 +357,20 @@ class KnowledgeBase:
                     f"probabilities {prev_p} and {wc.probability}"
                 )
         object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "atoms", tuple(atoms if bits is None else bits.atoms))
         object.__setattr__(self, "others", tuple(others.values()))
+
+    def with_rows(self, counts: dict[int, tuple[int, int]]) -> "KnowledgeBase":
+        """A KB of the rule rows ``counts``, coded over this KB's atom
+        table, which it shares along with :attr:`bit`."""
+        sub = KnowledgeBase(counts=counts, atoms=self.atoms)
+        sub.__dict__["bit"] = self.bit
+        return sub
+
+    @cached_property
+    def bit(self) -> dict[Pair, int]:
+        """Each pair of the atom table -> its bit."""
+        return {pair: 1 << i for i, pair in enumerate(self.atoms)}
 
     @cached_property
     def clauses(self) -> tuple[WeightedClause, ...]:
@@ -312,9 +379,9 @@ class KnowledgeBase:
     def _rules(self) -> Iterator[WeightedClause]:
         # Clauses built in one pass share one literal per pair; nothing
         # outlives the pass.
-        literals: dict[tuple[str, str], Literal] = {}
-        for key, (total, pos) in self.counts.items():
-            yield WeightedClause(Fraction(pos, total), _trusted_rule(key, literals))
+        literals: dict[Pair, Literal] = {}
+        for code, (total, pos) in self.counts.items():
+            yield WeightedClause(Fraction(pos, total), _coded_rule(code, self.atoms, literals))
 
     def __len__(self) -> int:
         return len(self.counts) + len(self.others)
@@ -336,15 +403,16 @@ class KnowledgeBase:
     def universe(self) -> frozenset[Atom]:
         atoms = {a for wc in self.others for a in wc.clause.atoms}
         if self.counts:
-            pairs = {pair for key in self.counts for pair in key}
-            atoms.update([POS, *(Atom(f, v) for f, v in pairs)])
+            used = reduce(or_, self.counts)
+            atoms.add(POS)
+            atoms.update(Atom(*pair) for i, pair in enumerate(self.atoms) if used >> i & 1)
         return frozenset(atoms)
 
     @cached_property
     def arity(self) -> int:
         """The longest rule body: the builder's ``max_arity`` when it saw
         an instance that long."""
-        return max(map(len, self.counts), default=0)
+        return max(map(int.bit_count, self.counts), default=0)
 
 
 def _clause_lines(text: str) -> Iterator[tuple[int, Fraction, str]]:
@@ -433,13 +501,16 @@ def parse_kb(text: str) -> KnowledgeBase:
     is built as a :class:`Clause`, which becomes a row too when it
     canonicalises to a rule (``pos | pos | !a=1``).
     """
-    counts: dict[RuleKey, tuple[int, int]] = {}
+    counts: dict[int, tuple[int, int]] = {}
     others: dict[Clause, WeightedClause] = {}
-    parts: dict[str, Atom | tuple[str, str]] = {}  # rule literal text -> POS or its pair
+    bits = AtomBits()
+    # rule literal text -> POS, or its pair's bit and feature
+    parts: dict[str, Atom | tuple[int, str]] = {}
     literals: dict[str, Literal] = {}  # literal text -> its literal, shared by clauses
     for line_no, prob, clause_text in _clause_lines(text):
-        key = None
-        body = []
+        code = None
+        body = 0
+        features = []
         n_pos = 0
         for tok in clause_text.split("|"):
             part = parts.get(tok)
@@ -448,36 +519,54 @@ def parse_kb(text: str) -> KnowledgeBase:
                 if lit == _POS_LITERAL:
                     part = POS
                 elif lit.negated and lit.atom.value is not None:
-                    part = (lit.atom.feature, lit.atom.value)
+                    part = (bits[lit.atom.feature, lit.atom.value], lit.atom.feature)
                 else:
                     break
                 parts[tok] = part
             if part is POS:
                 n_pos += 1
             else:
-                body.append(part)
+                body |= part[0]
+                features.append(part[1])
         else:
-            if n_pos == 1 and len(dict(body)) == len(body):
-                body.sort()
-                key = tuple(body)
-        if key is None:
+            if n_pos == 1 and len(set(features)) == len(features):
+                code = body
+        if code is None:
             clause = _parse_clause(clause_text, line_no, literals)
             if not clause.is_rule_shaped:
                 prev_prob = others.setdefault(clause, WeightedClause(prob, clause)).probability
                 if prev_prob != prob:
                     raise _conflict(text, line_no, clause, prev_prob)
                 continue
-            key = tuple(sorted(clause.body))
+            code = bits.code(_rule_pairs(clause))
         entry = (prob.denominator, prob.numerator)
-        prev = counts.setdefault(key, entry)
+        prev = counts.setdefault(code, entry)
         if prev != entry:
-            raise _conflict(text, line_no, rule_clause(key), Fraction(prev[1], prev[0]))
-    return KnowledgeBase(others.values(), counts)
+            raise _conflict(text, line_no, _coded_rule(code, bits.atoms, {}),
+                            Fraction(prev[1], prev[0]))
+    return KnowledgeBase(others.values(), counts, bits.atoms)
 
 
 def serialize_kb(kb: KnowledgeBase) -> str:
-    """Render one line per clause, sorted by the clause's canonical text."""
-    lines = sorted((str(wc.clause), f"{float(wc.probability):.6f}") for wc in kb)
+    """Render one line per clause, sorted by the clause's canonical text.
+
+    A rule's line is read off its code through one ``" | !f=v"`` text per
+    atom, joined in pair order: no clause object or ``Fraction`` is built
+    for it."""
+    order = sorted(range(len(kb.atoms)), key=kb.atoms.__getitem__)
+    rank = {i: r for r, i in enumerate(order)}  # atom -> its place in pair order
+    texts = [" | !{}={}".format(*kb.atoms[i]) for i in order]
+    lines = []
+    for code, (total, pos) in kb.counts.items():
+        ranks = []
+        while code:
+            low = code & -code
+            ranks.append(rank[low.bit_length() - 1])
+            code ^= low
+        ranks.sort()
+        lines.append(("pos" + "".join(map(texts.__getitem__, ranks)), f"{pos / total:.6f}"))
+    lines += ((str(wc.clause), f"{float(wc.probability):.6f}") for wc in kb.others)
+    lines.sort()
     return "\n".join(f"{prob} {clause}" for clause, prob in lines)
 
 
@@ -490,8 +579,9 @@ def merge(kb: KnowledgeBase, extra: Sequence[WeightedClause]) -> KnowledgeBase:
     the merged clauses is fine; inference tolerates it.
 
     A rule's probability is kept exactly as its ``(denominator,
-    numerator)``.  The result shares ``kb.counts`` unless some supplied
-    clause is a rule.
+    numerator)``, a pair ``kb`` has not numbered extends a copy of its
+    atom table, and the result shares ``kb.counts`` and ``kb.atoms`` unless
+    some supplied clause is a rule.
     """
     for wc in extra:
         if not wc.clause.has_positive(POS):
@@ -499,13 +589,14 @@ def merge(kb: KnowledgeBase, extra: Sequence[WeightedClause]) -> KnowledgeBase:
                 f"merged clause {wc.clause} does not contain {CLASS_ATOM_NAME!r} positively"
             )
     counts = kb.counts
+    bits = None
     others = {wc.clause: wc for wc in kb.others}
     for wc in extra:
         if wc.clause.is_rule_shaped:
-            if counts is kb.counts:
-                counts = dict(counts)
+            if bits is None:
+                counts, bits = dict(counts), AtomBits(kb.atoms)
             p = Fraction(wc.probability)
-            counts[tuple(sorted(wc.clause.body))] = (p.denominator, p.numerator)
+            counts[bits.code(_rule_pairs(wc.clause))] = (p.denominator, p.numerator)
         else:
             others[wc.clause] = wc
-    return KnowledgeBase(others.values(), counts)
+    return KnowledgeBase(others.values(), counts, kb.atoms if bits is None else bits.atoms)

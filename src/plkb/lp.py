@@ -63,6 +63,9 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field, replace
+from functools import reduce
+from itertools import repeat
+from operator import or_, sub
 from typing import Iterable, Mapping, Sequence
 
 from .kb import (
@@ -72,7 +75,7 @@ from .kb import (
     KnowledgeBase,
     Literal,
     WeightedClause,
-    _trusted_rule,
+    _coded_rule,
 )
 
 logger = logging.getLogger(__name__)
@@ -325,31 +328,39 @@ def _presolve(
     so ``rest`` can repeat one.
 
     With target ``pos`` the rules are read from ``kb.counts``: ``n_pos /
-    n_total`` is correctly rounded, as ``float(Fraction(...))`` is, and a
-    residual rule is built from literals shared within the call; the loop
-    over clause objects runs over ``kb.others`` only.
+    n_total`` is correctly rounded, as ``float(Fraction(...))`` is.  A row
+    lies inside the query when its code has no bit outside the asserted
+    pairs, as every row a selection keeps does, and is pinned true when it
+    has a sibling's bit; any other row's residual rule is decoded from its
+    free bits, built from literals shared within the call.  The loop over
+    clause objects runs over ``kb.others`` only.
     """
     constant = 0.0
     probs: list[float] = []
     rest: list[WeightedClause] = []
     if target == POS:
-        pairs = set(query.items())
-        literals: dict[tuple[str, str], Literal] = {}
-        for key, (total, pos) in kb.counts.items():
-            p = pos / total
-            if pairs.issuperset(key):
-                probs.append(p)
-                continue
-            free = []
-            for pair in key:
-                value = query.get(pair[0])
-                if value is None:
-                    free.append(pair)
-                elif value != pair[1]:  # the literal !f=v is true
+        asserted = siblings = 0
+        for i, (feature, value) in enumerate(kb.atoms):
+            queried = query.get(feature)
+            if queried is not None:
+                if queried == value:
+                    asserted |= 1 << i
+                else:
+                    siblings |= 1 << i
+        outside = ~asserted
+        if not reduce(or_, kb.counts, 0) & outside:  # every row lies inside
+            probs = [pos / total for total, pos in kb.counts.values()]
+        else:
+            literals: dict[tuple[str, str], Literal] = {}
+            for code, (total, pos) in kb.counts.items():
+                p = pos / total
+                if not code & outside:
+                    probs.append(p)
+                elif code & siblings:  # some literal !f=v is true
                     constant += 1.0 - p
-                    break
-            else:
-                rest.append(WeightedClause(p, _trusted_rule(free, literals)))
+                else:
+                    rule = _coded_rule(code & outside, kb.atoms, literals)
+                    rest.append(WeightedClause(p, rule))
     just_target = (Literal(target),)
     for wc in kb.others if target == POS else kb.clauses:
         p = float(wc.probability)
@@ -388,7 +399,7 @@ def _median_interval(probs: list[float]) -> tuple[float, float, float]:
     """
     srt = sorted(probs)
     lo, hi = _median_pair(srt)
-    v_star = float(sum(abs(lo - p) for p in srt))
+    v_star = float(sum(map(abs, map(sub, srt, repeat(lo)))))
     return v_star, lo, hi
 
 

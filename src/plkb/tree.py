@@ -7,7 +7,7 @@ import math
 from dataclasses import dataclass, field
 
 from .data import Dataset, Instance
-from .kb import KnowledgeBase, RuleKey
+from .kb import AtomBits, KnowledgeBase
 
 
 @dataclass
@@ -85,27 +85,28 @@ def kb_from_tree(tree: TreeNode, mode: str = "leaves") -> KnowledgeBase:
     mode="leaves": one clause per root-to-leaf path.  mode="all_nodes": one
     clause per root-to-node path for every non-root node.  Probability is
     the end node's positive ratio, kept as the node's sample counts in the
-    KB's ``counts``, in depth-first order.  An ID3 path never
+    KB's ``counts``, in depth-first order, each pair numbered in the atom
+    table when the walk first meets it.  An ID3 path never
     repeats a feature, so its pairs determine the node it ends at; a
     hand-built tree whose path does is refused.
     """
     if mode not in ("leaves", "all_nodes"):
         raise ValueError(f"unknown mode {mode!r}")
-    counts: dict[RuleKey, tuple[int, int]] = {}
+    counts: dict[int, tuple[int, int]] = {}
+    bits = AtomBits()
 
-    def walk(node: TreeNode, path: list[tuple[str, str]]):
+    def walk(node: TreeNode, features: list[str], code: int):
         take = node.is_leaf if mode == "leaves" else node.incoming_edge is not None
         if take:
-            key = tuple(sorted(path))
-            if len(dict(key)) != len(key):
-                raise ValueError(f"rule body repeats a feature: {[f for f, _ in key]}")
-            counts[key] = (node.n_total, node.n_positive)
+            if len(set(features)) != len(features):
+                raise ValueError(f"rule body repeats a feature: {sorted(features)}")
+            counts[code] = (node.n_total, node.n_positive)
         for value in sorted(node.children):
-            child = node.children[value]
-            walk(child, path + [child.incoming_edge])
+            edge = node.children[value].incoming_edge
+            walk(node.children[value], features + [edge[0]], code | bits[edge])
 
-    walk(tree, [])
-    return KnowledgeBase(counts=counts)
+    walk(tree, [], 0)
+    return KnowledgeBase(counts=counts, atoms=bits.atoms)
 
 
 def format_tree(tree: TreeNode) -> str:

@@ -6,6 +6,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 from hypothesis import strategies as st
 
@@ -24,7 +25,7 @@ from plkb.kb import (
     _parse_literal,
     rule_clause,
 )
-from plkb.lp import TAU_LEX, InferenceResult, _result
+from plkb.lp import LABEL_EPS, TAU_LEX, InferenceResult, _result
 
 # Eight labelled bit-strings over features a1..a4; small enough to check
 # every derived number by hand.
@@ -143,6 +144,89 @@ def relevant_kb_scan(query, kb: KnowledgeBase) -> KnowledgeBase:
     return KnowledgeBase(selected)
 
 
+def tuple_counts(kb: KnowledgeBase) -> dict:
+    """A KB's rows keyed the way ``counts`` was keyed before rule bodies
+    were coded: each code decoded bit by bit through ``kb.atoms`` into a
+    sorted tuple of (feature, value) pairs, in ``counts`` order."""
+    return {
+        tuple(sorted(pair for i, pair in enumerate(kb.atoms) if code >> i & 1)): entry
+        for code, entry in kb.counts.items()
+    }
+
+
+def reference_select(query, kb: KnowledgeBase) -> dict:
+    """Reference implementation of ``plkb.direct._select`` over
+    :func:`tuple_counts`: the query's subsets as sorted tuples up to the
+    longest body, looked up one by one, or the keys scanned when that many
+    lookups would dwarf the rows."""
+    pairs = set(query.items())
+    counts = tuple_counts(kb)
+    hi = min(max(map(len, counts), default=0), len(pairs))
+    if sum(comb(len(pairs), k) for k in range(hi + 1)) <= 8 * len(counts) + 64:
+        ordered = sorted(pairs)
+        hits = {}
+        for k in range(hi + 1):
+            for key in combinations(ordered, k):
+                entry = counts.get(key)
+                if entry is not None:
+                    hits[key] = entry
+        return hits
+    return {key: entry for key, entry in counts.items() if pairs.issuperset(key)}
+
+
+def reference_presolve(kb: KnowledgeBase, query):
+    """Reference implementation of ``plkb.lp._presolve`` with target
+    ``pos`` over :func:`tuple_counts`: ``(constant, probs, rest)``, each
+    rule decided pair by pair, then the clause objects of ``kb.others``."""
+    constant = 0.0
+    probs: list[float] = []
+    rest: list[WeightedClause] = []
+    pairs = set(query.items())
+    for key, (total, pos) in tuple_counts(kb).items():
+        p = pos / total
+        if pairs.issuperset(key):
+            probs.append(p)
+            continue
+        free = []
+        for pair in key:
+            value = query.get(pair[0])
+            if value is None:
+                free.append(pair)
+            elif value != pair[1]:
+                constant += 1.0 - p
+                break
+        else:
+            rest.append(WeightedClause(p, rule_clause(free)))
+    for wc in kb.others:
+        p = float(wc.probability)
+        kept = []
+        for lit in wc.clause.literals:
+            value = None if lit.atom.value is None else query.get(lit.atom.feature)
+            if value is None:
+                kept.append(lit)
+            elif (value == lit.atom.value) != lit.negated:
+                constant += 1.0 - p
+                break
+        else:
+            if not kept:
+                constant += p
+            elif tuple(kept) == (Literal(POS),):
+                probs.append(p)
+            elif len(kept) == len(wc.clause.literals):
+                rest.append(wc)
+            else:
+                rest.append(WeightedClause(wc.probability, Clause(kept)))
+    return constant, probs, rest
+
+
+def reference_serialize(clauses) -> str:
+    """Reference implementation of :func:`plkb.kb.serialize_kb` for any
+    iterable of weighted clauses: one clause object per line, rendered with
+    ``str`` and sorted by the clause's text."""
+    lines = sorted((str(wc.clause), f"{float(wc.probability):.6f}") for wc in clauses)
+    return "\n".join(f"{prob} {clause}" for clause, prob in lines)
+
+
 def reference_parse(text: str) -> list[WeightedClause]:
     """Reference implementation of :func:`plkb.kb.parse_kb`: every line
     built as a clause object, the clauses in line order with same-clause
@@ -256,7 +340,9 @@ def explanation_loop(query, kb: KnowledgeBase, k: int, domains=None, *, use_rele
     """Reference implementation of explanation search: one relevant
     extraction and one inference per size-k sub-query, then the extremum
     with ties broken on the serialized sub-query.  With ``use_relevant``
-    the direction follows ``classify_query``'s label for the full query."""
+    the direction follows ``classify_query``'s label for the full query
+    and only equal scores tie; without it a score within ``LABEL_EPS`` of
+    the extremum ties with it."""
     query = dict(query)
     if not 1 <= k <= len(query):
         raise ValueError(f"k={k} out of range for a query of {len(query)} features")
@@ -268,13 +354,15 @@ def explanation_loop(query, kb: KnowledgeBase, k: int, domains=None, *, use_rele
         (sub, evaluate_sub_query(sub, kb, use_relevant=use_relevant).p_avg)
         for sub in map(dict, combinations(sorted(query.items()), k))
     ]
+    best = (max if positive else min)(score for _, score in scored)
+    tolerance = 0.0 if use_relevant else LABEL_EPS
 
-    def key(scored_sub):
-        sub, score = scored_sub
-        serialized = ",".join(f"{f}={v}" for f, v in sorted(sub.items()))
-        return (-score if positive else score, serialized)
+    def serialized(scored_sub):
+        return ",".join(f"{f}={v}" for f, v in sorted(scored_sub[0].items()))
 
-    best_sub, best_score = min(scored, key=key)
+    best_sub, best_score = min(
+        (t for t in scored if abs(t[1] - best) <= tolerance), key=serialized
+    )
     return Explanation(
         sub_query=best_sub, score=best_score, direction="max" if positive else "min"
     )

@@ -10,8 +10,12 @@ from helpers import (
     empirical_probability,
     query_from_string,
     random_dataset,
+    reference_select,
     relevant_kb_scan,
+    tuple_counts,
 )
+
+import plkb.direct
 
 from plkb.data import from_rows
 from plkb.direct import (
@@ -275,10 +279,10 @@ class TestRuleTable:
                 relevant_kb_scan(q, KnowledgeBase(table.clauses))
             )
 
-    def test_wide_query_scans_a_small_table(self):
-        # 21 query pairs against a three-feature table: enumerating the
-        # query's subsets up to size 3 would dwarf the table, so its keys
-        # are scanned; the answer is the same.
+    def test_wide_query_on_a_small_table(self):
+        # 21 query pairs against a three-feature table: the 18 pairs the
+        # atom table lacks lie in no body and drop out, so the 8 subsets
+        # of the other three are looked up; the answer is the same.
         rows = [(("0", "1", "0"), True), (("1", "1", "0"), False)]
         table = build_direct_kb(from_rows(["f1", "f2", "f3"], rows))
         q = {"f1": "0", "f2": "1", "f3": "0"}
@@ -287,3 +291,64 @@ class TestRuleTable:
         assert serialize_kb(relevant_kb(q, table)) == serialize_kb(relevant_kb_scan(q, ref))
         assert len(relevant_kb(q, table)) == 7
         assert classify_query(table, q) == classify_query(ref, q)
+
+
+class TestSelectionCost:
+    """A wide query never lists its 2^n subsets: the selection looks up
+    the codes of its subsets up to the table's longest body, or scans the
+    rows when even that many lookups would dwarf them.  The cost is pinned
+    by the number of candidate codes listed."""
+
+    FEATURES = [f"f{i}" for i in range(1, 25)]
+
+    @pytest.fixture()
+    def table_and_query(self):
+        rng = random.Random(24)
+        rows = [
+            (tuple(rng.choice("01") for _ in self.FEATURES), rng.random() < 0.5)
+            for _ in range(6)
+        ]
+        return from_rows(self.FEATURES, rows), dict(zip(self.FEATURES, rows[0][0]))
+
+    @staticmethod
+    def count_candidates(monkeypatch) -> list[int]:
+        listed: list[int] = []
+        original = plkb.direct.subset_codes
+
+        def counting(bits, most):
+            codes = original(bits, most)
+            listed.append(len(codes))
+            return codes
+
+        monkeypatch.setattr(plkb.direct, "subset_codes", counting)
+        return listed
+
+    def test_arity_one_table_lists_one_code_per_pair(self, table_and_query, monkeypatch):
+        ds, query = table_and_query
+        table = build_direct_kb(ds, max_arity=1)
+        listed = self.count_candidates(monkeypatch)
+        selected = relevant_kb(query, table)
+        assert listed == [1 + 24]
+        assert tuple_counts(selected) == reference_select(query, table)
+        assert len(selected) == 24
+
+    def test_small_tree_table(self, table_and_query, monkeypatch):
+        # only the tree's split pairs have a code, so few are listed
+        ds, query = table_and_query
+        table = kb_from_tree(build_id3(ds), mode="all_nodes")
+        assert table.arity >= 2 and len(table) < 20
+        listed = self.count_candidates(monkeypatch)
+        for q in (query, {f: "1" for f in self.FEATURES}):
+            assert tuple_counts(relevant_kb(q, table)) == reference_select(q, table)
+        assert listed and all(n <= 1 << len(table.atoms) for n in listed)
+
+    def test_small_table_with_a_code_per_query_pair_is_scanned(self, table_and_query, monkeypatch):
+        # a rule per query pair gives all 24 pairs a code: listing the
+        # subsets up to the tree's arity would dwarf the ~40 rows
+        ds, query = table_and_query
+        rules = [WeightedClause(Fraction(1, 2), rule_clause([pair])) for pair in query.items()]
+        table = merge(kb_from_tree(build_id3(ds), mode="all_nodes"), rules)
+        assert table.arity >= 2 and len(table) < 50
+        listed = self.count_candidates(monkeypatch)
+        assert tuple_counts(relevant_kb(query, table)) == reference_select(query, table)
+        assert listed == []

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import helpers
 from helpers import explanation_loop, query_from_string
 
 import plkb.explain
@@ -31,6 +32,7 @@ from plkb.kb import (
     parse_kb,
     rule_clause,
 )
+from plkb.lp import LABEL_EPS, InferenceResult
 from plkb.tree import build_id3, kb_from_tree
 
 SEED = SeedSpec("3232411132", 10, 4, 5)
@@ -109,6 +111,39 @@ class TestComputeExplanation:
         kb = parse_kb("0.2 pos | !b=1\n0.2 pos | !a=1\n0.2 pos | !c=1")
         expl = compute_explanation({"a": "1", "b": "1", "c": "1"}, kb, 1)
         assert expl.sub_query == {"a": "1"}
+
+    @pytest.mark.parametrize("full, scores, want", [
+        # negative: the least score wins; 0.2 + 1e-9 ties 0.2, "a=1" serializes first
+        (0.3, {"a": 0.2 + 1e-9, "b": 0.2}, {"a": "1"}),
+        (0.3, {"a": 0.2 + 1e-5, "b": 0.2}, {"b": "1"}),
+        # positive: the greatest score wins, ties alike
+        (0.9, {"a": 0.8 - 1e-9, "b": 0.8}, {"a": "1"}),
+        (0.9, {"a": 0.8 - 1e-5, "b": 0.8}, {"b": "1"}),
+    ])
+    def test_lp_scores_within_label_eps_tie(self, monkeypatch, full, scores, want):
+        # LP scores carry solver noise: within LABEL_EPS of the extremum
+        # they tie, and the serialized sub-query breaks the tie
+        def scored(sub, kb, domains=None, *, use_relevant=True):
+            assert not use_relevant
+            p = scores[next(iter(sub))] if len(sub) == 1 else full
+            return InferenceResult(p, p, p, 0.0, p > 0.5 + LABEL_EPS)
+
+        for module in (plkb.explain, helpers):
+            monkeypatch.setattr(module, "evaluate_sub_query", scored)
+        query = {"a": "1", "b": "1"}
+        got = compute_explanation(query, KnowledgeBase(), 1, use_relevant=False)
+        assert got.sub_query == want
+        assert got.score == scores[next(iter(want))]
+        assert got == explanation_loop(query, KnowledgeBase(), 1, use_relevant=False)
+
+    def test_closed_form_scores_tie_only_when_equal(self):
+        # 0.2 beats 0.2 + 1e-9 although "a=1" serializes first: closed-form
+        # medians are exact, so only equal scores tie
+        kb = parse_kb("0.200000001 pos | !a=1\n0.2 pos | !b=1")
+        query = {"a": "1", "b": "1"}
+        got = compute_explanation(query, kb, 1)
+        assert (got.sub_query, got.score, got.direction) == ({"b": "1"}, 0.2, "min")
+        assert got == explanation_loop(query, kb, 1)
 
     def test_deterministic(self, strings_direct_kb):
         q = query_from_string("0101")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_dataset, reference_parse
+from helpers import random_dataset, reference_parse, reference_serialize, tuple_counts
 
 from plkb.data import from_rows
 from plkb.direct import build_direct_kb
@@ -303,12 +303,12 @@ class TestRuleTableParse:
             assert (got.value.line_no, str(got.value)) == (exc.line_no, str(exc))
             return None
         kb = parse_kb(text)
-        assert serialize_kb(kb) == serialize_kb(ref)
+        assert serialize_kb(kb) == reference_serialize(ref)
         assert exact_rows(kb.clauses) == exact_rows(ref)
         assert len(kb) == len(ref)
         assert all(type(wc.probability) is Fraction for wc in kb.clauses)
         rules = [wc for wc in ref if wc.clause.is_rule_shaped]
-        assert list(kb.counts) == [tuple(sorted(wc.clause.body)) for wc in rules]
+        assert list(tuple_counts(kb)) == [tuple(sorted(wc.clause.body)) for wc in rules]
         assert kb.others == tuple(wc for wc in ref if not wc.clause.is_rule_shaped)
         assert kb.clauses == (*rules, *kb.others)
         return kb
@@ -449,7 +449,7 @@ class TestMerge:
         ]
         merged = merge(kb, extra)
         assert not merged.others
-        assert list(merged.counts.items()) == [
+        assert list(tuple_counts(merged).items()) == [
             ((("a3", "0"),), Fraction(0.95).as_integer_ratio()[::-1]),
             ((("a4", "1"),), (5, 1)),
             ((("a1", "0"), ("a2", "1")), (7, 2)),
@@ -458,6 +458,9 @@ class TestMerge:
         assert all(type(wc.probability) is Fraction for wc in merged.clauses)
         assert float(probabilities(merged)[rule_clause([("a3", "0")])]) == 0.95
         assert kb.counts == before
+        # the new pairs extend a copy of the atom table
+        assert kb.atoms == (("a3", "0"), ("a4", "1"))
+        assert merged.atoms == (*kb.atoms, ("a1", "0"), ("a2", "1"))
 
     def test_non_rule_extra_gives_a_plain_kb(self):
         # a clause that is not a rule joins ``others`` after the rules; the
@@ -469,6 +472,7 @@ class TestMerge:
         assert merged.others == (other,)
         assert merged.clauses == (*kb.clauses, *extra)
         assert merge(kb, [other]).counts is kb.counts
+        assert merge(kb, [other]).atoms == kb.atoms
         assert merge(merged, [WeightedClause(0.7, other.clause)]).others == (
             WeightedClause(0.7, other.clause),
         )
@@ -526,7 +530,9 @@ class TestKnowledgeBase:
         rule = WeightedClause(0.25, rule_clause([("b", "2"), ("a", "1")]))
         other = WeightedClause(0.5, Clause([Literal(POS), Literal(Atom("a", "1"))]))
         kb = KnowledgeBase([other, rule, rule])
-        assert kb.counts == {(("a", "1"), ("b", "2")): (4, 1)}
+        assert tuple_counts(kb) == {(("a", "1"), ("b", "2")): (4, 1)}
+        assert kb.atoms == (("a", "1"), ("b", "2"))
+        assert kb.counts == {0b11: (4, 1)}
         assert kb.others == (other,)
         assert kb.clauses == (rule, other)
         with pytest.raises(ValueError, match="conflicting"):

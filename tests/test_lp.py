@@ -13,6 +13,7 @@ from helpers import (
     query_from_string,
     reference_infer,
     satisfiable_random_kb,
+    tuple_counts,
 )
 
 from plkb.data import from_rows
@@ -550,7 +551,7 @@ class TestPresolve:
         clause = Clause([Literal(POS), Literal(Atom("t", "0"), True), Literal(Atom("t", "1"), True)])
         kb = merge(build_direct_kb(ds), [WeightedClause(0.5, clause)])
         assert kb.others == (WeightedClause(0.5, clause),)
-        assert all(len(dict(key)) == len(key) for key in kb.counts)
+        assert all(len(dict(key)) == len(key) for key in tuple_counts(kb))
         for query in ({}, {"u": "1"}):
             self.assert_same_answer(kb, query)
 
