@@ -4,7 +4,7 @@ feature-value subsets of each instance, plus query-relevant extraction."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import chain, compress
 from math import comb
 from typing import Iterable, Mapping
 
@@ -19,19 +19,13 @@ MAX_UNBOUNDED_FEATURES = 20
 
 def subset_codes(bits: Iterable[int], most: int) -> list[int]:
     """The code of every subset of ``bits`` with at most ``most`` members,
-    the empty one first.  Without a bound each bit doubles the list, so
-    the list index of a subset is its mask over ``bits``."""
+    by size, the empty one first."""
     bits = list(bits)
-    if most >= len(bits):
-        codes = [0]
-        for b in bits:
-            codes += [c | b for c in codes]
-        return codes
-    by_size = [[0]] + [[] for _ in range(most)]
-    for b in bits:
-        for k in range(most, 0, -1):
+    by_size = [[0]] + [[] for _ in range(min(most, len(bits)))]
+    for n, b in enumerate(bits, 1):
+        for k in range(min(n, most), 0, -1):
             by_size[k] += [c | b for c in by_size[k - 1]]
-    return [c for codes in by_size for c in codes]
+    return list(chain.from_iterable(by_size))
 
 
 @dataclass
@@ -54,8 +48,8 @@ class SubsetCounter:
 
     def to_kb(self) -> KnowledgeBase:
         """The counts as a knowledge base's rules; the KB shares this
-        counter's dict, so add no instances afterwards."""
-        return KnowledgeBase(counts=self.counts, atoms=self.bits.atoms)
+        counter's dicts, so add no instances afterwards."""
+        return KnowledgeBase(counts=self.counts, bits=self.bits)
 
 
 def build_direct_kb(train: Dataset, max_arity: int | None = None) -> KnowledgeBase:
@@ -95,7 +89,7 @@ def _select(query: Query, kb: KnowledgeBase) -> KnowledgeBase:
     no body, so it is left out of both.
     """
     counts = kb.counts
-    bits = [b for b in map(kb.bit.get, sorted(query.items())) if b is not None]
+    bits = [b for b in map(kb.bits.get, sorted(query.items())) if b is not None]
     most = min(kb.arity, len(bits))
     if sum(comb(len(bits), k) for k in range(most + 1)) <= 8 * len(counts) + 64:
         codes = subset_codes(bits, most)
@@ -104,7 +98,7 @@ def _select(query: Query, kb: KnowledgeBase) -> KnowledgeBase:
     else:
         outside = ~sum(bits)
         hits = {c: e for c, e in counts.items() if not c & outside}
-    return kb.with_rows(hits)
+    return KnowledgeBase(counts=hits, bits=kb.bits)
 
 
 def relevant_kb(query: Query, kb: KnowledgeBase) -> KnowledgeBase:

@@ -99,7 +99,7 @@ def _relevant_scores(
             found.sort()
             return found
 
-    bits = [kb.bit.get(pair, 0) for pair in pairs]
+    bits = [kb.bits.get(pair, 0) for pair in pairs]
     return positive, [median_midpoint(inside(m)) for m in map(sum, combinations(bits, k))]
 
 
@@ -119,9 +119,11 @@ def compute_explanation(
     :func:`~plkb.evaluate.classify_query` gives: from the same rows on a
     rule-only KB, and from whole-KB inference when some clause is not a
     rule, as the rule rows cannot see such a clause.
-    Ties break on the lexicographically smallest serialized sub-query;
-    without ``use_relevant`` a score within ``LABEL_EPS`` of the extremum
-    ties with it, as solver noise would otherwise pick the winner.
+    Ties break on the lexicographically smallest serialized sub-query.
+    With ``use_relevant`` only equal scores tie.  Without it every score
+    within ``LABEL_EPS`` of the extremum ties with it, whether the LP or
+    the presolve's closed form gave it, as solver noise would otherwise
+    pick the winner.
     ``domains`` check the full query once; its sub-queries assert no other
     pair.
 
@@ -150,8 +152,9 @@ def compute_explanation(
 
     scored = list(zip(combinations(pairs, k), scores))
     best = (max if positive else min)(score for _, score in scored)
-    # Closed-form scores are exact medians: only equal scores tie.  LP
-    # scores carry solver noise, so scores within LABEL_EPS of the best tie.
+    # Scores of the relevant rows are exact medians: only equal scores tie.
+    # Whole-KB scores may come from the LP, whose noise must not pick the
+    # winner, so each one within LABEL_EPS of the best ties, LP or not.
     tolerance = 0.0 if use_relevant else LABEL_EPS
     ties = [t for t in scored if abs(t[1] - best) <= tolerance]
     combo, score = ties[0] if len(ties) == 1 else min(ties, key=lambda t: _serialized(t[0]))

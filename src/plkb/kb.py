@@ -13,12 +13,12 @@ rule in one place: ``counts``, the integer pairs rule probabilities are
 read from, keyed by the rule body's code, with the clause objects built
 only when something reads them.  Every other clause sits in ``others``,
 in order.  A code is an ``int`` with one bit per feature-value pair: bit
-``i`` stands for ``atoms[i]``, the KB's atom table, so a body is the OR of
-its pairs' bits, a body lies inside a query when ``code & ~query == 0``,
-and a query's subsets are listed by doubling a list of codes.  The direct
-and tree builders fill ``counts`` directly, :func:`parse_kb` reads a rule
-line straight into it, and a rule given as a clause object is routed into
-it; each numbers a pair when it first sees it, so no code is ever
+``i`` stands for ``atoms[i]`` of the KB's atom table ``bits``, so a body
+is the OR of its pairs' bits, a body lies inside a query when ``code &
+~query == 0``, and a query's subsets are listed as ORs of its pairs'
+bits.  The direct and tree builders fill ``counts`` directly,
+:func:`parse_kb` reads a rule line straight into it, and a rule given as
+a clause object is routed into it; each numbers a pair when it first sees it, so no code is ever
 re-coded.  A code is as wide as the atom table: past 63 atoms it is a
 multi-digit int, which works the same but hashes more slowly.  Pairs are
 decoded from a code only to build clause objects and to write a rule
@@ -308,11 +308,13 @@ class KnowledgeBase:
     total)] pos | !f1=v1 | ...``.  ``others`` holds every clause that is
     not a rule, in order.
 
-    ``atoms`` is the atom table the codes are read with: bit ``i`` of a
-    code stands for the pair ``atoms[i]``, and the body-less rule has code
-    0.  A code is as wide as the table; past 63 atoms it is still a code,
-    a multi-digit int that hashes more slowly.  The sub-KBs selected from
-    a KB share its table, so the table may hold pairs no row uses.
+    ``bits`` is the atom table the codes are read with, the one the
+    builder filled: it maps each pair to its bit, and bit ``i`` of a code
+    stands for the pair ``atoms[i]``; the body-less rule has code 0.  Read
+    it with ``get``, as ``[]`` numbers a pair it lacks.  A code is as wide
+    as the table; past 63 atoms it is still a code, a multi-digit int that
+    hashes more slowly.  The sub-KBs selected from a KB share its table,
+    so the table may hold pairs no row uses.
 
     :attr:`clauses` lists the rules in ``counts`` order, then ``others``.
     No rule clause object exists until something reads :attr:`clauses`,
@@ -321,30 +323,28 @@ class KnowledgeBase:
     clauses at once.
 
     The constructor routes each rule-shaped clause of ``clauses`` into
-    ``counts``, numbering its new pairs after ``atoms``, and keeps the
-    mapping it is given in place: a builder hands over its dict and does
-    not change it afterwards.  Duplicate clauses with the same probability
-    collapse; duplicates with different probabilities are an error (use
-    :func:`merge` for override semantics).
+    ``counts``, numbering its new pairs into ``bits``, and keeps both in
+    place: a builder hands them over and does not change them afterwards.
+    Duplicate clauses with the same probability collapse; duplicates with
+    different probabilities are an error (use :func:`merge` for override
+    semantics).
     """
 
     counts: Mapping[int, Sequence[int]]
-    atoms: tuple[Pair, ...]
+    bits: AtomBits
     others: tuple[WeightedClause, ...]
 
     def __init__(
         self,
         clauses: Iterable[WeightedClause] = (),
         counts: dict[int, tuple[int, int]] | None = None,
-        atoms: Sequence[Pair] = (),
+        bits: AtomBits | None = None,
     ):
         counts = {} if counts is None else counts
-        bits = None
+        bits = AtomBits() if bits is None else bits
         others: dict[Clause, WeightedClause] = {}
         for wc in clauses:
             if wc.clause.is_rule_shaped:
-                if bits is None:
-                    bits = AtomBits(atoms)
                 p = Fraction(wc.probability)
                 entry = (p.denominator, p.numerator)
                 prev = counts.setdefault(bits.code(_rule_pairs(wc.clause)), entry)
@@ -357,20 +357,13 @@ class KnowledgeBase:
                     f"probabilities {prev_p} and {wc.probability}"
                 )
         object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "atoms", tuple(atoms if bits is None else bits.atoms))
+        object.__setattr__(self, "bits", bits)
         object.__setattr__(self, "others", tuple(others.values()))
 
-    def with_rows(self, counts: dict[int, tuple[int, int]]) -> "KnowledgeBase":
-        """A KB of the rule rows ``counts``, coded over this KB's atom
-        table, which it shares along with :attr:`bit`."""
-        sub = KnowledgeBase(counts=counts, atoms=self.atoms)
-        sub.__dict__["bit"] = self.bit
-        return sub
-
-    @cached_property
-    def bit(self) -> dict[Pair, int]:
-        """Each pair of the atom table -> its bit."""
-        return {pair: 1 << i for i, pair in enumerate(self.atoms)}
+    @property
+    def atoms(self) -> Sequence[Pair]:
+        """The pairs of the atom table in bit order."""
+        return self.bits.atoms
 
     @cached_property
     def clauses(self) -> tuple[WeightedClause, ...]:
@@ -544,7 +537,7 @@ def parse_kb(text: str) -> KnowledgeBase:
         if prev != entry:
             raise _conflict(text, line_no, _coded_rule(code, bits.atoms, {}),
                             Fraction(prev[1], prev[0]))
-    return KnowledgeBase(others.values(), counts, bits.atoms)
+    return KnowledgeBase(others.values(), counts, bits)
 
 
 def serialize_kb(kb: KnowledgeBase) -> str:
@@ -580,7 +573,7 @@ def merge(kb: KnowledgeBase, extra: Sequence[WeightedClause]) -> KnowledgeBase:
 
     A rule's probability is kept exactly as its ``(denominator,
     numerator)``, a pair ``kb`` has not numbered extends a copy of its
-    atom table, and the result shares ``kb.counts`` and ``kb.atoms`` unless
+    atom table, and the result shares ``kb.counts`` and ``kb.bits`` unless
     some supplied clause is a rule.
     """
     for wc in extra:
@@ -588,15 +581,14 @@ def merge(kb: KnowledgeBase, extra: Sequence[WeightedClause]) -> KnowledgeBase:
             raise ValueError(
                 f"merged clause {wc.clause} does not contain {CLASS_ATOM_NAME!r} positively"
             )
-    counts = kb.counts
-    bits = None
+    counts, bits = kb.counts, kb.bits
     others = {wc.clause: wc for wc in kb.others}
     for wc in extra:
         if wc.clause.is_rule_shaped:
-            if bits is None:
+            if bits is kb.bits:
                 counts, bits = dict(counts), AtomBits(kb.atoms)
             p = Fraction(wc.probability)
             counts[bits.code(_rule_pairs(wc.clause))] = (p.denominator, p.numerator)
         else:
             others[wc.clause] = wc
-    return KnowledgeBase(others.values(), counts, kb.atoms if bits is None else bits.atoms)
+    return KnowledgeBase(others.values(), counts, bits)

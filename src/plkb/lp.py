@@ -63,9 +63,8 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field, replace
-from functools import reduce
 from itertools import repeat
-from operator import or_, sub
+from operator import sub
 from typing import Iterable, Mapping, Sequence
 
 from .kb import (
@@ -340,27 +339,24 @@ def _presolve(
     rest: list[WeightedClause] = []
     if target == POS:
         asserted = siblings = 0
-        for i, (feature, value) in enumerate(kb.atoms):
+        for (feature, value), bit in kb.bits.items():
             queried = query.get(feature)
             if queried is not None:
                 if queried == value:
-                    asserted |= 1 << i
+                    asserted |= bit
                 else:
-                    siblings |= 1 << i
+                    siblings |= bit
         outside = ~asserted
-        if not reduce(or_, kb.counts, 0) & outside:  # every row lies inside
-            probs = [pos / total for total, pos in kb.counts.values()]
-        else:
-            literals: dict[tuple[str, str], Literal] = {}
-            for code, (total, pos) in kb.counts.items():
-                p = pos / total
-                if not code & outside:
-                    probs.append(p)
-                elif code & siblings:  # some literal !f=v is true
-                    constant += 1.0 - p
-                else:
-                    rule = _coded_rule(code & outside, kb.atoms, literals)
-                    rest.append(WeightedClause(p, rule))
+        literals: dict[tuple[str, str], Literal] = {}
+        for code, (total, pos) in kb.counts.items():
+            p = pos / total
+            if not code & outside:
+                probs.append(p)
+            elif code & siblings:  # some literal !f=v is true
+                constant += 1.0 - p
+            else:
+                rule = _coded_rule(code & outside, kb.atoms, literals)
+                rest.append(WeightedClause(p, rule))
     just_target = (Literal(target),)
     for wc in kb.others if target == POS else kb.clauses:
         p = float(wc.probability)

@@ -106,7 +106,7 @@ def kb_from_tree(tree: TreeNode, mode: str = "leaves") -> KnowledgeBase:
             walk(node.children[value], features + [edge[0]], code | bits[edge])
 
     walk(tree, [], 0)
-    return KnowledgeBase(counts=counts, atoms=bits.atoms)
+    return KnowledgeBase(counts=counts, bits=bits)
 
 
 def format_tree(tree: TreeNode) -> str:

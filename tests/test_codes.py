@@ -108,7 +108,7 @@ class TestAgainstTupleKeys:
         assert serialize_kb(parse_kb(text)) == text
         for query in queries:
             selected = relevant_kb(query, kb)
-            assert selected.atoms is kb.atoms
+            assert selected.bits is kb.bits
             assert tuple_counts(selected) == reference_select(query, kb)
             assert _presolve(kb, query, POS) == reference_presolve(kb, query)
             if not kb.others:
@@ -117,7 +117,7 @@ class TestAgainstTupleKeys:
     def test_literal_text_order_differs_from_pair_order(self):
         # numbered on first sight: b=1, a10=1, a1=0, a2=0
         kb = parse_kb("0.5 pos | !b=1\n0.25 pos | !a10=1 | !a1=0\n0.75 pos | !a2=0 | !a10=1")
-        assert kb.atoms == (("b", "1"), ("a10", "1"), ("a1", "0"), ("a2", "0"))
+        assert kb.atoms == [("b", "1"), ("a10", "1"), ("a1", "0"), ("a2", "0")]
         assert kb.counts == {0b1: (2, 1), 0b110: (4, 1), 0b1010: (4, 3)}
         assert serialize_kb(kb) == (
             "0.750000 pos | !a10=1 | !a2=0\n"
@@ -136,17 +136,14 @@ class TestSubsetCodes:
             expected = [sum(c) for k in range(min(most, n) + 1) for c in combinations(bits, k)]
             assert codes[0] == 0
             assert sorted(codes) == sorted(expected)
-        # unbounded, the list index of a subset is its mask over the bits
-        codes = subset_codes(bits, n)
-        assert codes == [sum(b for i, b in enumerate(bits) if m >> i & 1) for m in range(1 << n)]
 
 
 class TestAtomTable:
     def test_sub_kbs_share_the_table(self):
         kb = build_direct_kb(from_rows(["a1", "a10"], [(("0", "1"), True), (("1", "1"), False)]))
-        assert kb.atoms == (("a1", "0"), ("a10", "1"), ("a1", "1"))
+        assert kb.atoms == [("a1", "0"), ("a10", "1"), ("a1", "1")]
         sub = relevant_kb({"a1": "0", "a10": "1", "a2": "5"}, kb)
-        assert sub.atoms is kb.atoms and sub.bit is kb.bit
+        assert sub.bits is kb.bits
         assert tuple_counts(sub) == {(("a1", "0"),): (1, 1), (("a10", "1"),): (2, 1),
                                      (("a1", "0"), ("a10", "1")): (1, 1)}
 
@@ -160,8 +157,8 @@ class TestAtomTable:
         kb = parse_kb("0.5 pos | !a1=0")
         extra = [WeightedClause(Fraction(9, 10), rule_clause([("a1", "7"), ("a10", "1")]))]
         merged = merge(kb, extra)
-        assert kb.atoms == (("a1", "0"),)
-        assert merged.atoms == (("a1", "0"), ("a1", "7"), ("a10", "1"))
+        assert kb.atoms == [("a1", "0")]
+        assert merged.atoms == [("a1", "0"), ("a1", "7"), ("a10", "1")]
         assert merged.counts == {0b1: (2, 1), 0b110: (10, 9)}
         assert serialize_kb(merged) == "0.500000 pos | !a1=0\n0.900000 pos | !a1=7 | !a10=1"
 

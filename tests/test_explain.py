@@ -136,6 +136,18 @@ class TestComputeExplanation:
         assert got.score == scores[next(iter(want))]
         assert got == explanation_loop(query, KnowledgeBase(), 1, use_relevant=False)
 
+    def test_full_kb_scores_on_a_rule_only_kb_tie_within_label_eps(self):
+        # without use_relevant every score within LABEL_EPS of the least
+        # ties: "a=1" (0.200000225) serializes first and beats "b=1" (0.2)
+        kb = parse_kb("0.2000005 pos | !a=1\n0.2 pos | !b=1")
+        query = {"a": "1", "b": "1"}
+        got = compute_explanation(query, kb, 1, use_relevant=False)
+        assert got.sub_query == {"a": "1"} and got.direction == "min"
+        assert abs(got.score - 0.200000225) < 1e-9
+        assert got == explanation_loop(query, kb, 1, use_relevant=False)
+        # on the relevant rows the exact 0.2 wins
+        assert compute_explanation(query, kb, 1).sub_query == {"b": "1"}
+
     def test_closed_form_scores_tie_only_when_equal(self):
         # 0.2 beats 0.2 + 1e-9 although "a=1" serializes first: closed-form
         # medians are exact, so only equal scores tie

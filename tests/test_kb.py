@@ -459,8 +459,8 @@ class TestMerge:
         assert float(probabilities(merged)[rule_clause([("a3", "0")])]) == 0.95
         assert kb.counts == before
         # the new pairs extend a copy of the atom table
-        assert kb.atoms == (("a3", "0"), ("a4", "1"))
-        assert merged.atoms == (*kb.atoms, ("a1", "0"), ("a2", "1"))
+        assert kb.atoms == [("a3", "0"), ("a4", "1")]
+        assert merged.atoms == [*kb.atoms, ("a1", "0"), ("a2", "1")]
 
     def test_non_rule_extra_gives_a_plain_kb(self):
         # a clause that is not a rule joins ``others`` after the rules; the
@@ -472,7 +472,7 @@ class TestMerge:
         assert merged.others == (other,)
         assert merged.clauses == (*kb.clauses, *extra)
         assert merge(kb, [other]).counts is kb.counts
-        assert merge(kb, [other]).atoms == kb.atoms
+        assert merge(kb, [other]).bits is kb.bits
         assert merge(merged, [WeightedClause(0.7, other.clause)]).others == (
             WeightedClause(0.7, other.clause),
         )
@@ -531,7 +531,8 @@ class TestKnowledgeBase:
         other = WeightedClause(0.5, Clause([Literal(POS), Literal(Atom("a", "1"))]))
         kb = KnowledgeBase([other, rule, rule])
         assert tuple_counts(kb) == {(("a", "1"), ("b", "2")): (4, 1)}
-        assert kb.atoms == (("a", "1"), ("b", "2"))
+        assert kb.atoms == [("a", "1"), ("b", "2")]
+        assert kb.bits == {("a", "1"): 0b01, ("b", "2"): 0b10}
         assert kb.counts == {0b11: (4, 1)}
         assert kb.others == (other,)
         assert kb.clauses == (rule, other)
