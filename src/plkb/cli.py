@@ -11,6 +11,7 @@ import csv as csv_mod
 import functools
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import click
@@ -154,15 +155,7 @@ def classify(kb_path, domains_path, query_text, full_kb, dump_path):
             )
         else:
             click.echo(f"no program to write to {dump_path}: no clause is selected", err=True)
-    _emit(
-        {
-            "label": res.label,
-            "p_lower": res.p_lower,
-            "p_upper": res.p_upper,
-            "p_avg": res.p_avg,
-            "objective_min": res.objective_min,
-        }
-    )
+    _emit(asdict(res))
 
 
 @main.command()
@@ -297,23 +290,16 @@ def expl_eval(method, input_dir, k, max_arity, train_fraction, rng_seed, runs,
 @fail_cleanly
 def bench_lp_cmd(n_vars, n_clauses, rng_seed, csv_path):
     """Time the stage-1 solve on a random knowledge base."""
-    res = bench_lp(n_vars, n_clauses, rng_seed)
+    row = asdict(bench_lp(n_vars, n_clauses, rng_seed))
     if csv_path:
         path = Path(csv_path)
         new = not path.exists()
         with open(path, "a", newline="", encoding="utf-8") as fh:
             writer = csv_mod.writer(fh)
             if new:
-                writer.writerow(["n_vars", "n_clauses", "seconds", "objective"])
-            writer.writerow([res.n_vars, res.n_clauses, res.seconds, res.objective])
-    _emit(
-        {
-            "n_vars": res.n_vars,
-            "n_clauses": res.n_clauses,
-            "seconds": res.seconds,
-            "objective": res.objective,
-        }
-    )
+                writer.writerow(row.keys())
+            writer.writerow(row.values())
+    _emit(row)
 
 
 @main.command()

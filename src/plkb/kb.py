@@ -136,8 +136,9 @@ class Literal:
 _POS_LITERAL = Literal(POS)
 
 
-def _literal_sort_key(lit: Literal):
-    return (0 if lit.atom.is_class_atom else 1, lit.atom.feature, lit.atom.value or "")
+def _atom_sort_key(atom: Atom):
+    """Canonical atom order: the class atom first, then by (name, value)."""
+    return (0 if atom.is_class_atom else 1, atom.feature, atom.value or "")
 
 
 class Clause:
@@ -160,7 +161,7 @@ class Clause:
             if prev is not None and prev.negated != lit.negated:
                 raise ValueError(f"clause contains both {prev} and {lit}")
             seen[lit.atom] = lit
-        ordered = tuple(sorted(seen.values(), key=_literal_sort_key))
+        ordered = tuple(seen[a] for a in sorted(seen, key=_atom_sort_key))
         if not ordered:
             raise ValueError("clause must contain at least one literal")
         self.literals = ordered
@@ -327,7 +328,8 @@ class KnowledgeBase:
     place: a builder hands them over and does not change them afterwards.
     Duplicate clauses with the same probability collapse; duplicates with
     different probabilities are an error (use :func:`merge` for override
-    semantics).
+    semantics).  Two KBs are equal when they hold the same weighted
+    clauses, in any order.
     """
 
     counts: Mapping[int, Sequence[int]]
@@ -387,7 +389,7 @@ class KnowledgeBase:
     def __eq__(self, other) -> bool:
         if not isinstance(other, KnowledgeBase):
             return NotImplemented
-        return self.clauses == other.clauses
+        return set(self.clauses) == set(other.clauses)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(<{len(self)} clauses, {len(self.universe)} atoms>)"

@@ -54,9 +54,13 @@ LP over the whole KB: that is the reference in tests.
 An exact world-distribution oracle (all 2^n complete conjunctions) is
 included for cross-checking on small universes.
 
-numpy and scipy are imported inside the functions that solve a program,
-so importing this module, and every closed-form answer, loads neither;
-every solve goes through the module-level :func:`linprog`.
+Every program built here is solved by one three-stage solve, in
+``_bounded_target`` (``minimum_deviation`` runs its first stage alone).
+It is the only caller of the module-level :func:`linprog` apart from the
+oracle, and any status but optimal is an internal error: a
+``RuntimeError`` carrying HiGHS's message.  numpy and scipy are imported
+inside the functions that solve a program, so importing this module, and
+every closed-form answer, loads neither.
 """
 
 from __future__ import annotations
@@ -74,6 +78,7 @@ from .kb import (
     KnowledgeBase,
     Literal,
     WeightedClause,
+    _atom_sort_key,
     _coded_rule,
 )
 
@@ -128,23 +133,12 @@ class LinearProgram:
 
 
 @dataclass(frozen=True)
-class LpSolution:
-    values: dict[str, float]
-    objective_value: float
-    status: str  # optimal | infeasible | unbounded
-
-
-@dataclass(frozen=True)
 class InferenceResult:
     p_lower: float
     p_upper: float
     p_avg: float
     objective_min: float
     label: bool
-
-
-def _atom_sort_key(atom: Atom):
-    return (0 if atom.is_class_atom else 1, atom.feature, atom.value or "")
 
 
 def build_lp(clauses: Iterable[WeightedClause]) -> LinearProgram:
@@ -203,20 +197,10 @@ def check_query(
             logger.warning("query value %s=%s outside the feature's domain", feature, value)
 
 
-def apply_query(
-    lp: LinearProgram,
-    query: Mapping[str, str],
-    domains: Mapping[str, frozenset[str] | set[str]] | None = None,
-) -> LinearProgram:
+def apply_query(lp: LinearProgram, query: Mapping[str, str]) -> LinearProgram:
     """Fix pi(a=v) = 1 for each queried pair and pi(a=v') = 0 for every
     sibling value present in the program; unqueried features stay free.
-
-    Atoms the program never mentions are skipped silently.  When
-    ``domains`` is given, a query feature it lacks is refused, and a value
-    outside its feature's domain is logged as a warning but the asserted
-    atom is still fixed if present.
-    """
-    check_query(query, domains)
+    Atoms the program never mentions are skipped silently."""
     by_feature: dict[str, list[Atom]] = {}
     for atom in lp.atom_index:
         if atom.value is not None:
@@ -250,34 +234,12 @@ def _ub(lp: LinearProgram, cap: float | None = None):
     return a, np.array(rhs)
 
 
-_STATUS = {0: "optimal", 1: "iteration limit", 2: "infeasible", 3: "unbounded", 4: "numerical"}
-
-
 def linprog(*args, **kwargs):
     """``scipy.optimize.linprog``, imported on the first solve: a process
     that only takes closed-form answers never loads scipy."""
     from scipy.optimize import linprog as scipy_linprog
 
     return scipy_linprog(*args, **kwargs)
-
-
-def _linprog(c, a_ub, b_ub, bounds):
-    """One HiGHS solve: the result and its status name.  Every program
-    here is boxed or minimises non-negative deviations, so an unbounded
-    report is an internal error."""
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
-    status = _STATUS.get(res.status, "numerical")
-    if status == "unbounded":
-        raise RuntimeError("internal error: boxed program reported unbounded")
-    return res, status
-
-
-def solve_lp(lp: LinearProgram) -> LpSolution:
-    """Minimise the program's own objective; exact within solver tolerance."""
-    res, status = _linprog(lp.objective, *_ub(lp), lp.bounds)
-    values = {} if res.x is None else dict(zip(lp.variables, map(float, res.x)))
-    objective = float(res.fun) if res.fun is not None else float("nan")
-    return LpSolution(values=values, objective_value=objective, status=status)
 
 
 def minimum_deviation(lp: LinearProgram) -> float:
@@ -289,13 +251,18 @@ def _bounded_target(
     lp: LinearProgram, target_var: int | None
 ) -> tuple[float, float | None, float | None]:
     """Lexicographic solve: (v*, min, max) of the target variable.  Without
-    a target only stage 1 runs and the bounds are None."""
+    a target only stage 1 runs and the bounds are None.
+
+    Every program built here is boxed and minimises non-negative
+    deviations, so any status but optimal is an internal error, reported
+    with the solver's message.
+    """
     import numpy as np
 
     def optimum(c, a_ub, b_ub):
-        res, status = _linprog(c, a_ub, b_ub, lp.bounds)
-        if status != "optimal":
-            raise RuntimeError(f"internal error: solver returned {status}")
+        res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=lp.bounds, method="highs")
+        if res.status != 0:
+            raise RuntimeError(f"internal error: {res.message}")
         return res
 
     v_star = float(optimum(lp.objective, *_ub(lp)).fun)
@@ -380,12 +347,6 @@ def _presolve(
     return constant, probs, rest
 
 
-def _median_pair(srt: Sequence[float]) -> tuple[float, float]:
-    """The two middle order statistics of a sorted, non-empty sequence."""
-    n = len(srt)
-    return srt[(n - 1) // 2], srt[n // 2]
-
-
 def _median_interval(probs: list[float]) -> tuple[float, float, float]:
     """(v*, lo, hi) of p in [0,1] minimising f(p) = sum |p - p_i|.
 
@@ -394,7 +355,8 @@ def _median_interval(probs: list[float]) -> tuple[float, float, float]:
     segment between the two middle ones for even counts).
     """
     srt = sorted(probs)
-    lo, hi = _median_pair(srt)
+    n = len(srt)
+    lo, hi = srt[(n - 1) // 2], srt[n // 2]
     v_star = float(sum(map(abs, map(sub, srt, repeat(lo)))))
     return v_star, lo, hi
 
@@ -409,9 +371,10 @@ def closed_form(probs: list[float], constant: float = 0.0) -> InferenceResult:
 
 
 def median_midpoint(srt: Sequence[float]) -> float:
-    """``closed_form(srt).p_avg`` for sorted probabilities, without the
-    deviation sum or the result object."""
-    return _bounds(*_median_pair(srt))[2] if srt else 0.5
+    """``closed_form(srt).p_avg`` for sorted probabilities in [0, 1],
+    without the deviation sum or the result object."""
+    n = len(srt)
+    return (srt[(n - 1) // 2] + srt[n // 2]) / 2.0 if srt else 0.5
 
 
 def infer_pos(
@@ -430,8 +393,8 @@ def infer_pos(
     uncertain result, and so does a query that decides every clause
     mentioning the target (``objective_min`` is then the deviation of the
     rest).  ``engine="lp"`` skips the presolve and solves the whole
-    program.  Before either engine runs, ``domains`` check the query as in
-    :func:`apply_query`: one warning per out-of-domain value, ValueError
+    program.  Before either engine runs, ``domains`` check the query (see
+    :func:`check_query`): one warning per out-of-domain value, ValueError
     for a feature they lack.
     """
     if engine not in ("auto", "lp"):
@@ -461,19 +424,12 @@ def infer_pos(
     return _result(v_star + constant, lo, hi)
 
 
-def _bounds(lo: float, hi: float) -> tuple[float, float, float]:
-    """``(lo, hi, midpoint)`` clamped into [0, 1] and ordered."""
+def _result(v_star: float, lo: float, hi: float) -> InferenceResult:
+    """The result for bounds clamped into [0, 1] and ordered."""
     # max(0.0, x) rather than max(x, 0.0): a -0.0 from the solver compares
     # equal to 0.0, and max keeps the first of equal arguments.
-    lo = float(min(max(0.0, lo), 1.0))
-    hi = float(min(max(0.0, hi), 1.0))
-    if lo > hi:
-        lo, hi = hi, lo
-    return lo, hi, (lo + hi) / 2.0
-
-
-def _result(v_star: float, lo: float, hi: float) -> InferenceResult:
-    lo, hi, avg = _bounds(lo, hi)
+    lo, hi = sorted(float(min(max(0.0, x), 1.0)) for x in (lo, hi))
+    avg = (lo + hi) / 2.0
     return InferenceResult(
         p_lower=lo,
         p_upper=hi,
@@ -539,10 +495,10 @@ def nilsson_oracle(kb: KnowledgeBase, target_atom: Atom) -> tuple[bool, float, f
     if res_min.status == 2:
         return False, float("nan"), float("nan")
     if res_min.status != 0:
-        raise RuntimeError(f"oracle solve failed: {_STATUS.get(res_min.status)}")
+        raise RuntimeError(f"oracle solve failed: {res_min.message}")
     res_max = linprog(-c, A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
     if res_max.status != 0:
-        raise RuntimeError(f"oracle solve failed: {_STATUS.get(res_max.status)}")
+        raise RuntimeError(f"oracle solve failed: {res_max.message}")
     return True, float(res_min.fun), float(-res_max.fun)
 
 

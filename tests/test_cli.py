@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from click.testing import CliRunner
@@ -293,6 +294,10 @@ class TestColdStart:
             assert json.loads("\n".join(payload)) == run_json(runner, args)
 
 
+def test_every_exported_name_resolves():
+    assert [name for name in plkb.__all__ if not hasattr(plkb, name)] == []
+
+
 class TestSynthAndEval:
     def test_synth_writes_dataset_and_sidecar(self, runner, tmp_path):
         out_dir = tmp_path / "syn"
@@ -566,6 +571,29 @@ class TestErrorHandling:
              "--query", "a1=1,a2=0"],
         )
         assert rep["label"] is True
+
+    def test_solver_failure_exits_with_one_line(self, runner, strings_csv, tmp_path,
+                                                monkeypatch):
+        kb_path = tmp_path / "kb.plkb"
+        run_json(
+            runner,
+            ["train", "--method", "direct", "--input", str(strings_csv),
+             "--label-col", "label", "--pos-label", "pos", "--out", str(kb_path)],
+        )
+        monkeypatch.setattr(
+            plkb.lp, "linprog",
+            lambda *a, **kw: SimpleNamespace(status=4, message="Numerical difficulties."),
+        )
+        result = runner.invoke(
+            main,
+            ["classify", "--full-kb", "--kb", str(kb_path), "--domains", str(strings_csv),
+             "--query", "a1=1"],
+        )
+        assert result.exit_code == 1
+        err = result.stderr if hasattr(result, "stderr") else result.output
+        assert [l for l in err.splitlines() if l] == [
+            "error: internal error: Numerical difficulties."
+        ]
 
     def test_malformed_kb_file(self, runner, strings_csv, tmp_path):
         bad = tmp_path / "bad.plkb"

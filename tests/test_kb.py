@@ -539,6 +539,21 @@ class TestKnowledgeBase:
         with pytest.raises(ValueError, match="conflicting"):
             KnowledgeBase([rule, WeightedClause(0.3, rule.clause)])
 
+    def test_a_saved_model_reads_back_equal(self):
+        # Every probability (1, 1/2, 0) is exact at 6 decimals; the saved
+        # text lists the rules in another order than the trained KB.
+        kb = build_direct_kb(from_rows(["a", "b"], [(("0", "1"), True), (("1", "1"), False)]))
+        loaded = parse_kb(serialize_kb(kb))
+        assert loaded.clauses != kb.clauses
+        assert loaded == kb
+
+    def test_a_changed_probability_compares_unequal(self):
+        kb = build_direct_kb(from_rows(["a", "b"], [(("0", "1"), True), (("1", "1"), False)]))
+        first, *rest = kb.clauses
+        changed = KnowledgeBase([WeightedClause(Fraction(1, 3), first.clause), *rest])
+        assert first.probability != Fraction(1, 3)
+        assert changed != kb
+
     def test_conflicting_duplicates_rejected_at_construction(self):
         wc1 = WeightedClause(0.4, rule_clause([("a", "1")]))
         wc2 = WeightedClause(0.5, rule_clause([("a", "1")]))

@@ -1,6 +1,7 @@
 import logging
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -36,13 +37,15 @@ from plkb.lp import (
     Rows,
     _median_interval,
     _presolve,
+    _ub,
     apply_query,
     build_lp,
     check_consistency,
+    check_query,
     dump_lp,
     infer_pos,
+    minimum_deviation,
     nilsson_oracle,
-    solve_lp,
 )
 
 PAIRWISE_KB_TEXT = "1.0 a | b\n1.0 a | c\n1.0 b | c\n1.0 a | b | c"
@@ -68,6 +71,13 @@ def program_rows(lp):
         )
         for r, rhs in enumerate(rows.rhs)
     ]
+
+
+def stage_one(lp):
+    """Variable values and v* of one stage-1 HiGHS solve of the program."""
+    res = lp_module.linprog(lp.objective, *_ub(lp), bounds=lp.bounds, method="highs")
+    assert res.status == 0, res.message
+    return dict(zip(lp.variables, map(float, res.x))), float(res.fun)
 
 
 def row_sides(lp, values):
@@ -177,10 +187,10 @@ class TestApplyQuery:
 
     def test_out_of_domain_value_warns_but_asserts(self, strings_tree_kb, caplog):
         lp = build_lp(strings_tree_kb)
-        domains = {"a1": {"0", "1"}}
         with caplog.at_level(logging.WARNING):
-            out = apply_query(lp, {"a1": "7"}, domains)
+            check_query({"a1": "7"}, {"a1": {"0", "1"}})
         assert "outside" in caplog.text
+        out = apply_query(lp, {"a1": "7"})
         # the asserted atom does not exist, so only siblings get zeroed
         fixed = {
             name: lo
@@ -189,13 +199,14 @@ class TestApplyQuery:
         }
         assert fixed == {"a1=0": 0.0, "a1=1": 0.0}
 
-    def test_feature_missing_from_domains_rejected(self, strings_tree_kb):
-        lp = build_lp(strings_tree_kb)
+    def test_feature_missing_from_domains_rejected(self):
         with pytest.raises(ValueError, match="not in domains"):
-            apply_query(lp, {"a1": "0"}, {"a2": {"0", "1"}})
+            check_query({"a1": "0"}, {"a2": {"0", "1"}})
 
 
 class TestSolveLp:
+    """Stage 1 of the solve, through :func:`minimum_deviation`."""
+
     def test_hand_built_deviation_program(self):
         # minimise d  s.t.  x - d <= 0.3, -x - d <= -0.3, x in [0, 1]
         lp = LinearProgram(
@@ -204,10 +215,8 @@ class TestSolveLp:
             objective=(0.0, 1.0),
             bounds=((0.0, 1.0), (0.0, None)),
         )
-        sol = solve_lp(lp)
-        assert sol.status == "optimal"
-        assert sol.objective_value == pytest.approx(0.0, abs=1e-9)
-        assert sol.values["x"] == pytest.approx(0.3, abs=1e-9)
+        assert minimum_deviation(lp) == pytest.approx(0.0, abs=1e-9)
+        assert stage_one(lp)[0]["x"] == pytest.approx(0.3, abs=1e-9)
 
     def test_infeasible_status(self):
         # -x <= -2 with x in [0, 1]
@@ -217,7 +226,8 @@ class TestSolveLp:
             objective=(1.0,),
             bounds=((0.0, 1.0),),
         )
-        assert solve_lp(lp).status == "infeasible"
+        with pytest.raises(RuntimeError, match="infeasible"):
+            minimum_deviation(lp)
 
     def test_unbounded_is_an_internal_error(self):
         lp = LinearProgram(
@@ -227,20 +237,21 @@ class TestSolveLp:
             bounds=((0.0, None),),
         )
         with pytest.raises(RuntimeError, match="unbounded"):
-            solve_lp(lp)
+            minimum_deviation(lp)
 
     def test_consistent_kb_minimises_to_zero(self, implication_kb):
-        sol = solve_lp(build_lp(implication_kb))
-        assert sol.objective_value == pytest.approx(0.0, abs=1e-7)
-        assert sol.values["a"] == pytest.approx(0.8, abs=1e-6)
-        assert 0.4 - 1e-6 <= sol.values["b"] <= 0.6 + 1e-6
+        assert minimum_deviation(build_lp(implication_kb)) == pytest.approx(0.0, abs=1e-7)
+        a = infer_pos(implication_kb, target=Atom("a"))
+        assert a.p_lower == pytest.approx(0.8, abs=1e-6)
+        assert a.p_upper == pytest.approx(0.8, abs=1e-6)
+        b = infer_pos(implication_kb, target=Atom("b"))
+        assert 0.4 - 1e-6 <= b.p_lower <= b.p_upper <= 0.6 + 1e-6
 
     def test_world_generated_kbs_minimise_to_zero(self):
         rng = random.Random(17)
         for _ in range(20):
             kb, _ = satisfiable_random_kb(rng, rng.randint(1, 6), rng.randint(1, 6))
-            sol = solve_lp(build_lp(kb))
-            assert sol.objective_value <= 1e-6
+            assert minimum_deviation(build_lp(kb)) <= 1e-6
 
 
 class TestInfer:
@@ -303,6 +314,14 @@ class TestInfer:
             with caplog.at_level(logging.WARNING, logger="plkb.lp"):
                 compute_explanation(q, kb, 1, domains, use_relevant=use_relevant)
             assert [r.getMessage() for r in caplog.records] == warning
+
+    def test_a_status_but_optimal_is_an_internal_error(self, strings_direct_kb, monkeypatch):
+        message = "Numerical difficulties encountered."
+        monkeypatch.setattr(
+            lp_module, "linprog", lambda *a, **kw: SimpleNamespace(status=4, message=message)
+        )
+        with pytest.raises(RuntimeError, match=message):
+            infer_pos(strings_direct_kb, {"a1": "0"})
 
     def test_missing_target_rejected(self, strings_tree_kb):
         with pytest.raises(ValueError, match="target"):
@@ -406,25 +425,22 @@ class TestInfer:
         assert a == b
 
     def test_probability_laws_on_an_optimal_solution(self, implication_kb):
-        lp = build_lp(implication_kb)
-        sol = solve_lp(lp)
-        v = sol.values
+        v, v_star = stage_one(build_lp(implication_kb))
         assert 0.0 <= v["a"] <= 1.0 and 0.0 <= v["b"] <= 1.0
         # c0 = !a | b at 0.6: pi(c0) fits in [max(1 - a, b), 1 - a + b]
         assert max(1.0 - v["a"], v["b"]) <= 0.6 + v["d0"] + 1e-7
         assert 1.0 - v["a"] + v["b"] >= 0.6 - v["d0"] - 1e-7
         # c1 = a at 0.8
         assert abs(v["a"] - 0.8) <= v["d1"] + 1e-7
-        assert v["d0"] + v["d1"] == pytest.approx(sol.objective_value, abs=1e-9)
+        assert v["d0"] + v["d1"] == pytest.approx(v_star, abs=1e-9)
 
     def test_probability_laws_hold_on_random_optima(self):
         rng = random.Random(99)
         for _ in range(15):
             kb, _ = arbitrary_random_kb(rng, rng.randint(1, 6), rng.randint(1, 8))
             lp = build_lp(kb)
-            sol = solve_lp(lp)
-            assert sol.status == "optimal"
-            values = [sol.values[name] for name in lp.variables]
+            solved, _ = stage_one(lp)
+            values = [solved[name] for name in lp.variables]
             for lhs, rhs in row_sides(lp, values):
                 assert lhs <= rhs + 1e-7
             for idx, (lo, hi) in enumerate(lp.bounds):
