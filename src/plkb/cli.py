@@ -295,7 +295,7 @@ def bench_lp_cmd(n_vars, n_clauses, rng_seed, csv_path):
         path = Path(csv_path)
         new = not path.exists()
         with open(path, "a", newline="", encoding="utf-8") as fh:
-            writer = csv_mod.writer(fh)
+            writer = csv_mod.writer(fh, lineterminator="\n")
             if new:
                 writer.writerow(row.keys())
             writer.writerow(row.values())

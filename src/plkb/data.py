@@ -35,10 +35,12 @@ class Dataset:
         features = tuple(features)
         if not features:
             raise ValueError("dataset needs at least one feature")
-        for f in features:
+        for i, f in enumerate(features):
             _check_name("feature name", f)
             if f == CLASS_ATOM_NAME:
                 raise ValueError(f"feature name {CLASS_ATOM_NAME!r} is reserved")
+            if f in features[:i]:
+                raise ValueError(f"feature {f!r} repeated")
         missing = [f for f in features if f not in domains]
         if missing:
             raise ValueError(f"no domain given for features {missing}")
@@ -94,8 +96,9 @@ def from_rows(features, rows) -> Dataset:
 def load_csv(path, label_column: str, positive_label: str) -> Dataset:
     """Load a header-rowed CSV; non-label columns become categorical features.
 
-    Cells are taken verbatim as categorical strings.  Empty cells and
-    ragged rows are rejected; there is no missing-value handling.
+    Cells are taken verbatim as categorical strings.  Empty cells, ragged
+    rows and a repeated column name are rejected; there is no
+    missing-value handling.
     """
     path = Path(path)
     if not path.exists():
@@ -110,6 +113,8 @@ def load_csv(path, label_column: str, positive_label: str) -> Dataset:
             raise ValueError(f"{path}: label column {label_column!r} not in header")
         label_idx = header.index(label_column)
         features = [h for i, h in enumerate(header) if i != label_idx]
+        if label_column in features:
+            raise ValueError(f"{path}: label column {label_column!r} repeated")
         rows = []
         for line_no, row in enumerate(reader, start=2):
             if len(row) != len(header):

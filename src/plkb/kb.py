@@ -24,14 +24,18 @@ multi-digit int, which works the same but hashes more slowly.  Pairs are
 decoded from a code only to build clause objects and to write a rule
 line.
 
-All values are immutable; operations that change a knowledge base return
-a new one, so instances can be shared freely across threads.
+All values are immutable: :class:`Atom`, :class:`Literal`,
+:class:`Clause` and :class:`WeightedClause` are frozen dataclasses, so
+assigning a field raises ``FrozenInstanceError`` and a hash never goes
+stale, and a clause canonicalises its literals once, when built.
+Operations that change a knowledge base return a new one, so instances
+can be shared freely across threads.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import chain
@@ -63,6 +67,7 @@ def _check_name(kind: str, s: str) -> str:
     return s
 
 
+@dataclass(frozen=True, slots=True)
 class Atom:
     """A propositional atom.
 
@@ -70,30 +75,15 @@ class Atom:
     proposition ``name``, and a feature-value pair ``feature=value``.
     """
 
-    __slots__ = ("feature", "value", "_hash")
+    feature: str
+    value: str | None = None
 
-    def __init__(self, feature: str, value: str | None = None):
-        _check_name("atom name", feature)
-        if value is not None:
-            _check_name("atom value", value)
-            if feature == CLASS_ATOM_NAME:
+    def __post_init__(self):
+        _check_name("atom name", self.feature)
+        if self.value is not None:
+            _check_name("atom value", self.value)
+            if self.feature == CLASS_ATOM_NAME:
                 raise ValueError(f"feature name {CLASS_ATOM_NAME!r} is reserved")
-        self.feature = feature
-        self.value = value
-        self._hash = hash((feature, value))
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, Atom):
-            return NotImplemented
-        return self.feature == other.feature and self.value == other.value
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __repr__(self) -> str:
-        return f"Atom({self.feature!r}, {self.value!r})"
 
     @property
     def is_class_atom(self) -> bool:
@@ -108,26 +98,10 @@ class Atom:
 POS = Atom(CLASS_ATOM_NAME)
 
 
+@dataclass(frozen=True, slots=True)
 class Literal:
-    __slots__ = ("atom", "negated", "_hash")
-
-    def __init__(self, atom: Atom, negated: bool = False):
-        self.atom = atom
-        self.negated = negated
-        self._hash = hash((atom, negated))
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, Literal):
-            return NotImplemented
-        return self.negated == other.negated and self.atom == other.atom
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __repr__(self) -> str:
-        return f"Literal({self.atom!r}, {self.negated!r})"
+    atom: Atom
+    negated: bool = False
 
     def __str__(self) -> str:
         return ("!" if self.negated else "") + str(self.atom)
@@ -141,6 +115,7 @@ def _atom_sort_key(atom: Atom):
     return (0 if atom.is_class_atom else 1, atom.feature, atom.value or "")
 
 
+@dataclass(frozen=True, slots=True)
 class Clause:
     """A disjunction of literals, stored in canonical order.
 
@@ -150,9 +125,8 @@ class Clause:
     tuple, so clauses compare order-insensitively.
     """
 
-    __slots__ = ("literals", "_hash", "_body")
-
     literals: tuple[Literal, ...]
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __init__(self, literals: Iterable[Literal]):
         seen: dict[Atom, Literal] = {}
@@ -164,33 +138,19 @@ class Clause:
         ordered = tuple(seen[a] for a in sorted(seen, key=_atom_sort_key))
         if not ordered:
             raise ValueError("clause must contain at least one literal")
-        self.literals = ordered
-        self._hash = hash(ordered)
-        self._body = None
+        object.__setattr__(self, "literals", ordered)
+        object.__setattr__(self, "_hash", hash(ordered))
 
     @classmethod
-    def _trusted(
-        cls, ordered: tuple[Literal, ...], body: frozenset[tuple[str, str]]
-    ) -> "Clause":
+    def _trusted(cls, ordered: tuple[Literal, ...]) -> "Clause":
         """Internal: accept pre-canonicalised literals without re-checking."""
         self = cls.__new__(cls)
-        self.literals = ordered
-        self._hash = hash(ordered)
-        self._body = body
+        object.__setattr__(self, "literals", ordered)
+        object.__setattr__(self, "_hash", hash(ordered))
         return self
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        if not isinstance(other, Clause):
-            return NotImplemented
-        return self.literals == other.literals
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __repr__(self) -> str:
-        return f"Clause({self.literals!r})"
 
     @property
     def atoms(self) -> tuple[Atom, ...]:
@@ -205,13 +165,11 @@ class Clause:
 
         For learned clauses (``pos | !f=v | ...``) this is the rule body.
         """
-        if self._body is None:
-            self._body = frozenset(
-                (lit.atom.feature, lit.atom.value)
-                for lit in self.literals
-                if lit.negated and lit.atom.value is not None
-            )
-        return self._body
+        return frozenset(
+            (lit.atom.feature, lit.atom.value)
+            for lit in self.literals
+            if lit.negated and lit.atom.value is not None
+        )
 
     @property
     def is_rule_shaped(self) -> bool:
@@ -242,18 +200,17 @@ def _coded_rule(code: int, atoms: Sequence[Pair], literals: dict) -> Clause:
         if lit is None:
             lit = literals[pair] = Literal(Atom(*pair), True)
         lits.append(lit)
-    return Clause._trusted(tuple(lits), frozenset(pairs))
+    return Clause._trusted(tuple(lits))
 
 
 def rule_clause(pairs: Iterable[tuple[str, str]]) -> Clause:
-    """Build ``pos | !f1=v1 | ...`` from feature-value pairs."""
-    ordered_pairs = sorted(pairs)
-    feats = [f for f, _ in ordered_pairs]
+    """Build ``pos | !f1=v1 | ...`` from feature-value pairs: the rule
+    whose body sets every bit of the atom table ``pairs``."""
+    pairs = sorted(pairs)
+    feats = [f for f, _ in pairs]
     if len(set(feats)) != len(feats):
         raise ValueError(f"rule body repeats a feature: {feats}")
-    lits = [_POS_LITERAL]
-    lits.extend(Literal(Atom(f, v), True) for f, v in ordered_pairs)
-    return Clause._trusted(tuple(lits), frozenset(ordered_pairs))
+    return _coded_rule((1 << len(pairs)) - 1, pairs, {})
 
 
 @dataclass(frozen=True)

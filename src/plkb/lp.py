@@ -46,10 +46,11 @@ target literal, each pi(c_i) is squeezed to pi(target) and the closed
 form answers: the bounds are the median interval of the residual
 probabilities.  Otherwise the LP solves the residual only.  Either way
 ``objective_min`` is the residual v* plus the constant, the whole
-program's v*.  The presolve reads a KB's rules as ``n_pos / n_total``
-straight from its ``counts``.  A query that asserts the target's own
-feature skips the presolve, and ``engine="lp"`` forces the unpresolved
-LP over the whole KB: that is the reference in tests.
+program's v*.  Whatever the target, the presolve reads a KB's rules as
+``n_pos / n_total`` straight from its ``counts`` and builds a clause
+object only for a rule the query leaves undecided.  A query that asserts
+the target's own feature skips the presolve, and ``engine="lp"`` forces
+the unpresolved LP over the whole KB: that is the reference in tests.
 
 An exact world-distribution oracle (all 2^n complete conjunctions) is
 included for cross-checking on small universes.
@@ -84,7 +85,6 @@ from .kb import (
 
 logger = logging.getLogger(__name__)
 
-TAU_FEAS = 1e-7   # solver feasibility tolerance
 # Slack when re-fixing the stage-1 objective.  It must absorb solver noise
 # in v* yet stay small enough that the bound inflation it causes (slack
 # divided by the deviation slope, often exactly the slack) sits well under
@@ -201,15 +201,11 @@ def apply_query(lp: LinearProgram, query: Mapping[str, str]) -> LinearProgram:
     """Fix pi(a=v) = 1 for each queried pair and pi(a=v') = 0 for every
     sibling value present in the program; unqueried features stay free.
     Atoms the program never mentions are skipped silently."""
-    by_feature: dict[str, list[Atom]] = {}
-    for atom in lp.atom_index:
-        if atom.value is not None:
-            by_feature.setdefault(atom.feature, []).append(atom)
     bounds = list(lp.bounds)
-    for feature, value in sorted(query.items()):
-        for atom in by_feature.get(feature, ()):
-            idx = lp.atom_index[atom]
-            fixed = 1.0 if atom.value == value else 0.0
+    for atom, idx in lp.atom_index.items():
+        queried = query.get(atom.feature)
+        if queried is not None and atom.value is not None:
+            fixed = 1.0 if atom.value == queried else 0.0
             bounds[idx] = (fixed, fixed)
     return replace(lp, bounds=tuple(bounds))
 
@@ -293,39 +289,42 @@ def _presolve(
     residual clause; different clauses may reduce to the same residual,
     so ``rest`` can repeat one.
 
-    With target ``pos`` the rules are read from ``kb.counts``: ``n_pos /
-    n_total`` is correctly rounded, as ``float(Fraction(...))`` is.  A row
-    lies inside the query when its code has no bit outside the asserted
-    pairs, as every row a selection keeps does, and is pinned true when it
-    has a sibling's bit; any other row's residual rule is decoded from its
-    free bits, built from literals shared within the call.  The loop over
-    clause objects runs over ``kb.others`` only.
+    The rules are read from ``kb.counts``: ``n_pos / n_total`` is
+    correctly rounded, as ``float(Fraction(...))`` is.  A row lies inside
+    the query when its code has no bit outside the asserted pairs, as
+    every row a selection keeps does, and is pinned true when it has a
+    sibling's bit; any other row's residual rule is decoded from its free
+    bits, built from literals shared within the call.  An inside row's
+    residual is ``pos``, so it joins ``probs`` when the target is ``pos``
+    and ``rest`` otherwise.  The loop over clause objects runs over
+    ``kb.others`` only, so no rule clause object is built for a row the
+    query decides.
     """
     constant = 0.0
     probs: list[float] = []
     rest: list[WeightedClause] = []
-    if target == POS:
-        asserted = siblings = 0
-        for (feature, value), bit in kb.bits.items():
-            queried = query.get(feature)
-            if queried is not None:
-                if queried == value:
-                    asserted |= bit
-                else:
-                    siblings |= bit
-        outside = ~asserted
-        literals: dict[tuple[str, str], Literal] = {}
-        for code, (total, pos) in kb.counts.items():
-            p = pos / total
-            if not code & outside:
-                probs.append(p)
-            elif code & siblings:  # some literal !f=v is true
-                constant += 1.0 - p
+    asserted = siblings = 0
+    for (feature, value), bit in kb.bits.items():
+        queried = query.get(feature)
+        if queried is not None:
+            if queried == value:
+                asserted |= bit
             else:
-                rule = _coded_rule(code & outside, kb.atoms, literals)
-                rest.append(WeightedClause(p, rule))
+                siblings |= bit
+    outside = ~asserted
+    target_is_pos = target == POS
+    literals: dict[tuple[str, str], Literal] = {}
+    for code, (total, pos) in kb.counts.items():
+        p = pos / total
+        if target_is_pos and not code & outside:
+            probs.append(p)
+        elif code & siblings:  # some literal !f=v is true
+            constant += 1.0 - p
+        else:
+            rule = _coded_rule(code & outside, kb.atoms, literals)
+            rest.append(WeightedClause(p, rule))
     just_target = (Literal(target),)
-    for wc in kb.others if target == POS else kb.clauses:
+    for wc in kb.others:
         p = float(wc.probability)
         kept = []
         for lit in wc.clause.literals:

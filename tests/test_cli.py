@@ -455,6 +455,16 @@ class TestBenchCli:
         assert lines[0] == "n_vars,n_clauses,seconds,objective"
         assert len(lines) == 2
 
+    def test_csv_rows_end_in_newline(self, runner, tmp_path):
+        csv_path = tmp_path / "bench.csv"
+        for seed in ("0", "1"):
+            run_json(runner, ["bench-lp", "--vars", "10", "--clauses", "10",
+                              "--rng-seed", seed, "--csv", str(csv_path)])
+        data = csv_path.read_bytes()
+        assert b"\r" not in data
+        assert data.startswith(b"n_vars,n_clauses,seconds,objective\n")
+        assert data.endswith(b"\n") and data.count(b"\n") == 3
+
     def test_more_clauses_than_the_atoms_allow_refused(self):
         # One atom has two distinct clauses; a third could never be drawn.
         # The timeout fails a regression instead of hanging on it.
@@ -502,6 +512,20 @@ class TestErrorHandling:
         err = result.stderr if hasattr(result, "stderr") else result.output
         assert "error:" in err
         assert len([l for l in err.strip().splitlines() if l]) == 1
+
+    def test_repeated_column_exits_with_one_line(self, runner, tmp_path):
+        csv_path = tmp_path / "dup.csv"
+        csv_path.write_text("a,a,label\n0,1,pos\n1,0,neg\n", encoding="utf-8")
+        out_path = tmp_path / "kb.plkb"
+        result = runner.invoke(
+            main,
+            ["train", "--input", str(csv_path), "--label-col", "label",
+             "--pos-label", "pos", "--out", str(out_path)],
+        )
+        assert result.exit_code == 1
+        err = result.stderr if hasattr(result, "stderr") else result.output
+        assert [l for l in err.splitlines() if l] == ["error: feature 'a' repeated"]
+        assert not out_path.exists()
 
     def test_missing_input_file(self, runner, tmp_path):
         result = runner.invoke(

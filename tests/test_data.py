@@ -61,6 +61,15 @@ class TestLoadCsv:
         with pytest.raises(FileNotFoundError):
             load_csv(tmp_path / "nope.csv", "lbl", "yes")
 
+    @pytest.mark.parametrize(
+        "header, message",
+        [("a,a,lbl", "feature 'a' repeated"), ("a,lbl,lbl", "label column 'lbl' repeated")],
+    )
+    def test_repeated_column_refused(self, tmp_path, header, message):
+        p = write(tmp_path, "t.csv", header + "\n0,1,yes\n")
+        with pytest.raises(ValueError, match=message):
+            load_csv(p, "lbl", "yes")
+
     def test_label_column_in_the_middle(self, tmp_path):
         p = write(tmp_path, "t.csv", "a1,lbl,a2\nx,yes,y\n")
         ds = load_csv(p, "lbl", "yes")
@@ -72,6 +81,10 @@ class TestDataset:
     def test_reserved_feature_name(self):
         with pytest.raises(ValueError, match="reserved"):
             from_rows(["pos"], [(("1",), True)])
+
+    def test_repeated_feature(self):
+        with pytest.raises(ValueError, match="feature 'b' repeated"):
+            from_rows(["b", "a", "b"], [(("0", "1", "1"), True)])
 
     def test_unsafe_value(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import random
 from collections import Counter
@@ -48,6 +49,36 @@ class TestAtom:
     def test_pos_cannot_be_a_feature(self):
         with pytest.raises(ValueError):
             Atom("pos", "1")
+
+
+class TestFrozen:
+    """Assigning a field raises, so a hash can never go stale in a dict."""
+
+    def test_atom(self):
+        a = Atom("a", "1")
+        index = {a: 1}
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            a.value = "2"
+        assert a == Atom("a", "1") and Atom("a", "1") in index
+
+    def test_literal(self):
+        lit = Literal(Atom("a", "1"))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            lit.negated = True
+        assert not lit.negated
+
+    def test_clause(self):
+        c = rule_clause([("a", "1")])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            c.literals = (Literal(POS),)
+        assert str(c) == "pos | !a=1"
+
+    def test_hashes_are_the_field_tuples(self):
+        a = Atom("a", "1")
+        lit = Literal(a, True)
+        assert hash(a) == hash(("a", "1"))
+        assert hash(lit) == hash((a, True))
+        assert hash(rule_clause([("a", "1")])) == hash((Literal(POS), lit))
 
 
 class TestClause:

@@ -560,6 +560,22 @@ class TestPresolve:
         assert (res.p_lower, res.p_upper) == (0.0, 1.0)
         assert res.objective_min == pytest.approx(0.3 + 0.1, abs=1e-6)
 
+    def test_feature_target_reads_the_rows(self):
+        # with a target other than pos an inside row's residual is pos and
+        # joins the rest, in row order; a sibling pins a row true
+        kb = parse_kb("0.2 pos | !a=1\n0.6 pos | !a=1 | !t=0\n0.25 pos | !a=0")
+        constant, probs, rest = _presolve(kb, {"a": "1"}, Atom("t", "0"))
+        assert (constant, probs) == (0.75, [])
+        assert [(wc.probability, str(wc.clause)) for wc in rest] == [
+            (0.2, "pos"), (0.6, "pos | !t=0")
+        ]
+
+    def test_feature_target_on_a_direct_table_builds_no_clause_list(self, strings_ds):
+        table = build_direct_kb(strings_ds)
+        for query in ({}, {"a1": "0"}, {"a1": "1", "a3": "0"}, {"a1": "0", "a3": "1", "a4": "1"}):
+            self.assert_same_answer(table, query, target=Atom("a2", "1"))
+        assert "clauses" not in table.__dict__
+
     def test_rule_body_repeating_a_feature_is_not_a_row(self):
         # pos | !t=0 | !t=1 is no rule: it joins ``others``, and the rows
         # and the presolve never meet a body that repeats a feature
