@@ -57,9 +57,11 @@ included for cross-checking on small universes.
 
 Every program built here is solved by one three-stage solve, in
 ``_bounded_target`` (``minimum_deviation`` runs its first stage alone).
-It is the only caller of the module-level :func:`linprog` apart from the
-oracle, and any status but optimal is an internal error: a
-``RuntimeError`` carrying HiGHS's message.  numpy and scipy are imported
+It holds the program in one HiGHS model, through the HiGHS bindings
+inside scipy, and re-solves stages 2 and 3 warm from the basis of the
+stage before; any status but optimal is an internal error: a
+``RuntimeError`` carrying HiGHS's name for the status.  The module-level
+:func:`linprog` serves the oracle only.  numpy and scipy are imported
 inside the functions that solve a program, so importing this module, and
 every closed-form answer, loads neither.
 """
@@ -210,26 +212,6 @@ def apply_query(lp: LinearProgram, query: Mapping[str, str]) -> LinearProgram:
     return replace(lp, bounds=tuple(bounds))
 
 
-def _ub(lp: LinearProgram, cap: float | None = None):
-    """A_ub as a CSR array and b_ub, or (None, None) without rows; with a
-    ``cap``, the row ``objective @ x <= cap`` comes last."""
-    import numpy as np
-    from scipy.sparse import csr_array
-
-    rows = lp.constraints
-    indptr, indices, data, rhs = rows.indptr, rows.indices, rows.data, rows.rhs
-    if cap is not None:
-        cols = [j for j, coef in enumerate(lp.objective) if coef]
-        indptr = [*indptr, indptr[-1] + len(cols)]
-        indices = [*indices, *cols]
-        data = [*data, *(lp.objective[j] for j in cols)]
-        rhs = [*rhs, cap]
-    if not rhs:
-        return None, None
-    a = csr_array((data, indices, indptr), shape=(len(rhs), lp.n_variables))
-    return a, np.array(rhs)
-
-
 def linprog(*args, **kwargs):
     """``scipy.optimize.linprog``, imported on the first solve: a process
     that only takes closed-form answers never loads scipy."""
@@ -249,28 +231,66 @@ def _bounded_target(
     """Lexicographic solve: (v*, min, max) of the target variable.  Without
     a target only stage 1 runs and the bounds are None.
 
+    One HiGHS model holds the program, through the bindings scipy ships
+    (``scipy.optimize._highspy``, private to scipy since 1.15), set up as
+    ``linprog(method="highs")`` sets it: no output, dual simplex.  Stage 1
+    solves it; then the cap row ``objective @ x <= v* + TAU_LEX`` is added
+    and the cost swapped for +target, then -target, each stage re-solving
+    warm from the basis the last one left.
+
     Every program built here is boxed and minimises non-negative
     deviations, so any status but optimal is an internal error, reported
-    with the solver's message.
+    with HiGHS's name for the status.
     """
-    import numpy as np
+    from scipy.optimize._highspy._core import (
+        HighsLp,
+        HighsModelStatus,
+        MatrixFormat,
+        _Highs,
+        kHighsInf,
+    )
 
-    def optimum(c, a_ub, b_ub):
-        res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=lp.bounds, method="highs")
-        if res.status != 0:
-            raise RuntimeError(f"internal error: {res.message}")
-        return res
+    rows = lp.constraints
+    n, m = lp.n_variables, len(rows)
+    model = HighsLp()
+    model.num_col_, model.num_row_ = n, m
+    model.col_cost_ = lp.objective
+    model.col_lower_ = [lo for lo, _ in lp.bounds]
+    model.col_upper_ = [kHighsInf if hi is None else hi for _, hi in lp.bounds]
+    model.row_lower_ = [-kHighsInf] * m
+    model.row_upper_ = rows.rhs
+    matrix = model.a_matrix_
+    matrix.format_ = MatrixFormat.kRowwise
+    matrix.num_col_, matrix.num_row_ = n, m
+    matrix.start_, matrix.index_, matrix.value_ = rows.indptr, rows.indices, rows.data
+    highs = _Highs()
+    highs.setOptionValue("output_flag", False)
+    highs.setOptionValue("simplex_strategy", 1)  # kSimplexStrategyDual
+    highs.passModel(model)
 
-    v_star = float(optimum(lp.objective, *_ub(lp)).fun)
+    def optimum() -> None:
+        highs.run()
+        status = highs.getModelStatus()
+        if status != HighsModelStatus.kOptimal:
+            raise RuntimeError(f"internal error: {highs.modelStatusToString(status)}")
+
+    optimum()
+    v_star = float(highs.getInfo().objective_function_value)
     if target_var is None:
         return v_star, None, None
 
     # Stages 2 and 3 keep the stage-1 objective within v* + TAU_LEX.
-    a_ub, b_ub = _ub(lp, v_star + TAU_LEX)
-    ct = np.zeros(lp.n_variables)
-    ct[target_var] = 1.0
-    lo = float(optimum(ct, a_ub, b_ub).x[target_var])
-    hi = float(optimum(-ct, a_ub, b_ub).x[target_var])
+    cols = [j for j, coef in enumerate(lp.objective) if coef]
+    highs.addRow(-kHighsInf, v_star + TAU_LEX, len(cols), cols,
+                 [lp.objective[j] for j in cols])
+    cost = [0.0] * n
+    cost[target_var] = 1.0
+    highs.changeColsCost(n, range(n), cost)
+    optimum()
+    lo = float(highs.getSolution().col_value[target_var])
+    highs.changeColsCost(1, [target_var], [-1.0])
+    optimum()
+    hi = float(highs.getSolution().col_value[target_var])
     return v_star, lo, hi
 
 

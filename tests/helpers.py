@@ -23,9 +23,10 @@ from plkb.kb import (
     WeightedClause,
     _clause_lines,
     _parse_literal,
+    parse_kb,
     rule_clause,
 )
-from plkb.lp import LABEL_EPS, TAU_LEX, InferenceResult, _result
+from plkb.lp import LABEL_EPS, TAU_LEX, InferenceResult, LinearProgram, _result
 
 # Eight labelled bit-strings over features a1..a4; small enough to check
 # every derived number by hand.
@@ -306,10 +307,78 @@ def reference_program(clauses):
     return c, np.array(ub), np.array(b_ub), np.array(eq), np.array(b_eq), bounds, column
 
 
+def _ub(lp: LinearProgram, cap: float | None = None):
+    """A_ub as a CSR array and b_ub, or (None, None) without rows; with a
+    ``cap``, the row ``objective @ x <= cap`` comes last."""
+    import numpy as np
+    from scipy.sparse import csr_array
+
+    rows = lp.constraints
+    indptr, indices, data, rhs = rows.indptr, rows.indices, rows.data, rows.rhs
+    if cap is not None:
+        cols = [j for j, coef in enumerate(lp.objective) if coef]
+        indptr = [*indptr, indptr[-1] + len(cols)]
+        indices = [*indices, *cols]
+        data = [*data, *(lp.objective[j] for j in cols)]
+        rhs = [*rhs, cap]
+    if not rhs:
+        return None, None
+    a = csr_array((data, indices, indptr), shape=(len(rhs), lp.n_variables))
+    return a, np.array(rhs)
+
+
+def reference_bounded_target(lp: LinearProgram, target_var: int | None):
+    """Reference implementation of :func:`plkb.lp._bounded_target`: three
+    cold ``linprog(method="highs")`` solves of the program, the second and
+    third with the cap row ``objective @ x <= v* + TAU_LEX`` appended."""
+    import numpy as np
+    from scipy.optimize import linprog
+
+    def optimum(c, a_ub, b_ub):
+        res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=lp.bounds, method="highs")
+        if res.status != 0:
+            raise RuntimeError(f"internal error: {res.message}")
+        return res
+
+    v_star = float(optimum(lp.objective, *_ub(lp)).fun)
+    if target_var is None:
+        return v_star, None, None
+    a_ub, b_ub = _ub(lp, v_star + TAU_LEX)
+    ct = np.zeros(lp.n_variables)
+    ct[target_var] = 1.0
+    lo = float(optimum(ct, a_ub, b_ub).x[target_var])
+    hi = float(optimum(-ct, a_ub, b_ub).x[target_var])
+    return v_star, lo, hi
+
+
+def stop_highs_at_time_limit(monkeypatch) -> str:
+    """Give every HiGHS run of ``plkb.lp`` no time to solve, so its model
+    status is not optimal; returns HiGHS's name for that status."""
+    from scipy.optimize._highspy import _core
+
+    class TimedOut(_core._Highs):
+        def run(self):
+            self.setOptionValue("time_limit", 0.0)
+            return super().run()
+
+    monkeypatch.setattr(_core, "_Highs", TimedOut)
+    return "Time limit reached"
+
+
+# (kb, query, target) on which HiGHS's presolve calls stages 2 and 3 of
+# the paper's program infeasible; both engines of ``plkb.lp`` answer it.
+PRESOLVE_TRAP = (
+    parse_kb("0 pos | !f3=0\n0.05 !pos | !f1=0\n0 f1=1"), {"f1": "1", "f3": "0"}, POS
+)
+
+
 def reference_infer(kb: KnowledgeBase, query, target: Atom = POS) -> InferenceResult:
     """The three-stage solve of :func:`reference_program` over the whole KB:
     v*, then the least and greatest pi(target) with the deviation held
-    within v* + TAU_LEX, every query pair fixing its feature's atoms."""
+    within v* + TAU_LEX, every query pair fixing its feature's atoms.
+
+    Stages 2 and 3 run without HiGHS's presolve, which can call the capped
+    program infeasible when it is not (:data:`PRESOLVE_TRAP`)."""
     import numpy as np
     from scipy.optimize import linprog
 
@@ -321,9 +390,9 @@ def reference_infer(kb: KnowledgeBase, query, target: Atom = POS) -> InferenceRe
             fixed = float(atom.value == query[atom.feature])
             bounds[col] = (fixed, fixed)
 
-    def optimum(objective, a_ub, b_ub):
+    def optimum(objective, a_ub, b_ub, options=None):
         res = linprog(objective, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=b_eq,
-                      bounds=bounds, method="highs")
+                      bounds=bounds, method="highs", options=options)
         assert res.status == 0, res.message
         return res
 
@@ -331,8 +400,9 @@ def reference_infer(kb: KnowledgeBase, query, target: Atom = POS) -> InferenceRe
     a_ub, b_ub = np.vstack([a_ub, c]), np.append(b_ub, v_star + TAU_LEX)
     ct = np.zeros(len(c))
     ct[column[target]] = 1.0
-    lo = optimum(ct, a_ub, b_ub).x[column[target]]
-    hi = optimum(-ct, a_ub, b_ub).x[column[target]]
+    no_presolve = {"presolve": False}
+    lo = optimum(ct, a_ub, b_ub, no_presolve).x[column[target]]
+    hi = optimum(-ct, a_ub, b_ub, no_presolve).x[column[target]]
     return _result(v_star, lo, hi)
 
 
@@ -390,6 +460,47 @@ def all_subsets(pairs):
     items = sorted(pairs)
     for k in range(1, len(items) + 1):
         yield from combinations(items, k)
+
+
+@st.composite
+def mixed_kbs_and_queries(draw):
+    """A KB of every clause shape, a target and a full or partial query.
+
+    Literals come from ``pos``, a bare proposition, feature values of
+    f1..f3 and of the target feature t, either polarity, so the KB mixes
+    rules, positive ``f=v`` literals, ``!pos`` and bare atoms; it may be
+    empty or miss the target.  Twin clauses ``target | !f=v`` (and
+    ``target``) reduce to the same residual when the query asserts
+    ``f=v``.
+    """
+    features = ["f1", "f2", "f3"]
+    values = ["0", "1", "2"]
+    query = {}
+    for f in features:
+        v = draw(st.none() | st.sampled_from([*values, "9"]))
+        if v is not None:
+            query[f] = v
+    target = draw(st.sampled_from([POS, Atom("t", "0")]))
+    if target != POS and draw(st.booleans()):
+        query["t"] = draw(st.sampled_from(["0", "1"]))
+    pool = [POS, Atom("b"), Atom("t", "0"), Atom("t", "1")]
+    pool += [Atom(f, v) for f in features for v in values]
+    prob = st.integers(0, 20).map(lambda i: i / 20)
+    by_clause = {}
+    for lits in draw(st.lists(
+        st.lists(st.tuples(st.sampled_from(pool), st.booleans()),
+                 min_size=1, max_size=4, unique_by=lambda t: t[0]),
+        min_size=0, max_size=8,
+    )):
+        clause = Clause(Literal(a, neg) for a, neg in lits)
+        by_clause.setdefault(clause, WeightedClause(draw(prob), clause))
+    twins = [Clause([Literal(target)])] if draw(st.booleans()) else []
+    for f, v in query.items():
+        if f != "t" and draw(st.booleans()):
+            twins.append(Clause([Literal(target), Literal(Atom(f, v), True)]))
+    for clause in twins:
+        by_clause.setdefault(clause, WeightedClause(draw(prob), clause))
+    return KnowledgeBase(by_clause.values()), query, target
 
 
 @st.composite

@@ -3,12 +3,11 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 from click.testing import CliRunner
 
-from helpers import NEGATIVE_STRINGS, POSITIVE_STRINGS
+from helpers import NEGATIVE_STRINGS, POSITIVE_STRINGS, stop_highs_at_time_limit
 
 import plkb
 from plkb.cli import _emit, main, parse_query
@@ -604,10 +603,7 @@ class TestErrorHandling:
             ["train", "--method", "direct", "--input", str(strings_csv),
              "--label-col", "label", "--pos-label", "pos", "--out", str(kb_path)],
         )
-        monkeypatch.setattr(
-            plkb.lp, "linprog",
-            lambda *a, **kw: SimpleNamespace(status=4, message="Numerical difficulties."),
-        )
+        message = stop_highs_at_time_limit(monkeypatch)
         result = runner.invoke(
             main,
             ["classify", "--full-kb", "--kb", str(kb_path), "--domains", str(strings_csv),
@@ -615,9 +611,7 @@ class TestErrorHandling:
         )
         assert result.exit_code == 1
         err = result.stderr if hasattr(result, "stderr") else result.output
-        assert [l for l in err.splitlines() if l] == [
-            "error: internal error: Numerical difficulties."
-        ]
+        assert [l for l in err.splitlines() if l] == [f"error: internal error: {message}"]
 
     def test_malformed_kb_file(self, runner, strings_csv, tmp_path):
         bad = tmp_path / "bad.plkb"
