@@ -79,6 +79,16 @@ def _domains_for_kb(path: str, kb) -> dict[str, frozenset[str]]:
     return {f: frozenset(vs) for f, vs in domains.items()}
 
 
+def check_query(query: dict[str, str], domains: dict[str, frozenset[str]]) -> None:
+    """Refuse a query feature the domains lack, and warn on stderr once per
+    value outside its feature's domain: the value is still asserted."""
+    for feature, value in sorted(query.items()):
+        if feature not in domains:
+            raise ValueError(f"query feature {feature!r} not in domains")
+        if value not in domains[feature]:
+            click.echo(f"query value {feature}={value} outside the feature's domain", err=True)
+
+
 def _emit(payload) -> None:
     click.echo(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
 
@@ -146,7 +156,8 @@ def classify(kb_path, domains_path, query_text, full_kb, dump_path):
     kb = _read_kb(kb_path)
     domains = _domains_for_kb(domains_path, kb)
     query = parse_query(query_text)
-    res = infer_pos(kb, query, domains) if full_kb else classify_query(kb, query, domains)
+    check_query(query, domains)
+    res = infer_pos(kb, query) if full_kb else classify_query(kb, query)
     if dump_path:
         sub = kb if full_kb else active_kb(query, kb)
         if len(sub):
@@ -171,7 +182,8 @@ def explain(kb_path, domains_path, query_text, k, full_kb):
     kb = _read_kb(kb_path)
     domains = _domains_for_kb(domains_path, kb)
     query = parse_query(query_text)
-    expl = compute_explanation(query, kb, k, domains, use_relevant=not full_kb)
+    check_query(query, domains)
+    expl = compute_explanation(query, kb, k, use_relevant=not full_kb)
     payload = {
         "explanation": dict(sorted(expl.sub_query.items())),
         "score": expl.score,

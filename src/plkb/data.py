@@ -281,9 +281,23 @@ def save_synthetic(ds: Dataset, spec: SeedSpec, out_dir) -> None:
 
 
 def load_seed_spec(path) -> SeedSpec:
+    """Read a seed.json sidecar: a JSON object whose ``seed`` is a string
+    and whose ``length``, ``alphabet_size`` and ``match_count`` are
+    integers that make a valid :class:`SeedSpec`; ValueError naming the
+    file otherwise."""
     with open(path, encoding="utf-8") as fh:
         d = json.load(fh)
-    return SeedSpec(d["seed"], d["length"], d["alphabet_size"], d["match_count"])
+    if not isinstance(d, dict):
+        raise ValueError(f"{path}: not a JSON object")
+    for name, kind in (("seed", str), ("length", int), ("alphabet_size", int),
+                       ("match_count", int)):
+        if not isinstance(d.get(name), kind) or isinstance(d[name], bool):
+            noun = "a string" if kind is str else "an integer"
+            raise ValueError(f"{path}: field {name!r} must be {noun}")
+    try:
+        return SeedSpec(d["seed"], d["length"], d["alphabet_size"], d["match_count"])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def load_synthetic(dir_path) -> tuple[Dataset, SeedSpec]:

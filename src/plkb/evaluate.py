@@ -94,7 +94,7 @@ def train_kb(
     raise ValueError(f"method must be one of {METHODS}, got {method!r}")
 
 
-def classify_query(kb: KnowledgeBase, query, domains=None) -> InferenceResult:
+def classify_query(kb: KnowledgeBase, query) -> InferenceResult:
     """Classify through the query-active sub-KB.
 
     For rule-shaped KBs the clauses dropped here are pinned by the query's
@@ -104,7 +104,7 @@ def classify_query(kb: KnowledgeBase, query, domains=None) -> InferenceResult:
     presolve drops what the query decides and keeps its constant.
     """
     sub = active_kb(query, kb)
-    return infer_pos(sub, query, domains)
+    return infer_pos(sub, query)
 
 
 def _prepare(config: ExperimentConfig) -> tuple[Dataset, Dataset, KnowledgeBase]:

@@ -16,7 +16,7 @@ from typing import Mapping
 from .data import SeedSpec
 from .direct import relevant_kb
 from .kb import KnowledgeBase
-from .lp import LABEL_EPS, InferenceResult, check_query, closed_form, infer_pos, median_midpoint
+from .lp import LABEL_EPS, InferenceResult, closed_form, infer_pos, median_midpoint
 
 Query = Mapping[str, str]
 
@@ -38,31 +38,17 @@ def _serialized(pairs: tuple[tuple[str, str], ...]) -> str:
     return ",".join(f"{f}={v}" for f, v in pairs)
 
 
-def evaluate_sub_query(
-    sub: Query,
-    kb: KnowledgeBase,
-    domains=None,
-    *,
-    use_relevant: bool = True,
-) -> InferenceResult:
-    """Score one partial query.
-
-    With ``use_relevant`` the sub-query is answered on its own relevant
-    sub-KB, so only clauses about the asserted pairs weigh in; this is the
-    evaluation the worked answers of the direct method correspond to.
-    Without it, the partial query runs against the full program, where
-    clauses over unasserted features also pull on the class atom.
-    """
-    if use_relevant:
-        return infer_pos(relevant_kb(sub, kb), sub, domains)
-    return infer_pos(kb, sub, domains)
+def evaluate_sub_query(sub: Query, kb: KnowledgeBase) -> InferenceResult:
+    """Score one partial query on the whole KB, where clauses over
+    unasserted features also pull on the class atom."""
+    return infer_pos(kb, sub)
 
 
 def _relevant_scores(
     query: dict[str, str], pairs: list[tuple[str, str]], kb: KnowledgeBase, k: int
 ) -> tuple[bool, list[float]]:
     """The full query's label and, in ``combinations(pairs, k)`` order, the
-    score :func:`evaluate_sub_query` gives each k-sub-query, from one
+    score of each k-sub-query on its own relevant sub-KB, from one
     :func:`~plkb.direct.relevant_kb` call.
 
     A sub-query's relevant rows are the full query's relevant rows whose
@@ -107,7 +93,6 @@ def compute_explanation(
     query: Query,
     kb: KnowledgeBase,
     k: int,
-    domains=None,
     *,
     use_relevant: bool = True,
 ) -> Explanation:
@@ -124,31 +109,25 @@ def compute_explanation(
     within ``LABEL_EPS`` of the extremum ties with it, whether the LP or
     the presolve's closed form gave it, as solver noise would otherwise
     pick the winner.
-    ``domains`` check the full query once; its sub-queries assert no other
-    pair.
 
     With ``use_relevant`` every sub-query is answered as
-    :func:`evaluate_sub_query` would, on its own relevant sub-KB, but in
-    one pass: the full query's relevant rows are selected once and each
-    sub-query is scored from those inside it, with no inference call.
-    Without it, each sub-query is one :func:`~plkb.lp.infer_pos` call on
-    the whole KB.
+    ``infer_pos(relevant_kb(sub, kb), sub)`` would, on its own relevant
+    sub-KB, but in one pass: the full query's relevant rows are selected
+    once and each sub-query is scored from those inside it, with no
+    inference call.  Without it, the full query and each sub-query are one
+    :func:`evaluate_sub_query` call on the whole KB.
     """
     query = dict(query)
     if not 1 <= k <= len(query):
         raise ValueError(f"k={k} out of range for a query of {len(query)} features")
     pairs = sorted(query.items())
     if use_relevant:
-        check_query(query, domains)
         positive, scores = _relevant_scores(query, pairs, kb, k)
         if kb.others:
             positive = infer_pos(kb, query).label
     else:
-        positive = evaluate_sub_query(query, kb, domains, use_relevant=False).label
-        scores = (
-            evaluate_sub_query(dict(combo), kb, use_relevant=False).p_avg
-            for combo in combinations(pairs, k)
-        )
+        positive = evaluate_sub_query(query, kb).label
+        scores = (evaluate_sub_query(dict(combo), kb).p_avg for combo in combinations(pairs, k))
 
     scored = list(zip(combinations(pairs, k), scores))
     best = (max if positive else min)(score for _, score in scored)

@@ -18,11 +18,11 @@ is the OR of its pairs' bits, a body lies inside a query when ``code &
 ~query == 0``, and a query's subsets are listed as ORs of its pairs'
 bits.  The direct and tree builders fill ``counts`` directly,
 :func:`parse_kb` reads a rule line straight into it, and a rule given as
-a clause object is routed into it; each numbers a pair when it first sees it, so no code is ever
-re-coded.  A code is as wide as the atom table: past 63 atoms it is a
-multi-digit int, which works the same but hashes more slowly.  Pairs are
-decoded from a code only to build clause objects and to write a rule
-line.
+a clause object is routed into it; each numbers a pair when it first
+sees it, so no code is ever re-coded.  A code is as wide as the atom
+table: past 63 atoms it is a multi-digit int, which works the same but
+hashes more slowly.  Pairs are decoded from a code only to build clause
+objects and to write a rule line.
 
 All values are immutable: :class:`Atom`, :class:`Literal`,
 :class:`Clause` and :class:`WeightedClause` are frozen dataclasses, so

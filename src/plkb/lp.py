@@ -35,22 +35,21 @@ deviation v*, then min/max of the target probability subject to the
 deviation staying within v* + TAU_LEX.  The label is positive only when
 the midpoint exceeds 0.5.
 
-Two engines answer ``infer_pos``, after an exact presolve.  The query
-fixes every feature-value atom it asserts or contradicts, so a clause
-with a literal the query makes true sits at pi(c_i) = 1 and a clause
-whose literals are all fixed false at pi(c_i) = 0.  Neither constrains
-anything else: the presolve drops both, keeping their deviations
-(1 - p_i and p_i) as a constant, and removes the fixed-false literals
-from every other clause.  When every residual clause is exactly the
-target literal, each pi(c_i) is squeezed to pi(target) and the closed
-form answers: the bounds are the median interval of the residual
-probabilities.  Otherwise the LP solves the residual only.  Either way
-``objective_min`` is the residual v* plus the constant, the whole
-program's v*.  Whatever the target, the presolve reads a KB's rules as
-``n_pos / n_total`` straight from its ``counts`` and builds a clause
-object only for a rule the query leaves undecided.  A query that asserts
-the target's own feature skips the presolve, and ``engine="lp"`` forces
-the unpresolved LP over the whole KB: that is the reference in tests.
+``infer_pos`` presolves a query on the class atom ``pos`` exactly.  The
+query fixes every feature-value atom it asserts or contradicts, so a
+clause with a literal the query makes true sits at pi(c_i) = 1 and a
+clause whose literals are all fixed false at pi(c_i) = 0.  Neither
+constrains anything else: the presolve drops both, keeping their
+deviations (1 - p_i and p_i) as a constant, and removes the fixed-false
+literals from every other clause.  When every residual clause is exactly
+``pos``, each pi(c_i) is squeezed to pi(pos) and the closed form answers:
+the bounds are the median interval of the residual probabilities.
+Otherwise the LP solves the residual only.  Either way ``objective_min``
+is the residual v* plus the constant, the whole program's v*.  The
+presolve reads a KB's rules as ``n_pos / n_total`` straight from its
+``counts`` and builds a clause object only for a rule the query leaves
+undecided.  Any other target is solved on the whole program.  Checking a
+query against the features' domains is the caller's job.
 
 An exact world-distribution oracle (all 2^n complete conjunctions) is
 included for cross-checking on small universes.
@@ -68,7 +67,6 @@ every closed-form answer, loads neither.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field, replace
 from itertools import repeat
 from operator import sub
@@ -84,8 +82,6 @@ from .kb import (
     _atom_sort_key,
     _coded_rule,
 )
-
-logger = logging.getLogger(__name__)
 
 # Slack when re-fixing the stage-1 objective.  It must absorb solver noise
 # in v* yet stay small enough that the bound inflation it causes (slack
@@ -184,21 +180,6 @@ def build_lp(clauses: Iterable[WeightedClause]) -> LinearProgram:
     )
 
 
-def check_query(
-    query: Mapping[str, str],
-    domains: Mapping[str, frozenset[str] | set[str]] | None,
-) -> None:
-    """Refuse a query feature the domains lack, and log one warning per
-    value outside its feature's domain; nothing to check without domains."""
-    if domains is None:
-        return
-    for feature, value in sorted(query.items()):
-        if feature not in domains:
-            raise ValueError(f"query feature {feature!r} not in domains")
-        if value not in domains[feature]:
-            logger.warning("query value %s=%s outside the feature's domain", feature, value)
-
-
 def apply_query(lp: LinearProgram, query: Mapping[str, str]) -> LinearProgram:
     """Fix pi(a=v) = 1 for each queried pair and pi(a=v') = 0 for every
     sibling value present in the program; unqueried features stay free.
@@ -295,7 +276,7 @@ def _bounded_target(
 
 
 def _presolve(
-    kb: KnowledgeBase, query: Mapping[str, str], target: Atom
+    kb: KnowledgeBase, query: Mapping[str, str]
 ) -> tuple[float, list[float], list[WeightedClause]]:
     """Drop every clause the query decides: ``(constant, probs, rest)``.
 
@@ -305,8 +286,8 @@ def _presolve(
     ``constant``, one whose literals are all fixed false with ``p``, and
     fixed-false literals are removed from the clauses that stay (see the
     module docstring).  ``probs`` are the probabilities of the residual
-    clauses that are exactly the target literal, ``rest`` every other
-    residual clause; different clauses may reduce to the same residual,
+    clauses that are exactly ``pos``, ``rest`` every other residual
+    clause; different clauses may reduce to the same residual,
     so ``rest`` can repeat one.
 
     The rules are read from ``kb.counts``: ``n_pos / n_total`` is
@@ -315,10 +296,9 @@ def _presolve(
     every row a selection keeps does, and is pinned true when it has a
     sibling's bit; any other row's residual rule is decoded from its free
     bits, built from literals shared within the call.  An inside row's
-    residual is ``pos``, so it joins ``probs`` when the target is ``pos``
-    and ``rest`` otherwise.  The loop over clause objects runs over
-    ``kb.others`` only, so no rule clause object is built for a row the
-    query decides.
+    residual is ``pos``, so it joins ``probs``.  The loop over clause
+    objects runs over ``kb.others`` only, so no rule clause object is
+    built for a row the query decides.
     """
     constant = 0.0
     probs: list[float] = []
@@ -332,18 +312,17 @@ def _presolve(
             else:
                 siblings |= bit
     outside = ~asserted
-    target_is_pos = target == POS
     literals: dict[tuple[str, str], Literal] = {}
     for code, (total, pos) in kb.counts.items():
         p = pos / total
-        if target_is_pos and not code & outside:
+        if not code & outside:
             probs.append(p)
         elif code & siblings:  # some literal !f=v is true
             constant += 1.0 - p
         else:
             rule = _coded_rule(code & outside, kb.atoms, literals)
             rest.append(WeightedClause(p, rule))
-    just_target = (Literal(target),)
+    just_pos = (Literal(POS),)
     for wc in kb.others:
         p = float(wc.probability)
         kept = []
@@ -357,7 +336,7 @@ def _presolve(
         else:
             if not kept:
                 constant += p
-            elif tuple(kept) == just_target:
+            elif tuple(kept) == just_pos:
                 probs.append(p)
             elif len(kept) == len(wc.clause.literals):
                 rest.append(wc)
@@ -381,7 +360,7 @@ def _median_interval(probs: list[float]) -> tuple[float, float, float]:
 
 
 def closed_form(probs: list[float], constant: float = 0.0) -> InferenceResult:
-    """The answer when every clause left is exactly the target literal:
+    """The answer when every clause left is exactly ``pos``:
     the median interval of their probabilities, and the maximally
     uncertain answer when none is left.  ``constant`` is the deviation of
     the clauses the presolve dropped."""
@@ -397,12 +376,7 @@ def median_midpoint(srt: Sequence[float]) -> float:
 
 
 def infer_pos(
-    kb: KnowledgeBase,
-    query: Mapping[str, str] | None = None,
-    domains: Mapping[str, frozenset[str] | set[str]] | None = None,
-    *,
-    target: Atom = POS,
-    engine: str = "auto",
+    kb: KnowledgeBase, query: Mapping[str, str] | None = None, *, target: Atom = POS
 ) -> InferenceResult:
     """Bound the target atom's probability under the query and classify.
 
@@ -410,16 +384,11 @@ def infer_pos(
     True only when the bound midpoint exceeds 0.5.  An empty knowledge
     base leaves the target unconstrained and yields the maximally
     uncertain result, and so does a query that decides every clause
-    mentioning the target (``objective_min`` is then the deviation of the
-    rest).  ``engine="lp"`` skips the presolve and solves the whole
-    program.  Before either engine runs, ``domains`` check the query (see
-    :func:`check_query`): one warning per out-of-domain value, ValueError
-    for a feature they lack.
+    mentioning ``pos`` (``objective_min`` is then the deviation of the
+    rest).  Only ``pos`` is presolved; any other target is bounded on
+    the whole program.
     """
-    if engine not in ("auto", "lp"):
-        raise ValueError(f"unknown engine {engine!r}")
     query = dict(query or {})
-    check_query(query, domains)
     if len(kb) == 0:
         return closed_form([])
     # Every rule contains pos.
@@ -427,18 +396,18 @@ def infer_pos(
         raise ValueError(f"target atom {target} does not occur in the knowledge base")
 
     constant, clauses = 0.0, kb
-    if engine == "auto" and not (target.value is not None and target.feature in query):
-        constant, probs, rest = _presolve(kb, query, target)
+    if target == POS:
+        constant, probs, rest = _presolve(kb, query)
         if not rest:
             return closed_form(probs, constant)
-        unit = Clause([Literal(target)])
+        unit = Clause([Literal(POS)])
         clauses = [*(WeightedClause(p, unit) for p in probs), *rest]
     # The residual mentions no atom the query fixes, so applying the query
     # changes only the unpresolved program.
     lp = apply_query(build_lp(clauses), query)
     target_var = lp.atom_index.get(target)
     v_star, lo, hi = _bounded_target(lp, target_var)
-    if target_var is None:  # the presolve decided every clause on the target
+    if target_var is None:  # the presolve decided every clause on pos
         lo, hi = 0.0, 1.0
     return _result(v_star + constant, lo, hi)
 

@@ -11,6 +11,7 @@ from math import comb
 from hypothesis import strategies as st
 
 from plkb.data import Dataset, from_rows
+from plkb.direct import relevant_kb
 from plkb.evaluate import classify_query
 from plkb.explain import Explanation, evaluate_sub_query
 from plkb.kb import (
@@ -26,7 +27,17 @@ from plkb.kb import (
     parse_kb,
     rule_clause,
 )
-from plkb.lp import LABEL_EPS, TAU_LEX, InferenceResult, LinearProgram, _result
+from plkb.lp import (
+    LABEL_EPS,
+    TAU_LEX,
+    InferenceResult,
+    LinearProgram,
+    _bounded_target,
+    _result,
+    apply_query,
+    build_lp,
+    infer_pos,
+)
 
 # Eight labelled bit-strings over features a1..a4; small enough to check
 # every derived number by hand.
@@ -365,8 +376,17 @@ def stop_highs_at_time_limit(monkeypatch) -> str:
     return "Time limit reached"
 
 
+def unpresolved_infer(kb: KnowledgeBase, query=None, target: Atom = POS) -> InferenceResult:
+    """``infer_pos`` without its presolve: the three-stage solve of the
+    whole program, every query pair fixing its feature's atoms."""
+    if len(kb) == 0:
+        return _result(0.0, 0.0, 1.0)
+    lp = apply_query(build_lp(kb), query or {})
+    return _result(*_bounded_target(lp, lp.atom_index[target]))
+
+
 # (kb, query, target) on which HiGHS's presolve calls stages 2 and 3 of
-# the paper's program infeasible; both engines of ``plkb.lp`` answer it.
+# the paper's program infeasible; ``plkb.lp`` answers it, presolved or not.
 PRESOLVE_TRAP = (
     parse_kb("0 pos | !f3=0\n0.05 !pos | !f1=0\n0 f1=1"), {"f1": "1", "f3": "0"}, POS
 )
@@ -406,24 +426,24 @@ def reference_infer(kb: KnowledgeBase, query, target: Atom = POS) -> InferenceRe
     return _result(v_star, lo, hi)
 
 
-def explanation_loop(query, kb: KnowledgeBase, k: int, domains=None, *, use_relevant=True):
-    """Reference implementation of explanation search: one relevant
-    extraction and one inference per size-k sub-query, then the extremum
-    with ties broken on the serialized sub-query.  With ``use_relevant``
-    the direction follows ``classify_query``'s label for the full query
-    and only equal scores tie; without it a score within ``LABEL_EPS`` of
-    the extremum ties with it."""
+def explanation_loop(query, kb: KnowledgeBase, k: int, *, use_relevant=True):
+    """Reference implementation of explanation search: one inference per
+    size-k sub-query, then the extremum with ties broken on the
+    serialized sub-query.  With ``use_relevant`` a sub-query is answered
+    on its own relevant sub-KB, the direction follows ``classify_query``'s
+    label for the full query and only equal scores tie; without it every
+    query is one ``evaluate_sub_query`` call on the whole KB and a score
+    within ``LABEL_EPS`` of the extremum ties with it."""
     query = dict(query)
     if not 1 <= k <= len(query):
         raise ValueError(f"k={k} out of range for a query of {len(query)} features")
+    subs = list(map(dict, combinations(sorted(query.items()), k)))
     if use_relevant:
-        positive = classify_query(kb, query, domains).label
+        positive = classify_query(kb, query).label
+        scored = [(sub, infer_pos(relevant_kb(sub, kb), sub).p_avg) for sub in subs]
     else:
-        positive = evaluate_sub_query(query, kb, domains, use_relevant=False).label
-    scored = [
-        (sub, evaluate_sub_query(sub, kb, use_relevant=use_relevant).p_avg)
-        for sub in map(dict, combinations(sorted(query.items()), k))
-    ]
+        positive = evaluate_sub_query(query, kb).label
+        scored = [(sub, evaluate_sub_query(sub, kb).p_avg) for sub in subs]
     best = (max if positive else min)(score for _, score in scored)
     tolerance = 0.0 if use_relevant else LABEL_EPS
 

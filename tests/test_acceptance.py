@@ -17,6 +17,7 @@ from helpers import (
     query_from_string,
     random_dataset,
     satisfiable_random_kb,
+    unpresolved_infer,
 )
 
 from plkb.data import generate_synthetic, random_seed_spec
@@ -28,7 +29,7 @@ from plkb.evaluate import (
     run_explanation_eval,
     run_knowledge_experiment,
 )
-from plkb.explain import compute_explanation, evaluate_sub_query
+from plkb.explain import compute_explanation
 from plkb.kb import (
     POS,
     Atom,
@@ -93,7 +94,7 @@ def test_c03_query_0101_classifies_negative(strings_direct_kb):
     res = infer_pos(relevant_kb(q, strings_direct_kb), q)
     assert res.p_avg <= 0.5
     assert res.label is False
-    full = infer_pos(strings_direct_kb, q, engine="lp")
+    full = unpresolved_infer(strings_direct_kb, q)
     assert full.p_avg <= 0.5 + 1e-6
     assert full.label is False
 
@@ -102,14 +103,15 @@ def test_c04_single_feature_explanation_for_0101(strings_direct_kb):
     q = query_from_string("0101")
     expected_scores = {"a1": 1 / 3, "a2": 0.5, "a3": 0.5, "a4": 1.0}
     for feature, value in q.items():
-        res = evaluate_sub_query({feature: value}, strings_direct_kb)
+        sub = {feature: value}
+        res = infer_pos(relevant_kb(sub, strings_direct_kb), sub)
         assert res.p_avg == pytest.approx(expected_scores[feature], abs=1e-3)
     expl = compute_explanation(q, strings_direct_kb, 1)
     assert expl.sub_query == {"a1": "0"}
 
 
 def test_c05_probabilistic_modus_ponens_bounds(implication_kb):
-    res = infer_pos(implication_kb, target=Atom("b"), engine="lp")
+    res = infer_pos(implication_kb, target=Atom("b"))
     assert res.objective_min <= 1e-6
     assert res.p_upper == pytest.approx(0.6, abs=1e-6)
     assert res.p_lower == pytest.approx(0.4, abs=1e-6)
@@ -152,7 +154,7 @@ def test_c07_relaxed_bounds_contain_exact_bounds():
         target = rng.choice(sorted(kb.universe, key=str))
         feasible, exact_lo, exact_hi = nilsson_oracle(kb, target)
         assert feasible
-        res = infer_pos(kb, target=target, engine="lp")
+        res = infer_pos(kb, target=target)
         assert res.p_lower <= exact_lo + 1e-6
         assert res.p_upper >= exact_hi - 1e-6
 
@@ -173,7 +175,7 @@ def test_c09_relevant_extraction_classifies_like_the_full_kb(strings_direct_kb):
     for bits in range(16):
         q = query_from_string(format(bits, "04b"))
         via_relevant = infer_pos(relevant_kb(q, strings_direct_kb), q)
-        via_full = infer_pos(strings_direct_kb, q, engine="lp")
+        via_full = unpresolved_infer(strings_direct_kb, q)
         assert via_relevant.label == via_full.label
         assert via_relevant.p_avg == pytest.approx(via_full.p_avg, abs=1e-6)
 

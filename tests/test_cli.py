@@ -613,6 +613,44 @@ class TestErrorHandling:
         err = result.stderr if hasattr(result, "stderr") else result.output
         assert [l for l in err.splitlines() if l] == [f"error: internal error: {message}"]
 
+    @pytest.mark.parametrize(
+        "command",
+        [["classify"], ["classify", "--full-kb"], ["explain", "-k", "2"],
+         ["explain", "--full-kb", "-k", "2"]],
+        ids=["classify", "classify-full-kb", "explain", "explain-full-kb"],
+    )
+    def test_out_of_domain_value_warns_once(self, runner, strings_csv, tmp_path, command):
+        kb_path = tmp_path / "kb.plkb"
+        run_json(
+            runner,
+            ["train", "--method", "tree", "--input", str(strings_csv),
+             "--label-col", "label", "--pos-label", "pos", "--out", str(kb_path)],
+        )
+        proc = run_plkb([*command, "--kb", str(kb_path), "--domains", str(strings_csv),
+                         "--query", "a1=0,a2=1,a3=0,a4=7"])
+        assert proc.returncode == 0
+        assert proc.stderr.splitlines() == ["query value a4=7 outside the feature's domain"]
+        json.loads(proc.stdout)
+
+    @pytest.mark.parametrize("command", [["expl-eval", "-k", "1"], ["knowledge-exp"]],
+                             ids=["expl-eval", "knowledge-exp"])
+    def test_malformed_seed_file_exits_with_one_line(self, runner, tmp_path, command):
+        out_dir = tmp_path / "syn"
+        run_json(
+            runner,
+            ["synth", "--length", "4", "--alphabet", "2", "--match", "2",
+             "--n", "20", "--rng-seed", "5", "--out", str(out_dir)],
+        )
+        seed_path = out_dir / "seed.json"
+        spec = json.loads(seed_path.read_text(encoding="utf-8"))
+        seed_path.write_text(json.dumps({**spec, "length": "4"}), encoding="utf-8")
+        proc = run_plkb([*command, "--input", str(out_dir), "--runs", "1"])
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            f"error: {seed_path}: field 'length' must be an integer"
+        ]
+
     def test_malformed_kb_file(self, runner, strings_csv, tmp_path):
         bad = tmp_path / "bad.plkb"
         bad.write_text("zzz\n", encoding="utf-8")

@@ -110,7 +110,7 @@ class TestAgainstTupleKeys:
             selected = relevant_kb(query, kb)
             assert selected.bits is kb.bits
             assert tuple_counts(selected) == reference_select(query, kb)
-            assert _presolve(kb, query, POS) == reference_presolve(kb, query)
+            assert _presolve(kb, query) == reference_presolve(kb, query)
             if not kb.others:
                 assert active_kb(query, kb).counts == selected.counts
 
@@ -150,7 +150,7 @@ class TestAtomTable:
     def test_unseen_pair_matches_no_row(self):
         kb = parse_kb("0.5 pos\n0.25 pos | !a1=0")
         assert tuple_counts(relevant_kb({"a1": "7"}, kb)) == {(): (2, 1)}
-        constant, probs, rest = _presolve(kb, {"a1": "7"}, POS)
+        constant, probs, rest = _presolve(kb, {"a1": "7"})
         assert (constant, probs, rest) == (0.75, [0.5], [])
 
     def test_merge_extends_a_copy_of_the_table(self):

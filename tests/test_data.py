@@ -12,6 +12,7 @@ from plkb.data import (
     generate_synthetic,
     label_synthetic,
     load_csv,
+    load_seed_spec,
     load_synthetic,
     random_seed_spec,
     save_synthetic,
@@ -224,3 +225,21 @@ class TestSyntheticRoundTrip:
         assert len(loaded) == 20
         assert [i.label for i in loaded.instances] == [i.label for i in ds.instances]
         assert [i.values for i in loaded.instances] == [i.values for i in ds.instances]
+
+    @pytest.mark.parametrize("text, field", [
+        ('{"seed": "1212", "length": "4", "alphabet_size": 2, "match_count": 2}', "'length'"),
+        ('{"seed": "1212", "length": 4, "alphabet_size": 2, "match_count": 2.5}',
+         "'match_count'"),
+        ('{"seed": "1212", "length": 4, "alphabet_size": true, "match_count": 2}',
+         "'alphabet_size'"),
+        ('{"seed": 1212, "length": 4, "alphabet_size": 2, "match_count": 2}', "'seed'"),
+        ('{"length": 4, "alphabet_size": 2, "match_count": 2}', "'seed'"),
+        ('["1212", 4, 2, 2]', "not a JSON object"),
+        ('{"seed": "1212", "length": 4, "alphabet_size": 2, "match_count": 9}',
+         "match_count must be in [0, length]"),
+    ])
+    def test_malformed_seed_file_names_the_file_and_field(self, tmp_path, text, field):
+        p = write(tmp_path, "seed.json", text)
+        with pytest.raises(ValueError) as exc:
+            load_seed_spec(p)
+        assert str(exc.value).startswith(f"{p}: ") and field in str(exc.value)

@@ -13,6 +13,7 @@ from helpers import (
     reference_select,
     relevant_kb_scan,
     tuple_counts,
+    unpresolved_infer,
 )
 
 import plkb.direct
@@ -148,7 +149,7 @@ class TestRelevantKb:
             s = format(bits, "04b")
             q = query_from_string(s)
             via_relevant = infer_pos(relevant_kb(q, strings_direct_kb), q)
-            via_full = infer_pos(strings_direct_kb, q, engine="lp")
+            via_full = unpresolved_infer(strings_direct_kb, q)
             assert via_relevant.label == via_full.label
             assert via_relevant.p_avg == pytest.approx(via_full.p_avg, abs=1e-6)
 
@@ -173,7 +174,7 @@ class TestActiveKb:
             s = format(bits, "04b")
             q = query_from_string(s)
             via_active = infer_pos(active_kb(q, strings_tree_kb), q)
-            via_full = infer_pos(strings_tree_kb, q, engine="lp")
+            via_full = unpresolved_infer(strings_tree_kb, q)
             assert via_active.label == via_full.label
             assert via_active.p_avg == pytest.approx(via_full.p_avg, abs=1e-6)
 
@@ -219,7 +220,7 @@ class TestBodylessRule:
             for bits in range(16):
                 q = query_from_string(format(bits, "04b"))
                 via_relevant = infer_pos(relevant_kb(q, kb), q)
-                via_full = infer_pos(kb, q, engine="lp")
+                via_full = unpresolved_infer(kb, q)
                 assert via_relevant.label == via_full.label
                 assert via_relevant.p_avg == pytest.approx(via_full.p_avg, abs=1e-6)
 

@@ -12,12 +12,11 @@ from helpers import explanation_loop, query_from_string
 
 import plkb.explain
 from plkb.data import SeedSpec, from_rows
-from plkb.direct import build_direct_kb
+from plkb.direct import build_direct_kb, relevant_kb
 from plkb.evaluate import classify_query
 from plkb.explain import (
     Explanation,
     compute_explanation,
-    evaluate_sub_query,
     explanation_accuracy,
     masked_string,
 )
@@ -32,7 +31,7 @@ from plkb.kb import (
     parse_kb,
     rule_clause,
 )
-from plkb.lp import LABEL_EPS, InferenceResult
+from plkb.lp import LABEL_EPS, InferenceResult, infer_pos
 from plkb.tree import build_id3, kb_from_tree
 
 SEED = SeedSpec("3232411132", 10, 4, 5)
@@ -50,7 +49,7 @@ class TestComputeExplanation:
         expected = {"a1": 1 / 3, "a2": 0.5, "a3": 0.5, "a4": 1.0}
         q = query_from_string("0101")
         for f, v in q.items():
-            res = evaluate_sub_query({f: v}, strings_direct_kb)
+            res = infer_pos(relevant_kb({f: v}, strings_direct_kb), {f: v})
             assert res.p_avg == pytest.approx(expected[f], abs=1e-3)
 
     def test_k_equal_to_query_size(self, strings_direct_kb):
@@ -58,7 +57,7 @@ class TestComputeExplanation:
         expl = compute_explanation(q, strings_direct_kb, 4)
         assert expl.sub_query == q
         assert expl.score == pytest.approx(
-            evaluate_sub_query(q, strings_direct_kb).p_avg, abs=1e-9
+            infer_pos(relevant_kb(q, strings_direct_kb), q).p_avg, abs=1e-9
         )
 
     def test_k_out_of_range(self, strings_direct_kb):
@@ -99,8 +98,8 @@ class TestComputeExplanation:
             scores = {}
             for combo in combinations(sorted(query.items()), k):
                 sub = dict(combo)
-                scores[tuple(sorted(sub.items()))] = evaluate_sub_query(sub, kb).p_avg
-            full_positive = evaluate_sub_query(query, kb).label
+                scores[tuple(sorted(sub.items()))] = infer_pos(relevant_kb(sub, kb), sub).p_avg
+            full_positive = infer_pos(relevant_kb(query, kb), query).label
             best = max(scores.values()) if full_positive else min(scores.values())
             assert expl.score == pytest.approx(best, abs=1e-9)
             assert scores[tuple(sorted(expl.sub_query.items()))] == expl.score
@@ -123,8 +122,7 @@ class TestComputeExplanation:
     def test_lp_scores_within_label_eps_tie(self, monkeypatch, full, scores, want):
         # LP scores carry solver noise: within LABEL_EPS of the extremum
         # they tie, and the serialized sub-query breaks the tie
-        def scored(sub, kb, domains=None, *, use_relevant=True):
-            assert not use_relevant
+        def scored(sub, kb):
             p = scores[next(iter(sub))] if len(sub) == 1 else full
             return InferenceResult(p, p, p, 0.0, p > 0.5 + LABEL_EPS)
 

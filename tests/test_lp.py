@@ -1,4 +1,3 @@
-import logging
 import math
 import random
 
@@ -18,11 +17,12 @@ from helpers import (
     satisfiable_random_kb,
     stop_highs_at_time_limit,
     tuple_counts,
+    unpresolved_infer,
 )
 
+from plkb.cli import check_query
 from plkb.data import from_rows
-from plkb.direct import active_kb, build_direct_kb, relevant_kb
-from plkb.explain import compute_explanation
+from plkb.direct import build_direct_kb, relevant_kb
 from plkb.kb import (
     POS,
     Atom,
@@ -43,7 +43,6 @@ from plkb.lp import (
     apply_query,
     build_lp,
     check_consistency,
-    check_query,
     dump_lp,
     infer_pos,
     minimum_deviation,
@@ -187,11 +186,10 @@ class TestApplyQuery:
         out = apply_query(lp, {"zz": "1"})
         assert out.bounds == lp.bounds
 
-    def test_out_of_domain_value_warns_but_asserts(self, strings_tree_kb, caplog):
+    def test_out_of_domain_value_warns_but_asserts(self, strings_tree_kb, capsys):
         lp = build_lp(strings_tree_kb)
-        with caplog.at_level(logging.WARNING):
-            check_query({"a1": "7"}, {"a1": {"0", "1"}})
-        assert "outside" in caplog.text
+        check_query({"a1": "7"}, {"a1": {"0", "1"}})
+        assert capsys.readouterr().err == "query value a1=7 outside the feature's domain\n"
         out = apply_query(lp, {"a1": "7"})
         # the asserted atom does not exist, so only siblings get zeroed
         fixed = {
@@ -273,14 +271,14 @@ class TestInfer:
         assert res.label is False
 
     def test_full_query_on_direct_kb_is_a_coin_flip(self, strings_direct_kb):
-        res = infer_pos(strings_direct_kb, query_from_string("0101"), engine="lp")
+        res = unpresolved_infer(strings_direct_kb, query_from_string("0101"))
         assert res.p_avg == pytest.approx(0.5, abs=1e-5)
         assert res.label is False
 
     def test_tree_kb_follows_its_only_active_clause(self, strings_tree_kb):
         # every path clause but the a4=1 one is pinned true by this query,
         # so the class probability follows that clause's probability 1.0
-        res = infer_pos(strings_tree_kb, query_from_string("0101"), engine="lp")
+        res = unpresolved_infer(strings_tree_kb, query_from_string("0101"))
         assert res.p_avg > 0.99
         assert res.label is True
 
@@ -288,34 +286,6 @@ class TestInfer:
         res = infer_pos(KnowledgeBase(), {"a1": "0"})
         assert (res.p_lower, res.p_upper) == (0.0, 1.0)
         assert res.label is False
-
-    def test_both_engines_check_the_query_against_domains(self, strings_tree_kb, caplog):
-        kb = strings_tree_kb
-        domains = {f"a{i}": frozenset("01") for i in range(1, 5)}
-        unknown = {"a1": "0", "a2": "1", "zz": "3"}
-        messages = []
-        for sub, engine in ((active_kb(unknown, kb), "auto"), (kb, "lp")):
-            with pytest.raises(ValueError) as exc:
-                infer_pos(sub, unknown, domains, engine=engine)
-            messages.append(str(exc.value))
-        for use_relevant in (True, False):
-            with pytest.raises(ValueError) as exc:
-                compute_explanation(unknown, kb, 1, domains, use_relevant=use_relevant)
-            messages.append(str(exc.value))
-        assert messages == ["query feature 'zz' not in domains"] * 4
-
-        q = {"a1": "7", "a2": "0", "a3": "0", "a4": "0"}
-        warning = ["query value a1=7 outside the feature's domain"]
-        for sub, engine in ((active_kb(q, kb), "auto"), (kb, "lp")):
-            caplog.clear()
-            with caplog.at_level(logging.WARNING, logger="plkb.lp"):
-                infer_pos(sub, q, domains, engine=engine)
-            assert [r.getMessage() for r in caplog.records] == warning
-        for use_relevant in (True, False):
-            caplog.clear()
-            with caplog.at_level(logging.WARNING, logger="plkb.lp"):
-                compute_explanation(q, kb, 1, domains, use_relevant=use_relevant)
-            assert [r.getMessage() for r in caplog.records] == warning
 
     def test_a_status_but_optimal_is_an_internal_error(self, strings_direct_kb, monkeypatch):
         message = stop_highs_at_time_limit(monkeypatch)
@@ -331,37 +301,21 @@ class TestInfer:
         assert infer_pos(kb).label is False
 
     def test_pinned_and_lp_engines_agree(self):
-        # Targets are the class atom or a feature value.  Rule clauses are
-        # the target plus negated pairs the query asserts, which the
-        # presolve reduces to the target literal; a mixed-in clause either
-        # is one the query decides (it has a literal the query makes true)
-        # or keeps another free literal, so the closed form must decline and
-        # the auto engine fall back to the LP.  A query that also asserts
-        # the target's feature fixes the target, so the LP answers it.
-        kb = parse_kb("0.8 t=0 | !f=1\n0.6 t=0")
-        query, target = {"f": "1", "t": "1"}, Atom("t", "0")
-        assert _presolve(kb, {"f": "1"}, target) == (0.0, [0.8, 0.6], [])
-        for engine in ("auto", "lp"):
-            res = infer_pos(kb, query, target=target, engine=engine)
-            assert (res.p_lower, res.p_upper) == pytest.approx((0.0, 0.0), abs=1e-9)
-
+        # Rule clauses are pos plus negated pairs the query asserts, which
+        # the presolve reduces to pos; a mixed-in clause either is one the
+        # query decides (it has a literal the query makes true) or keeps
+        # another free literal, so the closed form must decline and the LP
+        # answer the residual.
         rng = random.Random(23)
-        n_pinned = n_declined = n_fixed = 0
+        n_pinned = n_declined = 0
         for _ in range(60):
             n_features = rng.randint(1, 4)
             pairs = [(f"f{i}", rng.choice("01")) for i in range(1, n_features + 1)]
             query = dict(pairs)
-            target = POS if rng.random() < 0.5 else Atom("t", rng.choice("01"))
-            fixes_target = target != POS and rng.random() < 0.5
-            if fixes_target:
-                query["t"] = rng.choice("01")
             n_clauses = min(rng.randint(1, 6), 2 ** len(pairs))
             by_clause = {}
             while len(by_clause) < n_clauses:
-                body = rng.sample(pairs, rng.randint(0, len(pairs)))
-                lits = [Literal(target)]
-                lits += (Literal(Atom(f, v), True) for f, v in body)
-                clause = Clause(lits)
+                clause = rule_clause(rng.sample(pairs, rng.randint(0, len(pairs))))
                 if clause not in by_clause:
                     by_clause[clause] = WeightedClause(rng.random(), clause)
             pinned = rng.random() < 0.5
@@ -370,57 +324,55 @@ class TestInfer:
                 other = "1" if v == "0" else "0"
                 shape = rng.randrange(5)
                 clause = [
-                    Clause([Literal(target), Literal(Atom(f, v))]),
-                    Clause([Literal(target), Literal(Atom(f, other), True)]),
-                    Clause([Literal(target, True), Literal(Atom(f, v), True)]),
-                    Clause([Literal(target), Literal(Atom("b"), True)]),
-                    rule_clause([(f, v)]) if target != POS
-                    else Clause([Literal(Atom("t", "0")), Literal(Atom(f, v), True)]),
+                    Clause([Literal(POS), Literal(Atom(f, v))]),
+                    Clause([Literal(POS), Literal(Atom(f, other), True)]),
+                    Clause([Literal(POS, True), Literal(Atom(f, v), True)]),
+                    Clause([Literal(POS), Literal(Atom("b"), True)]),
+                    Clause([Literal(Atom("t", "0")), Literal(Atom(f, v), True)]),
                 ][shape]
                 by_clause[clause] = WeightedClause(rng.random(), clause)
                 pinned = shape < 2  # the query makes its feature literal true
             kb = KnowledgeBase(by_clause.values())
-            if not fixes_target:
-                constant, probs, rest = _presolve(kb, query, target)
-                assert (not rest) == pinned
-                assert len(probs) + len(rest) <= len(kb)
-            n_pinned += pinned and not fixes_target
-            n_declined += not pinned and not fixes_target
-            n_fixed += fixes_target
-            fast = infer_pos(kb, query, target=target)
-            slow = infer_pos(kb, query, target=target, engine="lp")
+            constant, probs, rest = _presolve(kb, query)
+            assert (not rest) == pinned
+            assert len(probs) + len(rest) <= len(kb)
+            n_pinned += pinned
+            n_declined += not pinned
+            fast = infer_pos(kb, query)
+            slow = unpresolved_infer(kb, query)
             assert fast.p_lower == pytest.approx(slow.p_lower, abs=1e-6)
             assert fast.p_upper == pytest.approx(slow.p_upper, abs=1e-6)
             assert fast.objective_min == pytest.approx(slow.objective_min, abs=1e-6)
-            for engine in ("auto", "lp"):
-                with pytest.raises(ValueError, match="does not occur"):
-                    infer_pos(kb, query, target=Atom("zz"), engine=engine)
-        assert n_pinned > 10 and n_declined > 10 and n_fixed > 2
+            with pytest.raises(ValueError, match="does not occur"):
+                infer_pos(kb, query, target=Atom("zz"))
+        assert n_pinned > 10 and n_declined > 10
 
     def test_bounds_are_never_negative_zero(self):
         # HiGHS can return -0.0 for a target fixed to 0; the result clamps
         # it to +0.0 so that printed bounds never read -0.000000.
         kb = parse_kb("0.8 t=0 | !f=1\n0.6 t=0")
         res = infer_pos(kb, {"f": "1", "t": "1"}, target=Atom("t", "0"))
+        # the query fixes the target's own feature, so t=0 is pinned at 0
+        assert (res.p_lower, res.p_upper) == pytest.approx((0.0, 0.0), abs=1e-9)
         for value in (res.p_lower, res.p_upper, res.objective_min):
             assert math.copysign(1.0, value) == 1.0
 
     def test_clause_order_invariance(self, strings_direct_kb):
         q = query_from_string("0101")
         rel = relevant_kb(q, strings_direct_kb)
-        base = infer_pos(rel, q, engine="lp")
+        base = unpresolved_infer(rel, q)
         rng = random.Random(3)
         clauses = list(rel.clauses)
         for _ in range(5):
             rng.shuffle(clauses)
-            res = infer_pos(KnowledgeBase(clauses), q, engine="lp")
+            res = unpresolved_infer(KnowledgeBase(clauses), q)
             assert res.p_lower == pytest.approx(base.p_lower, abs=1e-6)
             assert res.p_upper == pytest.approx(base.p_upper, abs=1e-6)
 
     def test_bitwise_determinism(self, strings_direct_kb):
         q = query_from_string("1100")
-        a = infer_pos(strings_direct_kb, q, engine="lp")
-        b = infer_pos(strings_direct_kb, q, engine="lp")
+        a = unpresolved_infer(strings_direct_kb, q)
+        b = unpresolved_infer(strings_direct_kb, q)
         assert a == b
 
     def test_probability_laws_on_an_optimal_solution(self, implication_kb):
@@ -454,12 +406,12 @@ class TestInfer:
 
 
 class TestPresolve:
-    """The presolved auto engine against the unpresolved ``engine="lp"``."""
+    """Presolved ``pos`` answers against ``helpers.unpresolved_infer``."""
 
     @staticmethod
     def assert_same_answer(kb, query, target=POS):
         fast = infer_pos(kb, query, target=target)
-        slow = infer_pos(kb, query, target=target, engine="lp")
+        slow = unpresolved_infer(kb, query, target)
         assert fast.label == slow.label
         assert fast.p_lower == pytest.approx(slow.p_lower, abs=1e-6)
         assert fast.p_upper == pytest.approx(slow.p_upper, abs=1e-6)
@@ -473,9 +425,8 @@ class TestPresolve:
         if target in kb.universe or len(kb) == 0:
             self.assert_same_answer(kb, query, target)
             return
-        for engine in ("auto", "lp"):
-            with pytest.raises(ValueError, match="does not occur"):
-                infer_pos(kb, query, target=target, engine=engine)
+        with pytest.raises(ValueError, match="does not occur"):
+            infer_pos(kb, query, target=target)
 
     @settings(max_examples=40, deadline=None)
     @given(datasets_and_queries())
@@ -499,7 +450,7 @@ class TestPresolve:
             "0.6 pos | !a=1 | b\n0.7 pos | a=0 | b\n0.9 pos | b\n"
             "0.2 pos | !a=1\n0.4 pos | a=0\n0.3 pos\n0.1 pos | !b"
         )
-        constant, probs, rest = _presolve(kb, {"a": "1"}, POS)
+        constant, probs, rest = _presolve(kb, {"a": "1"})
         assert constant == 0.0
         assert sorted(probs) == [0.2, 0.3, 0.4]
         assert [str(wc.clause) for wc in rest] == ["pos | b"] * 3 + ["pos | !b"]
@@ -517,22 +468,6 @@ class TestPresolve:
         res = self.assert_same_answer(kb, {"a": "1"})
         assert (res.p_lower, res.p_upper) == (0.0, 1.0)
         assert res.objective_min == pytest.approx(0.3 + 0.1, abs=1e-6)
-
-    def test_feature_target_reads_the_rows(self):
-        # with a target other than pos an inside row's residual is pos and
-        # joins the rest, in row order; a sibling pins a row true
-        kb = parse_kb("0.2 pos | !a=1\n0.6 pos | !a=1 | !t=0\n0.25 pos | !a=0")
-        constant, probs, rest = _presolve(kb, {"a": "1"}, Atom("t", "0"))
-        assert (constant, probs) == (0.75, [])
-        assert [(wc.probability, str(wc.clause)) for wc in rest] == [
-            (0.2, "pos"), (0.6, "pos | !t=0")
-        ]
-
-    def test_feature_target_on_a_direct_table_builds_no_clause_list(self, strings_ds):
-        table = build_direct_kb(strings_ds)
-        for query in ({}, {"a1": "0"}, {"a1": "1", "a3": "0"}, {"a1": "0", "a3": "1", "a4": "1"}):
-            self.assert_same_answer(table, query, target=Atom("a2", "1"))
-        assert "clauses" not in table.__dict__
 
     def test_rule_body_repeating_a_feature_is_not_a_row(self):
         # pos | !t=0 | !t=1 is no rule: it joins ``others``, and the rows
@@ -578,8 +513,7 @@ class TestProjection:
     @staticmethod
     def assert_matches_reference(kb, query, target=POS):
         ref = reference_infer(kb, query, target)
-        for engine in ("auto", "lp"):
-            res = infer_pos(kb, query, target=target, engine=engine)
+        for res in (infer_pos(kb, query, target=target), unpresolved_infer(kb, query, target)):
             assert res.label == ref.label
             assert res.p_lower == pytest.approx(ref.p_lower, abs=1e-6)
             assert res.p_upper == pytest.approx(ref.p_upper, abs=1e-6)
@@ -703,7 +637,7 @@ class TestNilssonOracle:
             target = rng.choice(sorted(kb.universe, key=str))
             feasible, lo, hi = nilsson_oracle(kb, target)
             assert feasible
-            res = infer_pos(kb, target=target, engine="lp")
+            res = infer_pos(kb, target=target)
             assert res.p_lower <= lo + 1e-6
             assert res.p_upper >= hi - 1e-6
 
