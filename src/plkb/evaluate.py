@@ -216,8 +216,11 @@ def run_knowledge_experiment(
 
     ``config.rng_seed`` drives the data pipeline; ``rng_seed`` drives
     clause sampling, so the same split can be measured under different
-    injections.
+    injections.  A negative count is refused.
     """
+    for flag, count in (("--true", n_true_clauses), ("--random", n_random_clauses)):
+        if count < 0:
+            raise ValueError(f"{flag} must be at least 0")
     extra: list[WeightedClause] = []
     if n_true_clauses:
         extra.extend(true_knowledge_clauses(config.dataset, spec, n_true_clauses, rng_seed))

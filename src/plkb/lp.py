@@ -31,9 +31,9 @@ Classification asks for the class atom's probability under a query.
 Query feature values are hard constraints (pi(a=v) fixed to 1, sibling
 values to 0); the knowledge is soft.  Because the optimum of pi(pos) is
 generally a range, inference solves lexicographically: first the minimal
-deviation v*, then min/max of the target probability subject to the
-deviation staying within v* + TAU_LEX.  The label is positive only when
-the midpoint exceeds 0.5.
+deviation v*, then min/max of the target probability over the optimal
+set, the feasible points whose deviation is v*.  The label is positive
+only when the midpoint exceeds 0.5.
 
 ``infer_pos`` presolves a query on the class atom ``pos`` exactly.  The
 query fixes every feature-value atom it asserts or contradicts, so a
@@ -57,9 +57,12 @@ included for cross-checking on small universes.
 Every program built here is solved by one three-stage solve, in
 ``_bounded_target`` (``minimum_deviation`` runs its first stage alone).
 It holds the program in one HiGHS model, through the HiGHS bindings
-inside scipy, and re-solves stages 2 and 3 warm from the basis of the
-stage before; any status but optimal is an internal error: a
-``RuntimeError`` carrying HiGHS's name for the status.  The module-level
+inside scipy.  Stages 2 and 3 re-solve it warm on the stage-1 optimal
+face: a feasible point is optimal exactly when it is complementary to
+stage 1's dual, so the columns with a non-zero reduced cost are fixed at
+their bounds and the rows with a non-zero dual made tight.  Any status
+but optimal is an internal error: a ``RuntimeError`` carrying HiGHS's
+name for the status.  The module-level
 :func:`linprog` serves the oracle only.  numpy and scipy are imported
 inside the functions that solve a program, so importing this module, and
 every closed-form answer, loads neither.
@@ -83,14 +86,10 @@ from .kb import (
     _coded_rule,
 )
 
-# Slack when re-fixing the stage-1 objective.  It must absorb solver noise
-# in v* yet stay small enough that the bound inflation it causes (slack
-# divided by the deviation slope, often exactly the slack) sits well under
-# the 1e-6 tolerances the probability bounds are checked at.
-TAU_LEX = 1e-7
 TAU_ZERO = 1e-6   # deviation below this hints consistency
 # A bound midpoint of exactly 0.5 classifies negative; the band keeps that
-# rule stable when solver noise perturbs the midpoint by ~TAU_LEX.
+# rule stable when solver noise, within HiGHS's 1e-7 feasibility
+# tolerances, perturbs the midpoint.
 LABEL_EPS = 1e-6
 
 
@@ -215,13 +214,20 @@ def _bounded_target(
     One HiGHS model holds the program, through the bindings scipy ships
     (``scipy.optimize._highspy``, private to scipy since 1.15), set up as
     ``linprog(method="highs")`` sets it: no output, dual simplex.  Stage 1
-    solves it; then the cap row ``objective @ x <= v* + TAU_LEX`` is added
-    and the cost swapped for +target, then -target, each stage re-solving
-    warm from the basis the last one left.
+    solves it.  Its dual then marks the optimal face: every column whose
+    reduced cost is non-zero is fixed at the bound it sits on (the lower
+    for a positive cost, the upper for a negative one), and every row
+    whose dual is non-zero gets its lower bound raised to its rhs.  Any
+    optimal dual will do, unique or not: a feasible point is optimal
+    exactly when it is complementary to it.  A dual counts as non-zero
+    only beyond HiGHS's ``dual_feasibility_tolerance``, which can only
+    widen the face.  The cost is then swapped for +target, then -target,
+    each stage re-solving warm from the basis the last one left.
 
     Every program built here is boxed and minimises non-negative
     deviations, so any status but optimal is an internal error, reported
-    with HiGHS's name for the status.
+    with HiGHS's name for the status, and so is an optimum without a
+    valid dual.
     """
     from scipy.optimize._highspy._core import (
         HighsLp,
@@ -249,29 +255,35 @@ def _bounded_target(
     highs.setOptionValue("simplex_strategy", 1)  # kSimplexStrategyDual
     highs.passModel(model)
 
-    def optimum() -> None:
+    def optimum():
         highs.run()
         status = highs.getModelStatus()
+        solution = highs.getSolution()
         if status != HighsModelStatus.kOptimal:
             raise RuntimeError(f"internal error: {highs.modelStatusToString(status)}")
+        if not solution.dual_valid:
+            raise RuntimeError("internal error: no valid dual solution")
+        return solution
 
-    optimum()
+    solution = optimum()
     v_star = float(highs.getInfo().objective_function_value)
     if target_var is None:
         return v_star, None, None
 
-    # Stages 2 and 3 keep the stage-1 objective within v* + TAU_LEX.
-    cols = [j for j, coef in enumerate(lp.objective) if coef]
-    highs.addRow(-kHighsInf, v_star + TAU_LEX, len(cols), cols,
-                 [lp.objective[j] for j in cols])
+    tol = highs.getOptionValue("dual_feasibility_tolerance")[1]
+    col_dual = solution.col_dual
+    fixed = [j for j, r in enumerate(col_dual) if abs(r) > tol]
+    at = [lp.bounds[j][col_dual[j] < 0] for j in fixed]
+    highs.changeColsBounds(len(fixed), fixed, at, at)
+    for r, y in enumerate(solution.row_dual):
+        if abs(y) > tol:
+            highs.changeRowBounds(r, rows.rhs[r], rows.rhs[r])
     cost = [0.0] * n
     cost[target_var] = 1.0
     highs.changeColsCost(n, range(n), cost)
-    optimum()
-    lo = float(highs.getSolution().col_value[target_var])
+    lo = float(optimum().col_value[target_var])
     highs.changeColsCost(1, [target_var], [-1.0])
-    optimum()
-    hi = float(highs.getSolution().col_value[target_var])
+    hi = float(optimum().col_value[target_var])
     return v_star, lo, hi
 
 

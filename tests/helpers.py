@@ -29,7 +29,6 @@ from plkb.kb import (
 )
 from plkb.lp import (
     LABEL_EPS,
-    TAU_LEX,
     InferenceResult,
     LinearProgram,
     _bounded_target,
@@ -38,6 +37,12 @@ from plkb.lp import (
     build_lp,
     infer_pos,
 )
+
+# Slack on the reference solves' cap row ``objective @ x <= v* + CAP_SLACK``:
+# it absorbs solver noise in v* while the bound inflation it causes (the
+# slack divided by the deviation's slope) stays under the 1e-6 tolerances
+# the bounds are checked at.
+CAP_SLACK = 1e-7
 
 # Eight labelled bit-strings over features a1..a4; small enough to check
 # every derived number by hand.
@@ -341,7 +346,7 @@ def _ub(lp: LinearProgram, cap: float | None = None):
 def reference_bounded_target(lp: LinearProgram, target_var: int | None):
     """Reference implementation of :func:`plkb.lp._bounded_target`: three
     cold ``linprog(method="highs")`` solves of the program, the second and
-    third with the cap row ``objective @ x <= v* + TAU_LEX`` appended."""
+    third with the cap row ``objective @ x <= v* + CAP_SLACK`` appended."""
     import numpy as np
     from scipy.optimize import linprog
 
@@ -354,7 +359,7 @@ def reference_bounded_target(lp: LinearProgram, target_var: int | None):
     v_star = float(optimum(lp.objective, *_ub(lp)).fun)
     if target_var is None:
         return v_star, None, None
-    a_ub, b_ub = _ub(lp, v_star + TAU_LEX)
+    a_ub, b_ub = _ub(lp, v_star + CAP_SLACK)
     ct = np.zeros(lp.n_variables)
     ct[target_var] = 1.0
     lo = float(optimum(ct, a_ub, b_ub).x[target_var])
@@ -395,7 +400,7 @@ PRESOLVE_TRAP = (
 def reference_infer(kb: KnowledgeBase, query, target: Atom = POS) -> InferenceResult:
     """The three-stage solve of :func:`reference_program` over the whole KB:
     v*, then the least and greatest pi(target) with the deviation held
-    within v* + TAU_LEX, every query pair fixing its feature's atoms.
+    within v* + CAP_SLACK, every query pair fixing its feature's atoms.
 
     Stages 2 and 3 run without HiGHS's presolve, which can call the capped
     program infeasible when it is not (:data:`PRESOLVE_TRAP`)."""
@@ -417,7 +422,7 @@ def reference_infer(kb: KnowledgeBase, query, target: Atom = POS) -> InferenceRe
         return res
 
     v_star = optimum(c, a_ub, b_ub).fun
-    a_ub, b_ub = np.vstack([a_ub, c]), np.append(b_ub, v_star + TAU_LEX)
+    a_ub, b_ub = np.vstack([a_ub, c]), np.append(b_ub, v_star + CAP_SLACK)
     ct = np.zeros(len(c))
     ct[column[target]] = 1.0
     no_presolve = {"presolve": False}

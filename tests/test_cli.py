@@ -400,6 +400,22 @@ class TestSynthAndEval:
         assert [l for l in err.splitlines() if l] == ["error: --runs must be at least 1"]
         assert result.stdout == ""
 
+    @pytest.mark.parametrize("flag", ["--true", "--random"])
+    def test_negative_knowledge_count_refused(self, runner, tmp_path, flag):
+        out_dir = tmp_path / "syn"
+        run_json(
+            runner,
+            ["synth", "--length", "4", "--alphabet", "2", "--match", "2",
+             "--n", "40", "--rng-seed", "5", "--out", str(out_dir)],
+        )
+        result = runner.invoke(
+            main, ["knowledge-exp", "--input", str(out_dir), "--runs", "1", flag, "-3"]
+        )
+        assert result.exit_code == 1
+        err = result.stderr if hasattr(result, "stderr") else result.output
+        assert [l for l in err.splitlines() if l] == [f"error: {flag} must be at least 0"]
+        assert result.stdout == ""
+
     def test_expl_eval_that_explains_nothing_prints_null(self, runner, tmp_path):
         out_dir = tmp_path / "syn"
         run_json(

@@ -136,12 +136,13 @@ class TestComputeExplanation:
 
     def test_full_kb_scores_on_a_rule_only_kb_tie_within_label_eps(self):
         # without use_relevant every score within LABEL_EPS of the least
-        # ties: "a=1" (0.200000225) serializes first and beats "b=1" (0.2)
+        # ties: "a=1" (0.20000025, the midpoint of [0.2, 0.2000005]) serializes
+        # first and beats "b=1" (0.2)
         kb = parse_kb("0.2000005 pos | !a=1\n0.2 pos | !b=1")
         query = {"a": "1", "b": "1"}
         got = compute_explanation(query, kb, 1, use_relevant=False)
         assert got.sub_query == {"a": "1"} and got.direction == "min"
-        assert abs(got.score - 0.200000225) < 1e-9
+        assert abs(got.score - 0.20000025) < 1e-9
         assert got == explanation_loop(query, kb, 1, use_relevant=False)
         # on the relevant rows the exact 0.2 wins
         assert compute_explanation(query, kb, 1).sub_query == {"b": "1"}

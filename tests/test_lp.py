@@ -292,6 +292,22 @@ class TestInfer:
         with pytest.raises(RuntimeError, match=f"^internal error: {message}$"):
             infer_pos(strings_direct_kb, {"a1": "0"})
 
+    def test_an_optimum_without_a_valid_dual_is_an_internal_error(
+        self, strings_direct_kb, monkeypatch
+    ):
+        # stages 2 and 3 are set up from stage 1's dual
+        from scipy.optimize._highspy import _core
+
+        class NoDual(_core._Highs):
+            def getSolution(self):
+                solution = super().getSolution()
+                solution.dual_valid = False
+                return solution
+
+        monkeypatch.setattr(_core, "_Highs", NoDual)
+        with pytest.raises(RuntimeError, match="^internal error: no valid dual solution$"):
+            infer_pos(strings_direct_kb, {"a1": "0"})
+
     def test_missing_target_rejected(self, strings_tree_kb):
         with pytest.raises(ValueError, match="target"):
             infer_pos(strings_tree_kb, target=Atom("zz"))

@@ -5,7 +5,9 @@ within 1e-9 relative, the bounds within 1e-6 and the same label.
 
 Programs come from KBs of every clause shape under full and partial
 queries, and from arbitrary-probability KBs, mostly inconsistent, whose
-clauses share atoms more densely.
+clauses share atoms more densely.  ``TestOptimalFace`` pins bounds that
+the reference's slack on v* would widen, and solves programs whose
+stage-1 dual is not unique.
 """
 
 import random
@@ -21,11 +23,15 @@ from helpers import (
 )
 
 from plkb.evaluate import bench_lp, random_bench_kb
+from plkb.kb import POS, parse_kb
 from plkb.lp import _bounded_target, _result, apply_query, build_lp
 
 
 def assert_same_solve(kb, query, target):
-    lp = apply_query(build_lp(kb), query)
+    assert_same_bounds(apply_query(build_lp(kb), query), target)
+
+
+def assert_same_bounds(lp, target):
     target_var = lp.atom_index.get(target)
     v_star, lo, hi = _bounded_target(lp, target_var)
     ref_v_star, ref_lo, ref_hi = reference_bounded_target(lp, target_var)
@@ -57,3 +63,45 @@ class TestWarmAgainstCold:
     def test_bench_lp_objective(self):
         ref_v_star = reference_bounded_target(build_lp(random_bench_kb(1000, 1000, 0)), None)[0]
         assert bench_lp(1000, 1000, 0).objective == pytest.approx(ref_v_star, rel=1e-9)
+
+
+class TestOptimalFace:
+    """Stages 2 and 3 range over exactly the stage-1 optimal set: no slack
+    on v* widens the bounds, and a program with more than one stage-1
+    dual, such as a clause sequence that repeats a clause (as a presolved
+    residual can), gets the reference's bounds whichever dual HiGHS
+    returns."""
+
+    def test_exact_bounds_on_a_flat_optimum(self):
+        # With a=1, "pos | !a=1" is pos itself, deviating |pi - 0.2000005|.
+        # "pos | !b=1" deviates max(0, pi - 0.2) at the best b: below 0.2
+        # some 1 - x_b makes it exact, above it pi(c) >= pi > 0.2.  The sum
+        # is 0.2000005 - pi below 0.2, the constant 5e-7 for pi in
+        # [0.2, 0.2000005] and 2 pi - 0.4000005 above, so v* = 5e-7 and the
+        # optimal face bounds pi(pos) to exactly [0.2, 0.2000005].
+        kb = parse_kb("0.2000005 pos | !a=1\n0.2 pos | !b=1")
+        lp = apply_query(build_lp(kb), {"a": "1"})
+        v_star, lo, hi = _bounded_target(lp, lp.atom_index[POS])
+        assert v_star == pytest.approx(5e-7, abs=1e-12)
+        assert lo == pytest.approx(0.2, abs=1e-12)
+        assert hi == pytest.approx(0.2000005, abs=1e-12)
+
+    def test_repeated_unit_clauses_give_the_median_interval(self):
+        # sum |pi - p_i| over 0.4, 0.4, 0.8, 0.8 is 0.8 on all of [0.4, 0.8]
+        clauses = [*parse_kb("0.4 pos").clauses] * 2 + [*parse_kb("0.8 pos").clauses] * 2
+        lp = build_lp(clauses)
+        v_star, lo, hi = _bounded_target(lp, lp.atom_index[POS])
+        assert v_star == pytest.approx(0.8, abs=1e-9)
+        assert (lo, hi) == (pytest.approx(0.4, abs=1e-9), pytest.approx(0.8, abs=1e-9))
+        assert_same_bounds(lp, POS)
+
+    def test_repeated_clauses_match_the_reference(self):
+        rng = random.Random(5)
+        for _ in range(30):
+            kb, atoms = arbitrary_random_kb(rng, rng.randint(2, 5), rng.randint(2, 8))
+            clauses = list(kb.clauses)
+            clauses += rng.choices(clauses, k=rng.randint(1, len(clauses)))
+            rng.shuffle(clauses)
+            lp = build_lp(clauses)
+            for atom in atoms:
+                assert_same_bounds(lp, atom)
