@@ -55,14 +55,14 @@ def parse_query(text: str) -> dict[str, str]:
 
 
 def _read_kb(path: str):
-    return parse_kb(Path(path).read_text(encoding="utf-8"))
+    return parse_kb(Path(path).read_text(encoding="utf-8-sig"))
 
 
 def _domains_for_kb(path: str, kb) -> dict[str, frozenset[str]]:
     """Domains of every column of a reference CSV, which must hold the
     KB's features; a query may name a feature the KB never mentions."""
     features = sorted({a.feature for a in kb.universe if a.value is not None})
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv_mod.reader(fh)
         try:
             header = next(reader)

@@ -98,12 +98,12 @@ def load_csv(path, label_column: str, positive_label: str) -> Dataset:
 
     Cells are taken verbatim as categorical strings.  Empty cells, ragged
     rows and a repeated column name are rejected; there is no
-    missing-value handling.
+    missing-value handling.  A leading UTF-8 byte-order mark is skipped.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -284,8 +284,8 @@ def load_seed_spec(path) -> SeedSpec:
     """Read a seed.json sidecar: a JSON object whose ``seed`` is a string
     and whose ``length``, ``alphabet_size`` and ``match_count`` are
     integers that make a valid :class:`SeedSpec`; ValueError naming the
-    file otherwise."""
-    with open(path, encoding="utf-8") as fh:
+    file otherwise.  A leading UTF-8 byte-order mark is skipped."""
+    with open(path, encoding="utf-8-sig") as fh:
         d = json.load(fh)
     if not isinstance(d, dict):
         raise ValueError(f"{path}: not a JSON object")

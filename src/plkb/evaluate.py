@@ -17,6 +17,7 @@ from .lp import InferenceResult, build_lp, infer_pos, minimum_deviation
 from .tree import TreeNode, build_id3, kb_from_tree
 
 METHODS = ("tree", "tree-all", "direct")
+RANDOM_BODY_MAX_PAIRS = 10  # the longest pollution clause body
 
 
 @dataclass(frozen=True)
@@ -142,7 +143,9 @@ def run_explanation_eval(
     max_instances: int | None = None,
 ) -> ExplanationEvalReport:
     """Mean ground-truth accuracy of k-explanations over the test
-    instances that classify positive."""
+    instances that classify positive, at most ``max_instances`` (>= 1)."""
+    if max_instances is not None and max_instances < 1:
+        raise ValueError("--max-instances must be at least 1")
     _, test, kb = _prepare(config)
     accuracies = []
     for inst in test.instances:
@@ -191,14 +194,15 @@ def true_knowledge_clauses(
 
 
 def random_knowledge_clauses(
-    dataset: Dataset, n_clauses: int, rng_seed: int, max_length: int = 10
+    dataset: Dataset, n_clauses: int, rng_seed: int
 ) -> list[WeightedClause]:
-    """Pollution clauses: random bodies of length 1..10, random probability."""
+    """Pollution clauses: random bodies of 1 to ``RANDOM_BODY_MAX_PAIRS``
+    (10) pairs over distinct features, each with a random probability."""
     rng = random.Random(rng_seed)
     features = list(dataset.features)
     out = []
     for _ in range(n_clauses):
-        size = rng.randint(1, min(max_length, len(features)))
+        size = rng.randint(1, min(RANDOM_BODY_MAX_PAIRS, len(features)))
         chosen = rng.sample(features, size)
         pairs = [(f, rng.choice(sorted(dataset.domains[f]))) for f in chosen]
         out.append(WeightedClause(rng.random(), rule_clause(pairs)))

@@ -38,7 +38,6 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
-from itertools import chain
 from operator import or_
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -274,11 +273,10 @@ class KnowledgeBase:
     hashes more slowly.  The sub-KBs selected from a KB share its table,
     so the table may hold pairs no row uses.
 
-    :attr:`clauses` lists the rules in ``counts`` order, then ``others``.
-    No rule clause object exists until something reads :attr:`clauses`,
-    which builds them once; until then iteration builds each rule clause
-    on the fly and keeps none, so writing a KB out never holds all of its
-    clauses at once.
+    :attr:`clauses` lists the rules in ``counts`` order, then ``others``,
+    and iteration runs over it.  No rule clause object exists until
+    something reads :attr:`clauses` or iterates the KB, which builds them
+    once; :func:`serialize_kb` and the presolve read ``counts`` directly.
 
     The constructor routes each rule-shaped clause of ``clauses`` into
     ``counts``, numbering its new pairs into ``bits``, and keeps both in
@@ -326,22 +324,19 @@ class KnowledgeBase:
 
     @cached_property
     def clauses(self) -> tuple[WeightedClause, ...]:
-        return (*self._rules(), *self.others)
-
-    def _rules(self) -> Iterator[WeightedClause]:
-        # Clauses built in one pass share one literal per pair; nothing
-        # outlives the pass.
+        # The rule clauses share one literal per pair.
         literals: dict[Pair, Literal] = {}
-        for code, (total, pos) in self.counts.items():
-            yield WeightedClause(Fraction(pos, total), _coded_rule(code, self.atoms, literals))
+        rules = (
+            WeightedClause(Fraction(pos, total), _coded_rule(code, self.atoms, literals))
+            for code, (total, pos) in self.counts.items()
+        )
+        return (*rules, *self.others)
 
     def __len__(self) -> int:
         return len(self.counts) + len(self.others)
 
     def __iter__(self) -> Iterator[WeightedClause]:
-        if "clauses" in self.__dict__:
-            return iter(self.clauses)
-        return chain(self._rules(), self.others)
+        return iter(self.clauses)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, KnowledgeBase):
@@ -446,12 +441,14 @@ def parse_kb(text: str) -> KnowledgeBase:
     ``#`` starts a comment; blank lines are skipped.  Probabilities are
     parsed as exact decimals.
 
-    A rule line, ``pos`` and negated feature-value literals over distinct
-    features in any order, becomes a row of ``counts`` with its
-    probability's ``(denominator, numerator)`` and builds no clause
-    object, so a saved learned model parses without one.  Any other line
-    is built as a :class:`Clause`, which becomes a row too when it
-    canonicalises to a rule (``pos | pos | !a=1``).
+    A rule line, ``pos`` and negated feature-value literals in any order
+    that canonicalise to a rule (a repeated literal collapses, as in
+    ``pos | pos | !a=1``, but no feature takes two values), becomes a row
+    of ``counts`` with its probability's ``(denominator, numerator)`` and
+    builds no clause object, so a saved learned model parses without one.
+    Any other line is built as a :class:`Clause`, which is never a rule:
+    it lacks ``pos``, gives a feature two values, or holds ``!pos``, a
+    bare atom or a positive feature-value literal.
     """
     counts: dict[int, tuple[int, int]] = {}
     others: dict[Clause, WeightedClause] = {}
@@ -460,7 +457,6 @@ def parse_kb(text: str) -> KnowledgeBase:
     parts: dict[str, Atom | tuple[int, str]] = {}
     literals: dict[str, Literal] = {}  # literal text -> its literal, shared by clauses
     for line_no, prob, clause_text in _clause_lines(text):
-        code = None
         body = 0
         features = []
         n_pos = 0
@@ -481,21 +477,17 @@ def parse_kb(text: str) -> KnowledgeBase:
                 body |= part[0]
                 features.append(part[1])
         else:
-            if n_pos == 1 and len(set(features)) == len(features):
-                code = body
-        if code is None:
-            clause = _parse_clause(clause_text, line_no, literals)
-            if not clause.is_rule_shaped:
-                prev_prob = others.setdefault(clause, WeightedClause(prob, clause)).probability
-                if prev_prob != prob:
-                    raise _conflict(text, line_no, clause, prev_prob)
+            if n_pos and len(set(features)) == body.bit_count():
+                entry = (prob.denominator, prob.numerator)
+                prev = counts.setdefault(body, entry)
+                if prev != entry:
+                    raise _conflict(text, line_no, _coded_rule(body, bits.atoms, {}),
+                                    Fraction(prev[1], prev[0]))
                 continue
-            code = bits.code(_rule_pairs(clause))
-        entry = (prob.denominator, prob.numerator)
-        prev = counts.setdefault(code, entry)
-        if prev != entry:
-            raise _conflict(text, line_no, _coded_rule(code, bits.atoms, {}),
-                            Fraction(prev[1], prev[0]))
+        clause = _parse_clause(clause_text, line_no, literals)
+        prev_prob = others.setdefault(clause, WeightedClause(prob, clause)).probability
+        if prev_prob != prob:
+            raise _conflict(text, line_no, clause, prev_prob)
     return KnowledgeBase(others.values(), counts, bits)
 
 

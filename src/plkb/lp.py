@@ -60,9 +60,10 @@ It holds the program in one HiGHS model, through the HiGHS bindings
 inside scipy.  Stages 2 and 3 re-solve it warm on the stage-1 optimal
 face: a feasible point is optimal exactly when it is complementary to
 stage 1's dual, so the columns with a non-zero reduced cost are fixed at
-their bounds and the rows with a non-zero dual made tight.  Any status
-but optimal is an internal error: a ``RuntimeError`` carrying HiGHS's
-name for the status.  The module-level
+their bounds and the rows with a non-zero dual made tight.  Each stage
+reads HiGHS's objective value, and stage 1's dual is the only vector
+read.  Any status but optimal is an internal error: a ``RuntimeError``
+carrying HiGHS's name for the status.  The module-level
 :func:`linprog` serves the oracle only.  numpy and scipy are imported
 inside the functions that solve a program, so importing this module, and
 every closed-form answer, loads neither.
@@ -224,10 +225,12 @@ def _bounded_target(
     widen the face.  The cost is then swapped for +target, then -target,
     each stage re-solving warm from the basis the last one left.
 
+    Each stage reads only the objective value: v*, the least target, the
+    negated greatest.  The solution is read once, for stage 1's dual.
+
     Every program built here is boxed and minimises non-negative
     deviations, so any status but optimal is an internal error, reported
-    with HiGHS's name for the status, and so is an optimum without a
-    valid dual.
+    with HiGHS's name for the status, and so is a dual that is not valid.
     """
     from scipy.optimize._highspy._core import (
         HighsLp,
@@ -255,21 +258,20 @@ def _bounded_target(
     highs.setOptionValue("simplex_strategy", 1)  # kSimplexStrategyDual
     highs.passModel(model)
 
-    def optimum():
+    def optimum() -> float:
         highs.run()
         status = highs.getModelStatus()
-        solution = highs.getSolution()
         if status != HighsModelStatus.kOptimal:
             raise RuntimeError(f"internal error: {highs.modelStatusToString(status)}")
-        if not solution.dual_valid:
-            raise RuntimeError("internal error: no valid dual solution")
-        return solution
+        return highs.getObjectiveValue()
 
-    solution = optimum()
-    v_star = float(highs.getInfo().objective_function_value)
+    v_star = optimum()
     if target_var is None:
         return v_star, None, None
 
+    solution = highs.getSolution()
+    if not solution.dual_valid:
+        raise RuntimeError("internal error: no valid dual solution")
     tol = highs.getOptionValue("dual_feasibility_tolerance")[1]
     col_dual = solution.col_dual
     fixed = [j for j, r in enumerate(col_dual) if abs(r) > tol]
@@ -281,9 +283,9 @@ def _bounded_target(
     cost = [0.0] * n
     cost[target_var] = 1.0
     highs.changeColsCost(n, range(n), cost)
-    lo = float(optimum().col_value[target_var])
+    lo = optimum()
     highs.changeColsCost(1, [target_var], [-1.0])
-    hi = float(optimum().col_value[target_var])
+    hi = -optimum()
     return v_star, lo, hi
 
 
@@ -407,16 +409,15 @@ def infer_pos(
     if not (target == POS and kb.counts) and target not in kb.universe:
         raise ValueError(f"target atom {target} does not occur in the knowledge base")
 
-    constant, clauses = 0.0, kb
     if target == POS:
         constant, probs, rest = _presolve(kb, query)
         if not rest:
             return closed_form(probs, constant)
         unit = Clause([Literal(POS)])
-        clauses = [*(WeightedClause(p, unit) for p in probs), *rest]
-    # The residual mentions no atom the query fixes, so applying the query
-    # changes only the unpresolved program.
-    lp = apply_query(build_lp(clauses), query)
+        # The residual mentions no atom the query fixes: no query to apply.
+        lp = build_lp([*(WeightedClause(p, unit) for p in probs), *rest])
+    else:
+        constant, lp = 0.0, apply_query(build_lp(kb), query)
     target_var = lp.atom_index.get(target)
     v_star, lo, hi = _bounded_target(lp, target_var)
     if target_var is None:  # the presolve decided every clause on pos

@@ -12,6 +12,7 @@ from helpers import NEGATIVE_STRINGS, POSITIVE_STRINGS, stop_highs_at_time_limit
 import plkb
 from plkb.cli import _emit, main, parse_query
 from plkb.kb import parse_kb, rule_clause
+from plkb.lp import closed_form
 
 
 @pytest.fixture()
@@ -77,6 +78,30 @@ class TestTrainClassifyExplain:
         assert expl["explanation"] == {"a1": "0"}
         assert expl["masked"] == "0---"
         assert expl["direction"] == "min"
+
+    @pytest.mark.parametrize("method", ["direct", "tree"])
+    def test_csv_with_a_byte_order_mark(self, runner, strings_csv, tmp_path, method):
+        # the first column is a1, not "\ufeffa1", in the model and the domains
+        bom_csv = tmp_path / "bom.csv"
+        bom_csv.write_text("\ufeff" + strings_csv.read_text(encoding="utf-8"), encoding="utf-8")
+        kb_path = tmp_path / "kb.plkb"
+        run_json(
+            runner,
+            ["train", "--method", method, "--input", str(bom_csv),
+             "--label-col", "label", "--pos-label", "pos", "--out", str(kb_path)],
+        )
+        assert "\ufeff" not in kb_path.read_text(encoding="utf-8")
+        res = run_json(
+            runner,
+            ["classify", "--kb", str(kb_path), "--domains", str(bom_csv),
+             "--query", "a1=0,a2=1,a3=0,a4=1"],
+        )
+        expected = run_json(
+            runner,
+            ["classify", "--kb", str(kb_path), "--domains", str(strings_csv),
+             "--query", "a1=0,a2=1,a3=0,a4=1"],
+        )
+        assert res == expected
 
     def test_tree_method_train(self, runner, strings_csv, tmp_path):
         kb_path = tmp_path / "kb.plkb"
@@ -416,16 +441,17 @@ class TestSynthAndEval:
         assert [l for l in err.splitlines() if l] == [f"error: {flag} must be at least 0"]
         assert result.stdout == ""
 
-    def test_expl_eval_that_explains_nothing_prints_null(self, runner, tmp_path):
+    def test_expl_eval_that_explains_nothing_prints_null(self, runner, tmp_path, monkeypatch):
         out_dir = tmp_path / "syn"
         run_json(
             runner,
             ["synth", "--length", "4", "--alphabet", "2", "--match", "2",
              "--n", "40", "--rng-seed", "5", "--out", str(out_dir)],
         )
+        # no test instance classifies positive, so none is explained
+        monkeypatch.setattr(plkb.evaluate, "classify_query", lambda kb, query: closed_form([]))
         result = runner.invoke(
-            main, ["expl-eval", "--input", str(out_dir), "-k", "1", "--runs", "2",
-                   "--max-instances", "0"],
+            main, ["expl-eval", "--input", str(out_dir), "-k", "1", "--runs", "2"],
         )
         assert result.exit_code == 0, result.output
 
@@ -435,6 +461,23 @@ class TestSynthAndEval:
         rep = json.loads(result.stdout, parse_constant=refuse)
         assert rep["mean_accuracy"] is None
         assert rep["runs"] == [{"mean_accuracy": None, "n_explained": 0}] * 2
+
+    @pytest.mark.parametrize("cap", ["0", "-1"])
+    def test_max_instances_below_one_refused(self, runner, tmp_path, cap):
+        out_dir = tmp_path / "syn"
+        run_json(
+            runner,
+            ["synth", "--length", "4", "--alphabet", "2", "--match", "2",
+             "--n", "40", "--rng-seed", "5", "--out", str(out_dir)],
+        )
+        result = runner.invoke(
+            main, ["expl-eval", "--input", str(out_dir), "-k", "1", "--runs", "1",
+                   "--max-instances", cap],
+        )
+        assert result.exit_code == 1
+        err = result.stderr if hasattr(result, "stderr") else result.output
+        assert [l for l in err.splitlines() if l] == ["error: --max-instances must be at least 1"]
+        assert result.stdout == ""
 
     def test_nan_is_refused_not_printed(self):
         with pytest.raises(ValueError):
@@ -508,6 +551,18 @@ class TestInject:
         probs = {wc.clause: wc.probability for wc in merged.clauses}
         assert float(probs[rule_clause([("a3", "0")])]) == 0.9
         assert float(probs[rule_clause([("a4", "1")])]) == 0.2
+
+    def test_knowledge_file_with_a_byte_order_mark(self, runner, tmp_path):
+        base = tmp_path / "base.plkb"
+        base.write_text("0.500000 pos | !a3=0\n", encoding="utf-8")
+        extra = tmp_path / "extra.plkb"
+        extra.write_text("\ufeff0.900000 pos | !a3=0\n", encoding="utf-8")
+        out_path = tmp_path / "merged.plkb"
+        run_json(
+            runner,
+            ["inject", "--kb", str(base), "--knowledge", str(extra), "--out", str(out_path)],
+        )
+        assert out_path.read_text(encoding="utf-8") == "0.900000 pos | !a3=0\n"
 
 
 class TestErrorHandling:

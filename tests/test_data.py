@@ -71,6 +71,14 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match=message):
             load_csv(p, "lbl", "yes")
 
+    @pytest.mark.parametrize("header, row", [("a1,lbl", "x,yes"), ("lbl,a1", "yes,x")])
+    def test_byte_order_mark_is_skipped(self, tmp_path, header, row):
+        # spreadsheet and editor "UTF-8" exports start with U+FEFF
+        p = write(tmp_path, "t.csv", f"\ufeff{header}\n{row}\n")
+        ds = load_csv(p, "lbl", "yes")
+        assert ds.features == ("a1",)
+        assert ds.instances[0].values == {"a1": "x"}
+
     def test_label_column_in_the_middle(self, tmp_path):
         p = write(tmp_path, "t.csv", "a1,lbl,a2\nx,yes,y\n")
         ds = load_csv(p, "lbl", "yes")
@@ -225,6 +233,11 @@ class TestSyntheticRoundTrip:
         assert len(loaded) == 20
         assert [i.label for i in loaded.instances] == [i.label for i in ds.instances]
         assert [i.values for i in loaded.instances] == [i.values for i in ds.instances]
+
+    def test_seed_file_with_a_byte_order_mark(self, tmp_path):
+        p = write(tmp_path, "seed.json",
+                  '\ufeff{"seed": "1212", "length": 4, "alphabet_size": 2, "match_count": 2}')
+        assert load_seed_spec(p) == SeedSpec("1212", 4, 2, 2)
 
     @pytest.mark.parametrize("text, field", [
         ('{"seed": "1212", "length": "4", "alphabet_size": 2, "match_count": 2}', "'length'"),

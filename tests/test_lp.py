@@ -308,6 +308,40 @@ class TestInfer:
         with pytest.raises(RuntimeError, match="^internal error: no valid dual solution$"):
             infer_pos(strings_direct_kb, {"a1": "0"})
 
+    def test_only_a_bounded_target_reads_the_solution(self, strings_direct_kb, monkeypatch):
+        # each stage reads the objective value; stage 1's dual is copied
+        # once, and only when stages 2 and 3 need it
+        from scipy.optimize._highspy import _core
+
+        calls = []
+
+        class CountSolutions(_core._Highs):
+            def getSolution(self):
+                calls.append(1)
+                return super().getSolution()
+
+        monkeypatch.setattr(_core, "_Highs", CountSolutions)
+        infer_pos(strings_direct_kb, {"a1": "0"})
+        assert len(calls) == 1
+        calls.clear()
+        minimum_deviation(build_lp(strings_direct_kb))
+        assert calls == []
+
+    def test_the_presolved_program_takes_no_query(self, monkeypatch):
+        # the residual of a partial query mentions no atom the query fixes
+        kb = parse_kb("0.8 pos | !a=1\n0.3 pos | !b=0\n0.6 pos | c\n0.4 !c | a=0")
+        expected = unpresolved_infer(kb, {"a": "1"})
+
+        def no_query(*args):
+            raise AssertionError("apply_query called on a presolved program")
+
+        monkeypatch.setattr(lp_module, "apply_query", no_query)
+        res = infer_pos(kb, {"a": "1"})
+        assert res.p_lower < res.p_upper
+        assert (res.p_lower, res.p_upper) == pytest.approx(
+            (expected.p_lower, expected.p_upper), abs=1e-6
+        )
+
     def test_missing_target_rejected(self, strings_tree_kb):
         with pytest.raises(ValueError, match="target"):
             infer_pos(strings_tree_kb, target=Atom("zz"))
@@ -425,8 +459,8 @@ class TestPresolve:
     """Presolved ``pos`` answers against ``helpers.unpresolved_infer``."""
 
     @staticmethod
-    def assert_same_answer(kb, query, target=POS):
-        fast = infer_pos(kb, query, target=target)
+    def assert_same_answer(kb, query, target=POS, fast=None):
+        fast = infer_pos(kb, query, target=target) if fast is None else fast
         slow = unpresolved_infer(kb, query, target)
         assert fast.label == slow.label
         assert fast.p_lower == pytest.approx(slow.p_lower, abs=1e-6)
@@ -449,9 +483,11 @@ class TestPresolve:
     def test_matches_the_unpresolved_lp_on_direct_tables(self, case):
         ds, max_arity, queries = case
         table = build_direct_kb(ds, max_arity)
-        for query in queries:
-            self.assert_same_answer(table, query)
+        answers = [infer_pos(table, query) for query in queries]
+        # the reference iterates the table, which builds its clauses
         assert "clauses" not in table.__dict__
+        for query, fast in zip(queries, answers):
+            self.assert_same_answer(table, query, fast=fast)
 
     def test_whole_kb_constant_enters_the_deviation(self):
         # 0.8 pos | !a=0 is pinned true by a=1: it leaves with deviation 0.2
