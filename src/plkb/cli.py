@@ -21,9 +21,12 @@ from .data import (
     load_csv,
     load_synthetic,
     random_seed_spec,
+    read_csv,
+    read_text,
     save_synthetic,
 )
 from .evaluate import (
+    METHODS,
     ExperimentConfig,
     bench_lp,
     classify_query,
@@ -55,27 +58,26 @@ def parse_query(text: str) -> dict[str, str]:
 
 
 def _read_kb(path: str):
-    return parse_kb(Path(path).read_text(encoding="utf-8-sig"))
+    return parse_kb(read_text(path))
 
 
 def _domains_for_kb(path: str, kb) -> dict[str, frozenset[str]]:
     """Domains of every column of a reference CSV, which must hold the
-    KB's features; a query may name a feature the KB never mentions."""
+    KB's features once each; a query may name a feature the KB never
+    mentions."""
+    header, rows = read_csv(path)
+    for i, f in enumerate(header):
+        if f in header[:i]:
+            raise ValueError(f"{path}: column {f!r} repeated")
     features = sorted({a.feature for a in kb.universe if a.value is not None})
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv_mod.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        missing = [f for f in features if f not in header]
-        if missing:
-            raise ValueError(f"domains file lacks columns {missing}")
-        domains: dict[str, set[str]] = {f: set() for f in header}
-        for row in reader:
-            for f, value in zip(header, row):
-                if value != "":
-                    domains[f].add(value)
+    missing = [f for f in features if f not in header]
+    if missing:
+        raise ValueError(f"{path}: domains file lacks columns {missing}")
+    domains: dict[str, set[str]] = {f: set() for f in header}
+    for row in rows:
+        for f, value in zip(header, row):
+            if value != "":
+                domains[f].add(value)
     return {f: frozenset(vs) for f, vs in domains.items()}
 
 
@@ -87,6 +89,15 @@ def check_query(query: dict[str, str], domains: dict[str, frozenset[str]]) -> No
             raise ValueError(f"query feature {feature!r} not in domains")
         if value not in domains[feature]:
             click.echo(f"query value {feature}={value} outside the feature's domain", err=True)
+
+
+def _load_query(kb_path: str, domains_path: str, query_text: str):
+    """The model and a query checked against the domains file's columns."""
+    kb = _read_kb(kb_path)
+    domains = _domains_for_kb(domains_path, kb)
+    query = parse_query(query_text)
+    check_query(query, domains)
+    return kb, query
 
 
 def _emit(payload) -> None:
@@ -111,7 +122,7 @@ def main():
 
 
 method_option = click.option(
-    "--method", type=click.Choice(["tree", "tree-all", "direct"]), default="direct",
+    "--method", type=click.Choice(METHODS), default="direct",
     show_default=True,
 )
 
@@ -153,10 +164,7 @@ def train(method, input_path, label_col, pos_label, max_arity, out_path, tree_pa
 @fail_cleanly
 def classify(kb_path, domains_path, query_text, full_kb, dump_path):
     """Classify a (possibly partial) query against a knowledge base."""
-    kb = _read_kb(kb_path)
-    domains = _domains_for_kb(domains_path, kb)
-    query = parse_query(query_text)
-    check_query(query, domains)
+    kb, query = _load_query(kb_path, domains_path, query_text)
     res = infer_pos(kb, query) if full_kb else classify_query(kb, query)
     if dump_path:
         sub = kb if full_kb else active_kb(query, kb)
@@ -179,10 +187,7 @@ def classify(kb_path, domains_path, query_text, full_kb, dump_path):
 @fail_cleanly
 def explain(kb_path, domains_path, query_text, k, full_kb):
     """Report the k most decisive feature values of a query."""
-    kb = _read_kb(kb_path)
-    domains = _domains_for_kb(domains_path, kb)
-    query = parse_query(query_text)
-    check_query(query, domains)
+    kb, query = _load_query(kb_path, domains_path, query_text)
     expl = compute_explanation(query, kb, k, use_relevant=not full_kb)
     payload = {
         "explanation": dict(sorted(expl.sub_query.items())),
@@ -225,6 +230,12 @@ def _mean(xs):
     return sum(xs) / len(xs)
 
 
+def _f1_payload(method: str, reports, **fields) -> dict:
+    """Each run's F1 report and their mean, for ``eval`` and ``knowledge-exp``."""
+    return {"method": method, **fields, "runs": [r.as_dict() for r in reports],
+            "mean_f1": _mean([r.f1 for r in reports])}
+
+
 def _run_configs(runs: int, rng_seed: int, **fixed) -> list[ExperimentConfig]:
     """One configuration per run, seeded ``rng_seed``, ``rng_seed + 1``, ..."""
     if runs < 1:
@@ -250,14 +261,7 @@ def eval_cmd(method, input_path, label_col, pos_label, max_arity, knowledge_path
     knowledge = _read_kb(knowledge_path) if knowledge_path else None
     configs = _run_configs(runs, rng_seed, dataset=ds, method=method, knowledge=knowledge,
                            train_fraction=train_fraction, max_arity=max_arity)
-    reports = [run_eval(config) for config in configs]
-    _emit(
-        {
-            "method": method,
-            "runs": [r.as_dict() for r in reports],
-            "mean_f1": _mean([r.f1 for r in reports]),
-        }
-    )
+    _emit(_f1_payload(method, [run_eval(config) for config in configs]))
 
 
 @main.command(name="expl-eval")
@@ -345,19 +349,8 @@ def knowledge_exp(method, input_dir, n_true, n_random, max_arity, train_fraction
     ds, spec = load_synthetic(input_dir)
     configs = _run_configs(runs, rng_seed, dataset=ds, method=method,
                            train_fraction=train_fraction, max_arity=max_arity)
-    reports = [
-        run_knowledge_experiment(config, spec, n_true, n_random, config.rng_seed)
-        for config in configs
-    ]
-    _emit(
-        {
-            "method": method,
-            "n_true": n_true,
-            "n_random": n_random,
-            "runs": [r.as_dict() for r in reports],
-            "mean_f1": _mean([r.f1 for r in reports]),
-        }
-    )
+    reports = [run_knowledge_experiment(c, spec, n_true, n_random, c.rng_seed) for c in configs]
+    _emit(_f1_payload(method, reports, n_true=n_true, n_random=n_random))
 
 
 if __name__ == "__main__":

@@ -1,12 +1,14 @@
-"""Categorical datasets: CSV ingestion, balancing, splitting, and the
-seed-string synthetic generator with its ground-truth labelling rule."""
+"""Input files and categorical datasets: the one reader of every input
+file, CSV ingestion, balancing, splitting, and the seed-string synthetic
+generator with its ground-truth labelling rule."""
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from .kb import CLASS_ATOM_NAME, _check_name
@@ -93,6 +95,29 @@ def from_rows(features, rows) -> Dataset:
     return Dataset(features, domains, instances)
 
 
+def read_text(path) -> str:
+    """A file's text, read as UTF-8 after an optional byte-order mark, line
+    ends untouched; ValueError naming the file if it is not UTF-8."""
+    try:
+        return Path(path).read_bytes().decode(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
+def read_csv(path) -> tuple[list[str], list[list[str]]]:
+    """A CSV's header and rows, read through :func:`read_text`; ValueError
+    naming the file if it is empty or the csv module cannot read a row
+    (a cell over its field size limit, say)."""
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:
+        raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
+    if not rows:
+        raise ValueError(f"{path}: empty file")
+    return rows[0], rows[1:]
+
+
 def load_csv(path, label_column: str, positive_label: str) -> Dataset:
     """Load a header-rowed CSV; non-label columns become categorical features.
 
@@ -100,32 +125,24 @@ def load_csv(path, label_column: str, positive_label: str) -> Dataset:
     rows and a repeated column name are rejected; there is no
     missing-value handling.  A leading UTF-8 byte-order mark is skipped.
     """
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"no such file: {path}")
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
-        if label_column not in header:
-            raise ValueError(f"{path}: label column {label_column!r} not in header")
-        label_idx = header.index(label_column)
-        features = [h for i, h in enumerate(header) if i != label_idx]
-        if label_column in features:
-            raise ValueError(f"{path}: label column {label_column!r} repeated")
-        rows = []
-        for line_no, row in enumerate(reader, start=2):
-            if len(row) != len(header):
-                raise ValueError(
-                    f"{path}: row {line_no} has {len(row)} cells, expected {len(header)}"
-                )
-            if any(cell == "" for cell in row):
-                raise ValueError(f"{path}: row {line_no} has an empty cell")
-            label = row[label_idx] == positive_label
-            vals = [cell for i, cell in enumerate(row) if i != label_idx]
-            rows.append((vals, label))
+    header, body = read_csv(path)
+    if label_column not in header:
+        raise ValueError(f"{path}: label column {label_column!r} not in header")
+    label_idx = header.index(label_column)
+    features = [h for i, h in enumerate(header) if i != label_idx]
+    if label_column in features:
+        raise ValueError(f"{path}: label column {label_column!r} repeated")
+    rows = []
+    for line_no, row in enumerate(body, start=2):
+        if len(row) != len(header):
+            raise ValueError(
+                f"{path}: row {line_no} has {len(row)} cells, expected {len(header)}"
+            )
+        if any(cell == "" for cell in row):
+            raise ValueError(f"{path}: row {line_no} has an empty cell")
+        label = row[label_idx] == positive_label
+        vals = [cell for i, cell in enumerate(row) if i != label_idx]
+        rows.append((vals, label))
     if not rows:
         raise ValueError(f"{path}: no data rows")
     return from_rows(features, rows)
@@ -269,14 +286,8 @@ def save_synthetic(ds: Dataset, spec: SeedSpec, out_dir) -> None:
             row = [inst.values[f] for f in ds.features]
             row.append(POSITIVE_LABEL if inst.label else NEGATIVE_LABEL)
             writer.writerow(row)
-    sidecar = {
-        "seed": spec.seed,
-        "length": spec.length,
-        "alphabet_size": spec.alphabet_size,
-        "match_count": spec.match_count,
-    }
     with open(out / SEED_FILENAME, "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=2)
+        json.dump(asdict(spec), fh, indent=2)
         fh.write("\n")
 
 
@@ -285,8 +296,10 @@ def load_seed_spec(path) -> SeedSpec:
     and whose ``length``, ``alphabet_size`` and ``match_count`` are
     integers that make a valid :class:`SeedSpec`; ValueError naming the
     file otherwise.  A leading UTF-8 byte-order mark is skipped."""
-    with open(path, encoding="utf-8-sig") as fh:
-        d = json.load(fh)
+    try:
+        d = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not JSON: {exc}") from None
     if not isinstance(d, dict):
         raise ValueError(f"{path}: not a JSON object")
     for name, kind in (("seed", str), ("length", int), ("alphabet_size", int),

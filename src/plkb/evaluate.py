@@ -5,7 +5,8 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from collections.abc import Iterable
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb
 
@@ -71,7 +72,7 @@ class ExperimentConfig:
     rng_seed: int = 0
     train_fraction: float = 0.7
     max_arity: int | None = None
-    knowledge: KnowledgeBase | None = None
+    knowledge: Iterable[WeightedClause] | None = None  # a KB or any weighted clauses
 
     def __post_init__(self):
         if self.method not in METHODS:
@@ -108,25 +109,20 @@ def classify_query(kb: KnowledgeBase, query) -> InferenceResult:
     return infer_pos(sub, query)
 
 
-def _prepare(config: ExperimentConfig) -> tuple[Dataset, Dataset, KnowledgeBase]:
+def _prepare(config: ExperimentConfig) -> tuple[Dataset, KnowledgeBase]:
     ds = balance(config.dataset, config.rng_seed)
     train, test = split(ds, config.train_fraction, config.rng_seed)
     kb = train_kb(train, config.method, config.max_arity)
-    if config.knowledge is not None:
-        kb = merge(kb, list(config.knowledge.clauses))
-    return train, test, kb
-
-
-def _score(kb: KnowledgeBase, test: Dataset) -> EvalReport:
-    """Classify every test instance and score the labels."""
-    predictions = [classify_query(kb, inst.values).label for inst in test.instances]
-    return f1_score(predictions, [inst.label for inst in test.instances])
+    if config.knowledge:
+        kb = merge(kb, list(config.knowledge))
+    return test, kb
 
 
 def run_eval(config: ExperimentConfig) -> EvalReport:
     """balance -> split -> train -> optional knowledge merge -> classify."""
-    _, test, kb = _prepare(config)
-    return _score(kb, test)
+    test, kb = _prepare(config)
+    predictions = [classify_query(kb, inst.values).label for inst in test.instances]
+    return f1_score(predictions, [inst.label for inst in test.instances])
 
 
 @dataclass(frozen=True)
@@ -146,7 +142,7 @@ def run_explanation_eval(
     instances that classify positive, at most ``max_instances`` (>= 1)."""
     if max_instances is not None and max_instances < 1:
         raise ValueError("--max-instances must be at least 1")
-    _, test, kb = _prepare(config)
+    test, kb = _prepare(config)
     accuracies = []
     for inst in test.instances:
         if max_instances is not None and len(accuracies) >= max_instances:
@@ -220,22 +216,18 @@ def run_knowledge_experiment(
 
     ``config.rng_seed`` drives the data pipeline; ``rng_seed`` drives
     clause sampling, so the same split can be measured under different
-    injections.  A negative count is refused.
+    injections.  The injected clauses are merged after ``config.knowledge``
+    and win over it.  A negative count is refused.
     """
     for flag, count in (("--true", n_true_clauses), ("--random", n_random_clauses)):
         if count < 0:
             raise ValueError(f"{flag} must be at least 0")
-    extra: list[WeightedClause] = []
-    if n_true_clauses:
-        extra.extend(true_knowledge_clauses(config.dataset, spec, n_true_clauses, rng_seed))
-    if n_random_clauses:
-        extra.extend(
-            random_knowledge_clauses(config.dataset, n_random_clauses, rng_seed + 1)
-        )
-    _, test, kb = _prepare(config)
-    if extra:
-        kb = merge(kb, extra)
-    return _score(kb, test)
+    knowledge = [
+        *(config.knowledge or ()),
+        *true_knowledge_clauses(config.dataset, spec, n_true_clauses, rng_seed),
+        *random_knowledge_clauses(config.dataset, n_random_clauses, rng_seed + 1),
+    ]
+    return run_eval(replace(config, knowledge=knowledge))
 
 
 @dataclass(frozen=True)

@@ -39,6 +39,7 @@ def run_json(runner, args):
 class TestParseQuery:
     def test_parses_pairs(self):
         assert parse_query("a1=0, a2=1") == {"a1": "0", "a2": "1"}
+        assert parse_query("a1=0,,a2=1,") == {"a1": "0", "a2": "1"}
 
     def test_rejects_missing_value(self):
         with pytest.raises(ValueError, match="feature=value"):
@@ -731,3 +732,73 @@ class TestErrorHandling:
              "--query", "a1=0"],
         )
         assert result.exit_code == 1
+
+
+LATIN1_CSV = "a1,a2,a3,a4,label\n\xe9,0,0,0,pos\n0,1,0,0,neg\n".encode("latin-1")
+LATIN1_KB = "0.500000 pos | !a1=\xe9\n".encode("latin-1")
+WIDE_CELL = "1" * 140_000  # over the csv module's 131,072-character field limit
+TRAIN = ["--label-col", "label", "--pos-label", "pos", "--out", "{out}"]
+CLASSIFY = ["classify", "--kb", "{model}", "--query", "a1=0,a2=7", "--domains"]
+
+# case -> (the kind of faulty file, the command line; "{bad}" is that file)
+INPUT_FAULTS = {
+    "train-latin1": ("latin1", ["train", "--input", "{bad}", *TRAIN]),
+    "domains-latin1": ("latin1", [*CLASSIFY, "{bad}"]),
+    "kb-latin1": ("latin1-kb", ["classify", "--kb", "{bad}", "--domains", "{csv}",
+                                "--query", "a1=0"]),
+    "inject-knowledge-latin1": ("latin1-kb", ["inject", "--kb", "{model}",
+                                              "--knowledge", "{bad}", "--out", "{out}"]),
+    "eval-knowledge-latin1": ("latin1-kb", ["eval", "--input", "{csv}", "--knowledge",
+                                            "{bad}", "--runs", "1"]),
+    "seed-latin1": ("latin1-seed", ["expl-eval", "--input", "{syn}", "-k", "1", "--runs", "1"]),
+    "seed-not-json": ("truncated-seed", ["knowledge-exp", "--input", "{syn}", "--runs", "1"]),
+    "train-wide-cell": ("wide", ["train", "--input", "{bad}", *TRAIN]),
+    "domains-wide-cell": ("wide", [*CLASSIFY, "{bad}"]),
+    "domains-column-twice": ("twice", [*CLASSIFY, "{bad}"]),
+    "domains-lack-a-column": ("lacking", [*CLASSIFY, "{bad}"]),
+}
+
+
+class TestInputFaults:
+    """A file that cannot be read is refused with exit 1 and one ``error:``
+    line that names it, in process and from ``python -m plkb``."""
+
+    def _case(self, case, strings_csv, tmp_path):
+        content, template = INPUT_FAULTS[case]
+        strings = strings_csv.read_text(encoding="utf-8")
+        contents = {
+            "latin1": LATIN1_CSV,
+            "latin1-kb": LATIN1_KB,
+            "latin1-seed": b'{"seed": "\xe9"}',
+            "truncated-seed": b'{"seed": "1212", "length": 4',
+            "wide": (strings + f"{WIDE_CELL},0,1,0,pos\n").encode(),
+            "twice": strings.replace("a1,a2,a3,a4,", "a1,a2,a2,a4,", 1).encode(),
+            "lacking": strings.replace("a1,", "b1,", 1).encode(),
+        }
+        syn = tmp_path / "syn"
+        syn.mkdir()
+        (syn / "data.csv").write_text(strings, encoding="utf-8")
+        bad = syn / "seed.json" if content.endswith("-seed") else tmp_path / f"{content}.in"
+        bad.write_bytes(contents[content])
+        model = tmp_path / "model.plkb"
+        model.write_text("0.700000 pos | !a1=0\n", encoding="utf-8")
+        paths = {"bad": bad, "csv": strings_csv, "model": model, "syn": syn,
+                 "out": tmp_path / "out.plkb"}
+        return [arg.format(**paths) for arg in template], bad
+
+    @pytest.mark.parametrize("case", sorted(INPUT_FAULTS))
+    @pytest.mark.parametrize("via", ["runner", "python-m"])
+    def test_refused_in_one_line_naming_the_file(self, runner, strings_csv, tmp_path,
+                                                  via, case):
+        args, bad = self._case(case, strings_csv, tmp_path)
+        if via == "runner":
+            result = runner.invoke(main, args, catch_exceptions=False)
+            code, stdout, stderr = result.exit_code, result.stdout, result.stderr
+        else:
+            proc = run_plkb(args)
+            code, stdout, stderr = proc.returncode, proc.stdout, proc.stderr
+        lines = stderr.splitlines()
+        assert code == 1, stderr
+        assert stdout == ""
+        assert len(lines) == 1 and lines[0].startswith("error: ") and str(bad) in lines[0], lines
+        assert not (tmp_path / "out.plkb").exists()

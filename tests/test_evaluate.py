@@ -5,7 +5,7 @@ import pytest
 
 from helpers import empirical_probability
 
-from plkb.data import SeedSpec, from_rows, generate_synthetic
+from plkb.data import SeedSpec, balance, from_rows, generate_synthetic, split
 from plkb.evaluate import (
     ExperimentConfig,
     bench_lp,
@@ -21,7 +21,7 @@ from plkb.evaluate import (
 )
 from plkb.direct import active_kb
 from plkb.explain import compute_explanation
-from plkb.kb import parse_kb, serialize_kb
+from plkb.kb import KnowledgeBase, WeightedClause, merge, parse_kb, serialize_kb
 from plkb.lp import infer_pos
 
 SEED = SeedSpec("3232411132", 10, 4, 5)
@@ -92,6 +92,8 @@ class TestRunEval:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="method"):
             ExperimentConfig(dataset=separable_dataset(), method="forest")
+        with pytest.raises(ValueError, match="method must be one of"):
+            train_kb(separable_dataset(), "forest")
 
     def test_knowledge_merge_changes_predictions(self):
         ds = separable_dataset()
@@ -200,6 +202,34 @@ class TestKnowledgeExperiment:
         config = ExperimentConfig(dataset=ds, method="tree", rng_seed=4)
         with_true = run_knowledge_experiment(config, SEED, 50, 0, rng_seed=1)
         assert isinstance(with_true.f1, float)
+
+    def test_injected_clauses_win_over_config_knowledge(self):
+        # config.knowledge holds the injected bodies at other probabilities:
+        # the run scores as merge(merge(kb, knowledge), injected), which here
+        # differs from the opposite order.
+        ds = generate_synthetic(SEED, 200, 5)
+        injected = true_knowledge_clauses(ds, SEED, 20, 1)
+        knowledge = [WeightedClause(1 - wc.probability, wc.clause) for wc in injected]
+        config = ExperimentConfig(dataset=ds, method="tree", rng_seed=4, knowledge=knowledge)
+        train, test = split(balance(ds, 4), 0.7, 4)
+        kb = train_kb(train, "tree")
+
+        def score(merged):
+            labels = [classify_query(merged, inst.values).label for inst in test.instances]
+            return f1_score(labels, [inst.label for inst in test.instances])
+
+        got = run_knowledge_experiment(config, SEED, 20, 0, rng_seed=1)
+        assert got == score(merge(merge(kb, knowledge), injected))
+        assert got != score(merge(merge(kb, injected), knowledge))
+
+    def test_knowledge_as_a_kb_or_as_its_clauses(self):
+        ds = generate_synthetic(SEED, 200, 5)
+        kb = KnowledgeBase(true_knowledge_clauses(ds, SEED, 20, 1))
+        configs = [ExperimentConfig(dataset=ds, method="tree", rng_seed=4, knowledge=knowledge)
+                   for knowledge in (kb, kb.clauses)]
+        assert run_eval(configs[0]) == run_eval(configs[1])
+        assert (run_knowledge_experiment(configs[0], SEED, 0, 5, rng_seed=2)
+                == run_knowledge_experiment(configs[1], SEED, 0, 5, rng_seed=2))
 
 
 class TestBench:
