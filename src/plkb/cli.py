@@ -37,7 +37,7 @@ from .evaluate import (
 )
 from .explain import compute_explanation, feature_position, masked_string
 from .direct import active_kb
-from .kb import merge, parse_kb, serialize_kb
+from .kb import KBParseError, merge, parse_kb, serialize_kb
 from .lp import apply_query, build_lp, dump_lp, infer_pos
 from .tree import build_id3, format_tree
 
@@ -58,7 +58,10 @@ def parse_query(text: str) -> dict[str, str]:
 
 
 def _read_kb(path: str):
-    return parse_kb(read_text(path))
+    try:
+        return parse_kb(read_text(path))
+    except KBParseError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _domains_for_kb(path: str, kb) -> dict[str, frozenset[str]]:

@@ -106,8 +106,9 @@ def read_text(path) -> str:
 
 def read_csv(path) -> tuple[list[str], list[list[str]]]:
     """A CSV's header and rows, read through :func:`read_text`; ValueError
-    naming the file if it is empty or the csv module cannot read a row
-    (a cell over its field size limit, say)."""
+    naming the file if it is empty, a row's cell count differs from the
+    header's, or the csv module cannot read a row (a cell over its field
+    size limit, say)."""
     reader = csv.reader(io.StringIO(read_text(path), newline=""))
     try:
         rows = list(reader)
@@ -115,7 +116,11 @@ def read_csv(path) -> tuple[list[str], list[list[str]]]:
         raise ValueError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: empty file")
-    return rows[0], rows[1:]
+    header, body = rows[0], rows[1:]
+    for line_no, row in enumerate(body, start=2):
+        if len(row) != len(header):
+            raise ValueError(f"{path}: row {line_no} has {len(row)} cells, expected {len(header)}")
+    return header, body
 
 
 def load_csv(path, label_column: str, positive_label: str) -> Dataset:
@@ -134,10 +139,6 @@ def load_csv(path, label_column: str, positive_label: str) -> Dataset:
         raise ValueError(f"{path}: label column {label_column!r} repeated")
     rows = []
     for line_no, row in enumerate(body, start=2):
-        if len(row) != len(header):
-            raise ValueError(
-                f"{path}: row {line_no} has {len(row)} cells, expected {len(header)}"
-            )
         if any(cell == "" for cell in row):
             raise ValueError(f"{path}: row {line_no} has an empty cell")
         label = row[label_idx] == positive_label

@@ -17,12 +17,12 @@ in order.  A code is an ``int`` with one bit per feature-value pair: bit
 is the OR of its pairs' bits, a body lies inside a query when ``code &
 ~query == 0``, and a query's subsets are listed as ORs of its pairs'
 bits.  The direct and tree builders fill ``counts`` directly,
-:func:`parse_kb` reads a rule line straight into it, and a rule given as
-a clause object is routed into it; each numbers a pair when it first
-sees it, so no code is ever re-coded.  A code is as wide as the atom
-table: past 63 atoms it is a multi-digit int, which works the same but
-hashes more slowly.  Pairs are decoded from a code only to build clause
-objects and to write a rule line.
+:func:`parse_kb` reads a rule line straight into it, and the constructor
+alone routes a rule given as a clause object into it; each numbers a
+pair when it first sees it, so no code is ever re-coded.  A code is as
+wide as the atom table: past 63 atoms it is a multi-digit int, which
+works the same but hashes more slowly.  Pairs are decoded from a code
+only to build clause objects and to write a rule line.
 
 All values are immutable: :class:`Atom`, :class:`Literal`,
 :class:`Clause` and :class:`WeightedClause` are frozen dataclasses, so
@@ -248,12 +248,6 @@ class AtomBits(dict):
         return code
 
 
-def _rule_pairs(clause: Clause) -> Iterator[Pair]:
-    """A rule-shaped clause's body in canonical order: its literals after
-    ``pos``."""
-    return ((lit.atom.feature, lit.atom.value) for lit in clause.literals[1:])
-
-
 @dataclass(frozen=True, eq=False)
 class KnowledgeBase:
     """An immutable collection of weighted clauses, unique by clause.
@@ -304,7 +298,7 @@ class KnowledgeBase:
             if wc.clause.is_rule_shaped:
                 p = Fraction(wc.probability)
                 entry = (p.denominator, p.numerator)
-                prev = counts.setdefault(bits.code(_rule_pairs(wc.clause)), entry)
+                prev = counts.setdefault(bits.code(sorted(wc.clause.body)), entry)
                 prev_p = p if prev == entry else Fraction(prev[1], prev[0])
             else:
                 prev_p = others.setdefault(wc.clause, wc).probability
@@ -445,10 +439,11 @@ def parse_kb(text: str) -> KnowledgeBase:
     that canonicalise to a rule (a repeated literal collapses, as in
     ``pos | pos | !a=1``, but no feature takes two values), becomes a row
     of ``counts`` with its probability's ``(denominator, numerator)`` and
-    builds no clause object, so a saved learned model parses without one.
-    Any other line is built as a :class:`Clause`, which is never a rule:
-    it lacks ``pos``, gives a feature two values, or holds ``!pos``, a
-    bare atom or a positive feature-value literal.
+    builds no clause object, so a saved learned model parses without one;
+    only a rule line numbers pairs into ``bits``.  Any other line is built
+    as a :class:`Clause`, which is never a rule: it lacks ``pos``, gives a
+    feature two values, or holds ``!pos``, a bare atom or a positive
+    feature-value literal.
     """
     counts: dict[int, tuple[int, int]] = {}
     others: dict[Clause, WeightedClause] = {}
@@ -456,6 +451,7 @@ def parse_kb(text: str) -> KnowledgeBase:
     # rule literal text -> POS, or its pair's bit and feature
     parts: dict[str, Atom | tuple[int, str]] = {}
     literals: dict[str, Literal] = {}  # literal text -> its literal, shared by clauses
+    marked = mark = 0  # last line to meet an uncached pair; the table's length before it
     for line_no, prob, clause_text in _clause_lines(text):
         body = 0
         features = []
@@ -467,6 +463,8 @@ def parse_kb(text: str) -> KnowledgeBase:
                 if lit == _POS_LITERAL:
                     part = POS
                 elif lit.negated and lit.atom.value is not None:
+                    if marked != line_no:
+                        marked, mark = line_no, len(bits.atoms)
                     part = (bits[lit.atom.feature, lit.atom.value], lit.atom.feature)
                 else:
                     break
@@ -484,6 +482,12 @@ def parse_kb(text: str) -> KnowledgeBase:
                     raise _conflict(text, line_no, _coded_rule(body, bits.atoms, {}),
                                     Fraction(prev[1], prev[0]))
                 continue
+        if marked == line_no:  # a line that is not a rule numbers no pair
+            for pair in bits.atoms[mark:]:
+                del bits[pair]
+            del bits.atoms[mark:]
+            for tok in clause_text.split("|"):
+                parts.pop(tok, None)
         clause = _parse_clause(clause_text, line_no, literals)
         prev_prob = others.setdefault(clause, WeightedClause(prob, clause)).probability
         if prev_prob != prob:
@@ -519,27 +523,16 @@ def merge(kb: KnowledgeBase, extra: Sequence[WeightedClause]) -> KnowledgeBase:
 
     Supplied clauses must contain the class atom positively.  A clause that
     already exists keeps its position but takes the supplied probability:
-    domain knowledge wins over the learned value.  Inconsistency between
-    the merged clauses is fine; inference tolerates it.
-
-    A rule's probability is kept exactly as its ``(denominator,
-    numerator)``, a pair ``kb`` has not numbered extends a copy of its
-    atom table, and the result shares ``kb.counts`` and ``kb.bits`` unless
-    some supplied clause is a rule.
+    domain knowledge wins over the learned value, as a later supplied
+    duplicate wins over an earlier one.  Inconsistency between the merged
+    clauses is fine; inference tolerates it.  The :class:`KnowledgeBase`
+    constructor builds the extras over a copy of ``kb``'s atom table.
     """
     for wc in extra:
         if not wc.clause.has_positive(POS):
             raise ValueError(
                 f"merged clause {wc.clause} does not contain {CLASS_ATOM_NAME!r} positively"
             )
-    counts, bits = kb.counts, kb.bits
-    others = {wc.clause: wc for wc in kb.others}
-    for wc in extra:
-        if wc.clause.is_rule_shaped:
-            if bits is kb.bits:
-                counts, bits = dict(counts), AtomBits(kb.atoms)
-            p = Fraction(wc.probability)
-            counts[bits.code(_rule_pairs(wc.clause))] = (p.denominator, p.numerator)
-        else:
-            others[wc.clause] = wc
-    return KnowledgeBase(others.values(), counts, bits)
+    supplied = KnowledgeBase({wc.clause: wc for wc in extra}.values(), bits=AtomBits(kb.atoms))
+    others = {wc.clause: wc for wc in (*kb.others, *supplied.others)}
+    return KnowledgeBase(others.values(), {**kb.counts, **supplied.counts}, supplied.bits)

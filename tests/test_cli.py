@@ -756,6 +756,15 @@ INPUT_FAULTS = {
     "domains-wide-cell": ("wide", [*CLASSIFY, "{bad}"]),
     "domains-column-twice": ("twice", [*CLASSIFY, "{bad}"]),
     "domains-lack-a-column": ("lacking", [*CLASSIFY, "{bad}"]),
+    "domains-ragged": ("ragged", [*CLASSIFY, "{bad}"]),
+    "kb-unparsable": ("zzz-kb", ["classify", "--kb", "{bad}", "--domains", "{csv}",
+                                 "--query", "a1=0"]),
+    "inject-kb-unparsable": ("zzz-kb", ["inject", "--kb", "{bad}", "--knowledge", "{model}",
+                                        "--out", "{out}"]),
+    "inject-knowledge-unparsable": ("zzz-kb", ["inject", "--kb", "{model}",
+                                               "--knowledge", "{bad}", "--out", "{out}"]),
+    "eval-knowledge-unparsable": ("zzz-kb", ["eval", "--input", "{csv}", "--knowledge",
+                                             "{bad}", "--runs", "1"]),
 }
 
 
@@ -774,6 +783,8 @@ class TestInputFaults:
             "wide": (strings + f"{WIDE_CELL},0,1,0,pos\n").encode(),
             "twice": strings.replace("a1,a2,a3,a4,", "a1,a2,a2,a4,", 1).encode(),
             "lacking": strings.replace("a1,", "b1,", 1).encode(),
+            "ragged": (strings.partition("\n")[0] + "\n0\n").encode(),
+            "zzz-kb": b"zzz\n",
         }
         syn = tmp_path / "syn"
         syn.mkdir()

@@ -409,6 +409,21 @@ class TestRuleTableParse:
         assert len(kb.counts) == 3
         assert kb.others == ()
 
+    def test_a_line_that_is_not_a_rule_numbers_no_pair(self):
+        kb = parse_kb("0.5 pos | !a=1 | !a=2\n0.4 pos | !b=1 | c")
+        assert kb.atoms == []
+        assert kb.counts == {}
+
+    def test_pairs_a_non_rule_line_meets_first_are_numbered_by_the_rules(self):
+        # lines 1 and 2 are not rules but meet pairs first, line 2 with the
+        # same token text as the rule after it
+        rules = "0.3 pos | !a=1 | !b=2\n0.6 pos | !c=1\n"
+        text = "0.5 pos | !b=2 | !b=1 | !c=1\n0.1 pos | !a=1 | e\n" + rules + "0.2 !c=1 | !d=1\n"
+        kb, alone = parse_kb(text), parse_kb(rules)
+        assert kb.counts == alone.counts
+        assert kb.atoms == alone.atoms == [("a", "1"), ("b", "2"), ("c", "1")]
+        assert len(kb.others) == 3
+
     def test_saved_models_round_trip(self, strings_ds):
         rng = random.Random(5)
         kbs = [
@@ -507,18 +522,45 @@ class TestMerge:
 
     def test_non_rule_extra_gives_a_plain_kb(self):
         # a clause that is not a rule joins ``others`` after the rules; the
-        # rows are shared with the learned KB when no extra is a rule
+        # rows equal the learned KB's when no extra is a rule
         kb = self.make_kb()
         other = WeightedClause(0.6, Clause([Literal(POS), Literal(Atom("a1", "0"))]))
         extra = [WeightedClause(0.9, rule_clause([("a3", "1")])), other]
         merged = merge(kb, extra)
         assert merged.others == (other,)
         assert merged.clauses == (*kb.clauses, *extra)
-        assert merge(kb, [other]).counts is kb.counts
-        assert merge(kb, [other]).bits is kb.bits
+        assert merge(kb, [other]).counts == kb.counts
+        assert merge(kb, [other]).bits == kb.bits
         assert merge(merged, [WeightedClause(0.7, other.clause)]).others == (
             WeightedClause(0.7, other.clause),
         )
+
+    def test_a_later_duplicate_extra_wins_in_place(self):
+        # a rule and a clause that is not a rule, each given twice: the
+        # later probability sits at the first one's place, new pairs are
+        # numbered in first-occurrence order, and ``kb`` is left as it was
+        kb = parse_kb("0.5 pos | !a3=0\n0.2 pos | !a4=1\n0.3 pos | b")
+        before = (dict(kb.counts), dict(kb.bits), list(kb.atoms), kb.others)
+        rule = rule_clause([("a2", "1"), ("a1", "0")])
+        later = rule_clause([("a0", "1")])
+        other = Clause([Literal(POS), Literal(Atom("a5", "1"))])
+        extra = [
+            WeightedClause(0.9, rule),
+            WeightedClause(0.6, other),
+            WeightedClause(0.8, later),
+            WeightedClause(Fraction(1, 3), rule),
+            WeightedClause(0.7, other),
+        ]
+        merged = merge(kb, extra)
+        assert merged.clauses == (
+            *kb.clauses[:2],
+            WeightedClause(Fraction(1, 3), rule),
+            WeightedClause(0.8, later),
+            kb.others[0],
+            WeightedClause(0.7, other),
+        )
+        assert merged.atoms == [*kb.atoms, ("a1", "0"), ("a2", "1"), ("a0", "1")]
+        assert (dict(kb.counts), dict(kb.bits), list(kb.atoms), kb.others) == before
 
 
 def _live_atoms(feature_prefix: str) -> int:
