@@ -1,4 +1,7 @@
+import os
 import random
+import sys
+import threading
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -11,7 +14,7 @@ import helpers
 from helpers import explanation_loop, query_from_string
 
 import plkb.explain
-from plkb.data import SeedSpec, from_rows
+from plkb.data import SeedSpec, from_rows, generate_synthetic
 from plkb.direct import build_direct_kb, relevant_kb
 from plkb.evaluate import classify_query
 from plkb.explain import (
@@ -291,12 +294,14 @@ class TestOnePass:
     @pytest.mark.parametrize("use_relevant", [True, False])
     def test_relevant_kb_and_inference_calls(self, monkeypatch, strings_direct_kb, use_relevant):
         calls = {"relevant_kb": 0, "infer_pos": 0, "evaluate_sub_query": 0}
+        lock = threading.Lock()  # whole-KB sub-queries run in worker threads
 
         def counting(module, name):
             original = getattr(module, name)
 
             def wrapper(*args, **kwargs):
-                calls[name] += 1
+                with lock:
+                    calls[name] += 1
                 return original(*args, **kwargs)
 
             monkeypatch.setattr(module, name, wrapper)
@@ -311,6 +316,84 @@ class TestOnePass:
         else:
             assert calls == {"relevant_kb": 0, "infer_pos": 1 + n_subs,
                              "evaluate_sub_query": 1 + n_subs}
+
+
+@pytest.fixture(scope="module")
+def tree_with_knowledge():
+    """A tree KB merged with clauses that are not rules, as the tree-lp
+    benchmark builds it, and full queries over its six features: every
+    partial sub-query leaves rules and knowledge free, so it reaches the LP."""
+    spec = SeedSpec("213312", 6, 3, 3)
+    ds = generate_synthetic(spec, 300, 7)
+    knowledge = parse_kb("0.7 pos | a1=1 | a2=2\n0.6 pos | a3=3 | a5=1\n0.8 pos | a4=2 | a6=3")
+    kb = merge(kb_from_tree(build_id3(ds), mode="leaves"), list(knowledge.clauses))
+    assert len(kb.others) == 3
+    return kb, [dict(inst.values) for inst in ds.instances[:4]]
+
+
+class TestConcurrentFullKb:
+    """Whole-KB sub-queries are solved concurrently, with the results of
+    the serial loop on any number of CPUs."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_matches_the_serial_loop(self, tree_with_knowledge, k):
+        kb, queries = tree_with_knowledge
+        for query in queries:
+            got = compute_explanation(query, kb, k, use_relevant=False)
+            assert got == explanation_loop(query, kb, k, use_relevant=False)
+
+    @pytest.mark.parametrize("cpus", [1, 8])
+    def test_any_cpu_count_gives_the_same_explanations(self, monkeypatch, tree_with_knowledge, cpus):
+        # 8 workers on fewer cores, switching threads as often as the
+        # interpreter allows: the KB is shared and must only be read
+        kb, queries = tree_with_knowledge
+        want = [compute_explanation(q, kb, 2, use_relevant=False) for q in queries]
+        atoms, counts = list(kb.atoms), dict(kb.counts)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        threads = set()
+        original = plkb.explain.evaluate_sub_query
+
+        def recording(sub, kb):
+            threads.add(threading.get_ident())
+            return original(sub, kb)
+
+        monkeypatch.setattr(plkb.explain, "evaluate_sub_query", recording)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = [compute_explanation(q, kb, 2, use_relevant=False) for q in queries]
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
+        assert (list(kb.atoms), dict(kb.counts)) == (atoms, counts)
+        if cpus == 1:
+            assert len(threads) == 1
+
+    def test_solver_failure_reaches_the_caller(self, monkeypatch, tree_with_knowledge):
+        kb, queries = tree_with_knowledge
+        query = queries[0]
+        status = helpers.stop_highs_at_time_limit(monkeypatch)
+        with pytest.raises(RuntimeError) as serial:
+            infer_pos(kb, {"a1": query["a1"]})
+        with pytest.raises(RuntimeError) as pooled:
+            compute_explanation(query, kb, 1, use_relevant=False)
+        assert type(pooled.value) is RuntimeError
+        assert str(pooled.value) == str(serial.value) == f"internal error: {status}"
+
+    def test_a_worker_exception_is_raised_as_is(self, monkeypatch, tree_with_knowledge):
+        kb, queries = tree_with_knowledge
+        error = ValueError("from a worker")
+
+        def failing(sub, kb):
+            if len(sub) == 1 and "a3" in sub:
+                raise error
+            return infer_pos(kb, sub)
+
+        monkeypatch.setattr(plkb.explain, "evaluate_sub_query", failing)
+        with pytest.raises(ValueError) as raised:
+            compute_explanation(queries[0], kb, 1, use_relevant=False)
+        assert raised.value is error
 
 
 class TestExplanationAccuracy:
