@@ -37,7 +37,7 @@ from .evaluate import (
 )
 from .explain import compute_explanation, feature_position, masked_string
 from .direct import active_kb
-from .kb import KBParseError, merge, parse_kb, serialize_kb
+from .kb import KBParseError, feature_names, merge, parse_kb, read_model, write_model
 from .lp import apply_query, build_lp, dump_lp, infer_pos
 from .tree import build_id3, format_tree
 
@@ -57,22 +57,29 @@ def parse_query(text: str) -> dict[str, str]:
     return query
 
 
-def _read_kb(path: str):
+def _read_model(path: str, query: dict[str, str] | None = None):
+    """The model at ``path`` and its feature names.  Given a query, a model
+    file that allows it is read query-scoped (:func:`plkb.kb.read_model`);
+    otherwise the whole file is parsed."""
+    raw = Path(path).read_bytes()
     try:
-        return parse_kb(read_text(path))
+        model = None if query is None else read_model(raw, query)
+        if model is None:
+            kb = parse_kb(read_text(path, raw))
+            model = kb, feature_names(kb)
     except KBParseError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    return model
 
 
-def _domains_for_kb(path: str, kb) -> dict[str, frozenset[str]]:
+def _domains(path: str, features: list[str]) -> dict[str, frozenset[str]]:
     """Domains of every column of a reference CSV, which must hold the
-    KB's features once each; a query may name a feature the KB never
-    mentions."""
+    model's ``features`` once each; a query may name a feature the model
+    never mentions."""
     header, rows = read_csv(path)
     for i, f in enumerate(header):
         if f in header[:i]:
             raise ValueError(f"{path}: column {f!r} repeated")
-    features = sorted({a.feature for a in kb.universe if a.value is not None})
     missing = [f for f in features if f not in header]
     if missing:
         raise ValueError(f"{path}: domains file lacks columns {missing}")
@@ -94,12 +101,13 @@ def check_query(query: dict[str, str], domains: dict[str, frozenset[str]]) -> No
             click.echo(f"query value {feature}={value} outside the feature's domain", err=True)
 
 
-def _load_query(kb_path: str, domains_path: str, query_text: str):
-    """The model and a query checked against the domains file's columns."""
-    kb = _read_kb(kb_path)
-    domains = _domains_for_kb(domains_path, kb)
+def _load_query(kb_path: str, domains_path: str, query_text: str, full_kb: bool):
+    """The model and a query checked against the domains file's columns.
+    The query is parsed first, so that without ``full_kb`` the model is
+    read query-scoped where its file allows."""
     query = parse_query(query_text)
-    check_query(query, domains)
+    kb, features = _read_model(kb_path, None if full_kb else query)
+    check_query(query, _domains(domains_path, features))
     return kb, query
 
 
@@ -150,7 +158,7 @@ def train(method, input_path, label_col, pos_label, max_arity, out_path, tree_pa
     kb = train_kb(ds, method, max_arity, tree=tree)
     if tree_path:
         Path(tree_path).write_text(format_tree(tree) + "\n", encoding="utf-8")
-    Path(out_path).write_text(serialize_kb(kb) + "\n", encoding="utf-8")
+    write_model(kb, out_path)
     _emit({"clauses": len(kb), "atoms": len(kb.universe), "out": str(out_path)})
 
 
@@ -167,7 +175,7 @@ def train(method, input_path, label_col, pos_label, max_arity, out_path, tree_pa
 @fail_cleanly
 def classify(kb_path, domains_path, query_text, full_kb, dump_path):
     """Classify a (possibly partial) query against a knowledge base."""
-    kb, query = _load_query(kb_path, domains_path, query_text)
+    kb, query = _load_query(kb_path, domains_path, query_text, full_kb)
     res = infer_pos(kb, query) if full_kb else classify_query(kb, query)
     if dump_path:
         sub = kb if full_kb else active_kb(query, kb)
@@ -190,7 +198,7 @@ def classify(kb_path, domains_path, query_text, full_kb, dump_path):
 @fail_cleanly
 def explain(kb_path, domains_path, query_text, k, full_kb):
     """Report the k most decisive feature values of a query."""
-    kb, query = _load_query(kb_path, domains_path, query_text)
+    kb, query = _load_query(kb_path, domains_path, query_text, full_kb)
     expl = compute_explanation(query, kb, k, use_relevant=not full_kb)
     payload = {
         "explanation": dict(sorted(expl.sub_query.items())),
@@ -261,7 +269,7 @@ def eval_cmd(method, input_path, label_col, pos_label, max_arity, knowledge_path
              train_fraction, rng_seed, runs):
     """Train/test evaluation with per-run F1 and the mean over seeds."""
     ds = load_csv(input_path, label_col, pos_label)
-    knowledge = _read_kb(knowledge_path) if knowledge_path else None
+    knowledge = _read_model(knowledge_path)[0] if knowledge_path else None
     configs = _run_configs(runs, rng_seed, dataset=ds, method=method, knowledge=knowledge,
                            train_fraction=train_fraction, max_arity=max_arity)
     _emit(_f1_payload(method, [run_eval(config) for config in configs]))
@@ -328,10 +336,10 @@ def bench_lp_cmd(n_vars, n_clauses, rng_seed, csv_path):
 @fail_cleanly
 def inject(kb_path, knowledge_path, out_path):
     """Merge hand-written clauses into a learned knowledge base."""
-    kb = _read_kb(kb_path)
-    extra = _read_kb(knowledge_path)
+    kb = _read_model(kb_path)[0]
+    extra = _read_model(knowledge_path)[0]
     merged = merge(kb, list(extra.clauses))
-    Path(out_path).write_text(serialize_kb(merged) + "\n", encoding="utf-8")
+    write_model(merged, out_path)
     _emit({"clauses": len(merged), "out": str(out_path)})
 
 

@@ -95,11 +95,12 @@ def from_rows(features, rows) -> Dataset:
     return Dataset(features, domains, instances)
 
 
-def read_text(path) -> str:
+def read_text(path, raw: bytes | None = None) -> str:
     """A file's text, read as UTF-8 after an optional byte-order mark, line
-    ends untouched; ValueError naming the file if it is not UTF-8."""
+    ends untouched; ValueError naming the file if it is not UTF-8.  ``raw``
+    is the file's bytes when they have been read already."""
     try:
-        return Path(path).read_bytes().decode(encoding="utf-8-sig")
+        return (Path(path).read_bytes() if raw is None else raw).decode(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
 

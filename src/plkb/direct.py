@@ -4,28 +4,16 @@ feature-value subsets of each instance, plus query-relevant extraction."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, compress
-from math import comb
-from typing import Iterable, Mapping
+from itertools import compress
+from typing import Mapping
 
 from .data import Dataset
-from .kb import AtomBits, KnowledgeBase
+from .kb import AtomBits, KnowledgeBase, lookup_pays, subset_codes
 
 Query = Mapping[str, str]
 
 # Beyond this many features an unbounded subset pass is clearly a mistake.
 MAX_UNBOUNDED_FEATURES = 20
-
-
-def subset_codes(bits: Iterable[int], most: int) -> list[int]:
-    """The code of every subset of ``bits`` with at most ``most`` members,
-    by size, the empty one first."""
-    bits = list(bits)
-    by_size = [[0]] + [[] for _ in range(min(most, len(bits)))]
-    for n, b in enumerate(bits, 1):
-        for k in range(min(n, most), 0, -1):
-            by_size[k] += [c | b for c in by_size[k - 1]]
-    return list(chain.from_iterable(by_size))
 
 
 @dataclass
@@ -84,14 +72,14 @@ def _select(query: Query, kb: KnowledgeBase) -> KnowledgeBase:
     included: its empty body lies inside every query.
 
     The codes of the query's subsets are looked up in ``kb.counts`` only
-    up to its longest body; when even that many lookups would dwarf the
-    rows, the rows are scanned.  A query pair the atom table lacks lies in
-    no body, so it is left out of both.
+    up to its longest body when :func:`~plkb.kb.lookup_pays`; otherwise the
+    rows are scanned.  A query pair the atom table lacks lies in no body,
+    so it is left out of both.
     """
     counts = kb.counts
     bits = [b for b in map(kb.bits.get, sorted(query.items())) if b is not None]
     most = min(kb.arity, len(bits))
-    if sum(comb(len(bits), k) for k in range(most + 1)) <= 8 * len(counts) + 64:
+    if lookup_pays(len(bits), most, len(counts)):
         codes = subset_codes(bits, most)
         entries = list(map(counts.get, codes))
         hits = dict(compress(zip(codes, entries), entries))

@@ -30,14 +30,27 @@ assigning a field raises ``FrozenInstanceError`` and a hash never goes
 stale, and a clause canonicalises its literals once, when built.
 Operations that change a knowledge base return a new one, so instances
 can be shared freely across threads.
+
+A model file (:func:`write_model`) is one header line, ``# plkb 2
+crc32=<hex> others=<n> features=<f1,f2,...>``, then :func:`serialize_kb`'s
+lines: sorted by clause text, each probability the exact ``n/d`` of its
+``Fraction``, so a model reads back equal to the one saved.  The header
+is a comment to :func:`parse_kb`, which reads a file with or without one
+(an older model, with 6-decimal probabilities) whole.  Its checksum
+covers everything after its own field.  :func:`read_model` reads only the
+rules a query selects from a model whose header allows it.
 """
 
 from __future__ import annotations
 
 import re
+import zlib
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
+from itertools import chain
+from math import comb
 from operator import or_
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -248,6 +261,26 @@ class AtomBits(dict):
         return code
 
 
+def subset_codes(bits: Iterable[int], most: int) -> list[int]:
+    """The code of every subset of ``bits`` with at most ``most`` members,
+    by size, the empty one first."""
+    bits = list(bits)
+    by_size = [[0]] + [[] for _ in range(min(most, len(bits)))]
+    for n, b in enumerate(bits, 1):
+        for k in range(min(n, most), 0, -1):
+            by_size[k] += [c | b for c in by_size[k - 1]]
+    return list(chain.from_iterable(by_size))
+
+
+def lookup_pays(n_pairs: int, most: int, n_rows: int, per_row: int = 8) -> bool:
+    """Whether looking up the subsets of ``n_pairs`` query pairs with at
+    most ``most`` members beats scanning ``n_rows`` rows for the bodies
+    inside the query, when ``per_row`` lookups cost about as much as
+    scanning one row: 8 dict lookups in memory, 1 bisect of a model
+    file's lines against parsing one."""
+    return sum(comb(n_pairs, k) for k in range(most + 1)) <= per_row * n_rows + 64
+
+
 @dataclass(frozen=True, eq=False)
 class KnowledgeBase:
     """An immutable collection of weighted clauses, unique by clause.
@@ -356,15 +389,18 @@ class KnowledgeBase:
         return max(map(int.bit_count, self.counts), default=0)
 
 
-def _clause_lines(text: str) -> Iterator[tuple[int, Fraction, str]]:
-    """``(line number, probability, clause text)`` for each clause line.
+def _clause_lines(
+    lines: Iterable[str], numbers: Iterable[int]
+) -> Iterator[tuple[int, Fraction, str]]:
+    """``(line number, probability, clause text)`` for each clause line of
+    ``lines``, numbered by ``numbers``.
 
     ``#`` comments and blank lines are skipped, and the probability is an
     exact rational in [0, 1].  Each distinct probability text is parsed
     once.
     """
     probs: dict[str, Fraction] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in zip(numbers, lines):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -415,11 +451,12 @@ def _parse_clause(clause_text: str, line_no: int, literals: dict[str, Literal]) 
         raise KBParseError(line_no, str(exc)) from None
 
 
-def _conflict(text: str, line_no: int, clause: Clause, prev: Probability) -> KBParseError:
+def _conflict(lines: Sequence[str], numbers: Sequence[int], line_no: int, clause: Clause,
+              prev: Probability) -> KBParseError:
     """The error for line ``line_no`` giving ``clause`` a second probability.
     The line that gave the first is looked for only here, so parsing keeps
     no per-line record."""
-    first = next(n for n, _, clause_text in _clause_lines(text)
+    first = next(n for n, _, clause_text in _clause_lines(lines, numbers)
                  if _parse_clause(clause_text, n, {}) == clause)
     return KBParseError(
         line_no,
@@ -445,6 +482,13 @@ def parse_kb(text: str) -> KnowledgeBase:
     feature two values, or holds ``!pos``, a bare atom or a positive
     feature-value literal.
     """
+    lines = text.splitlines()
+    return _parse_lines(lines, range(1, len(lines) + 1))
+
+
+def _parse_lines(lines: Sequence[str], numbers: Sequence[int]) -> KnowledgeBase:
+    """:func:`parse_kb`'s loop over ``lines``, numbered by ``numbers``: the
+    KB holds their clauses in line order."""
     counts: dict[int, tuple[int, int]] = {}
     others: dict[Clause, WeightedClause] = {}
     bits = AtomBits()
@@ -452,7 +496,7 @@ def parse_kb(text: str) -> KnowledgeBase:
     parts: dict[str, Atom | tuple[int, str]] = {}
     literals: dict[str, Literal] = {}  # literal text -> its literal, shared by clauses
     marked = mark = 0  # last line to meet an uncached pair; the table's length before it
-    for line_no, prob, clause_text in _clause_lines(text):
+    for line_no, prob, clause_text in _clause_lines(lines, numbers):
         body = 0
         features = []
         n_pos = 0
@@ -479,7 +523,7 @@ def parse_kb(text: str) -> KnowledgeBase:
                 entry = (prob.denominator, prob.numerator)
                 prev = counts.setdefault(body, entry)
                 if prev != entry:
-                    raise _conflict(text, line_no, _coded_rule(body, bits.atoms, {}),
+                    raise _conflict(lines, numbers, line_no, _coded_rule(body, bits.atoms, {}),
                                     Fraction(prev[1], prev[0]))
                 continue
         if marked == line_no:  # a line that is not a rule numbers no pair
@@ -491,31 +535,104 @@ def parse_kb(text: str) -> KnowledgeBase:
         clause = _parse_clause(clause_text, line_no, literals)
         prev_prob = others.setdefault(clause, WeightedClause(prob, clause)).probability
         if prev_prob != prob:
-            raise _conflict(text, line_no, clause, prev_prob)
+            raise _conflict(lines, numbers, line_no, clause, prev_prob)
     return KnowledgeBase(others.values(), counts, bits)
+
+
+# The text a rule line gives a body pair: rule lines are "pos" and these,
+# in pair order, as serialize_kb writes them and read_model looks them up.
+_body_literal = " | !{}={}".format
 
 
 def serialize_kb(kb: KnowledgeBase) -> str:
     """Render one line per clause, sorted by the clause's canonical text.
 
-    A rule's line is read off its code through one ``" | !f=v"`` text per
-    atom, joined in pair order: no clause object or ``Fraction`` is built
-    for it."""
+    Each probability is written exactly, as its ``Fraction``'s ``n/d``
+    (``1`` and ``0`` alone), so the text parses back to the same KB.  A
+    rule's line is read off its code through one ``" | !f=v"`` text per
+    atom, joined in pair order, and its probability is formatted once per
+    distinct ``(total, pos)``: no clause object is built for it."""
     order = sorted(range(len(kb.atoms)), key=kb.atoms.__getitem__)
     rank = {i: r for r, i in enumerate(order)}  # atom -> its place in pair order
-    texts = [" | !{}={}".format(*kb.atoms[i]) for i in order]
+    texts = [_body_literal(*kb.atoms[i]) for i in order]
+    probs: dict[Sequence[int], str] = {}  # (total, pos) -> its probability's text
     lines = []
-    for code, (total, pos) in kb.counts.items():
+    for code, entry in kb.counts.items():
         ranks = []
         while code:
             low = code & -code
             ranks.append(rank[low.bit_length() - 1])
             code ^= low
         ranks.sort()
-        lines.append(("pos" + "".join(map(texts.__getitem__, ranks)), f"{pos / total:.6f}"))
-    lines += ((str(wc.clause), f"{float(wc.probability):.6f}") for wc in kb.others)
+        prob = probs.get(entry)
+        if prob is None:
+            prob = probs[entry] = str(Fraction(entry[1], entry[0]))
+        lines.append(("pos" + "".join(map(texts.__getitem__, ranks)), prob))
+    lines += ((str(wc.clause), str(Fraction(wc.probability))) for wc in kb.others)
     lines.sort()
     return "\n".join(f"{prob} {clause}" for clause, prob in lines)
+
+
+def feature_names(kb: KnowledgeBase) -> list[str]:
+    """The features of the KB's feature-value atoms, sorted."""
+    return sorted({a.feature for a in kb.universe if a.value is not None})
+
+
+# A header that allows a query-scoped load: the model holds only rules.
+_SCOPED_HEADER = re.compile(rb"# plkb 2 crc32=([0-9a-f]{8}) (others=0 features=(\S*)\n)")
+
+
+def write_model(kb: KnowledgeBase, path) -> None:
+    """Save ``kb`` to ``path`` as a model file (see the module docstring).
+    The text is encoded once, and those bytes are both checksummed and
+    written."""
+    fields = f"others={len(kb.others)} features={','.join(feature_names(kb))}\n".encode()
+    body = serialize_kb(kb).encode()
+    crc = zlib.crc32(b"\n", zlib.crc32(body, zlib.crc32(fields)))
+    with open(path, "wb") as fh:
+        fh.writelines((b"# plkb 2 crc32=%08x " % crc, fields, body, b"\n"))
+
+
+def read_model(raw: bytes, query: Mapping[str, str]) -> tuple[KnowledgeBase, list[str]] | None:
+    """The rules of the model file ``raw`` whose body ``query`` asserts, and
+    the model's feature names; None when the whole file must be parsed.
+
+    The rules are those :func:`~plkb.direct.relevant_kb` selects from the
+    whole model, in the order it selects them, read without parsing any
+    other line: each candidate body, a subset of the query's pairs in
+    :func:`subset_codes` order, is looked up by bisecting the file's sorted
+    lines on its clause text, and the lines found go through
+    :func:`parse_kb`'s loop under their own line numbers, so a malformed
+    one raises the :class:`KBParseError` a whole parse would.  A query pair
+    that is no atom lies in no body and adds no candidate.  None is
+    returned, and nothing is parsed, unless the file starts with a v2
+    header whose checksum holds, the model holds only rules, and
+    :func:`lookup_pays` for the candidates at one bisect per parsed line;
+    then the whole model's selection looks its rows up too, in this order.
+    """
+    m = _SCOPED_HEADER.match(raw)
+    if m is None or zlib.crc32(memoryview(raw)[m.start(2):]) != int(m[1], 16):
+        return None
+    try:
+        lines = raw[m.end():].decode().splitlines()
+        features = m[3].decode()
+    except UnicodeDecodeError:
+        return None
+    pairs = sorted(p for p in query.items() if _NAME_RE.match(p[0]) and _NAME_RE.match(p[1]))
+    if not lookup_pays(len(pairs), len(pairs), len(lines), per_row=1):
+        return None
+    texts = [_body_literal(*pair) for pair in pairs]
+    clause_of = {0: "pos"}  # candidate code over ``pairs`` -> its clause text
+    hits, numbers = [], []
+    for code in subset_codes([1 << i for i in range(len(pairs))], len(pairs)):
+        if code:
+            top = code.bit_length() - 1
+            clause_of[code] = clause_of[code ^ 1 << top] + texts[top]
+        i = bisect_left(lines, clause_of[code], key=lambda line: line.partition(" ")[2])
+        if i < len(lines) and lines[i].partition(" ")[2] == clause_of[code]:
+            hits.append(lines[i])
+            numbers.append(i + 2)  # the header is line 1
+    return _parse_lines(hits, numbers), features.split(",") if features else []
 
 
 def merge(kb: KnowledgeBase, extra: Sequence[WeightedClause]) -> KnowledgeBase:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
 from math import comb
 
 from hypothesis import strategies as st
@@ -239,8 +239,9 @@ def reference_presolve(kb: KnowledgeBase, query):
 def reference_serialize(clauses) -> str:
     """Reference implementation of :func:`plkb.kb.serialize_kb` for any
     iterable of weighted clauses: one clause object per line, rendered with
-    ``str`` and sorted by the clause's text."""
-    lines = sorted((str(wc.clause), f"{float(wc.probability):.6f}") for wc in clauses)
+    ``str`` and sorted by the clause's text, its probability the exact
+    text of its ``Fraction``."""
+    lines = sorted((str(wc.clause), str(Fraction(wc.probability))) for wc in clauses)
     return "\n".join(f"{prob} {clause}" for clause, prob in lines)
 
 
@@ -252,7 +253,7 @@ def reference_parse(text: str) -> list[WeightedClause]:
     out: list[WeightedClause] = []
     seen: dict[Clause, tuple[int, Fraction]] = {}
     parsed: dict[str, Literal] = {}  # literal text -> its literal, shared by clauses
-    for line_no, prob, clause_text in _clause_lines(text):
+    for line_no, prob, clause_text in _clause_lines(text.splitlines(), count(1)):
         literals = []
         for tok in clause_text.split("|"):
             lit = parsed.get(tok)

@@ -120,9 +120,9 @@ class TestAgainstTupleKeys:
         assert kb.atoms == [("b", "1"), ("a10", "1"), ("a1", "0"), ("a2", "0")]
         assert kb.counts == {0b1: (2, 1), 0b110: (4, 1), 0b1010: (4, 3)}
         assert serialize_kb(kb) == (
-            "0.750000 pos | !a10=1 | !a2=0\n"
-            "0.250000 pos | !a1=0 | !a10=1\n"
-            "0.500000 pos | !b=1"
+            "3/4 pos | !a10=1 | !a2=0\n"
+            "1/4 pos | !a1=0 | !a10=1\n"
+            "1/2 pos | !b=1"
         )
         assert serialize_kb(kb) == reference_serialize(kb.clauses)
 
@@ -160,7 +160,7 @@ class TestAtomTable:
         assert kb.atoms == [("a1", "0")]
         assert merged.atoms == [("a1", "0"), ("a1", "7"), ("a10", "1")]
         assert merged.counts == {0b1: (2, 1), 0b110: (10, 9)}
-        assert serialize_kb(merged) == "0.500000 pos | !a1=0\n0.900000 pos | !a1=7 | !a10=1"
+        assert serialize_kb(merged) == "1/2 pos | !a1=0\n9/10 pos | !a1=7 | !a10=1"
 
     def test_wide_tables_code_past_63_atoms(self):
         features = [f"f{i}" for i in range(100)]

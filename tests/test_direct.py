@@ -61,7 +61,7 @@ class TestBuildDirectKb:
     def test_single_positive_instance(self):
         ds = from_rows(["a"], [(("x",), True)])
         kb = build_direct_kb(ds)
-        assert serialize_kb(kb) == "1.000000 pos | !a=x"
+        assert serialize_kb(kb) == "1 pos | !a=x"
 
     def test_full_factorial_two_by_two(self):
         rows = [((a, b), True) for a in "01" for b in "01"]
@@ -124,7 +124,7 @@ class TestRelevantKb:
 
     def test_single_pair_query(self, strings_direct_kb):
         rel = relevant_kb({"a4": "1"}, strings_direct_kb)
-        assert serialize_kb(rel) == "1.000000 pos | !a4=1"
+        assert serialize_kb(rel) == "1 pos | !a4=1"
 
     def test_matches_reference_scan(self, strings_direct_kb):
         rng = random.Random(5)
@@ -142,7 +142,7 @@ class TestRelevantKb:
     def test_scan_used_for_non_rule_kbs(self):
         kb = parse_kb("0.5 a | b\n0.7 pos | !f=1")
         rel = relevant_kb({"f": "1"}, kb)
-        assert serialize_kb(rel) == "0.700000 pos | !f=1"
+        assert serialize_kb(rel) == "7/10 pos | !f=1"
 
     def test_classification_agrees_with_full_kb(self, strings_direct_kb):
         for bits in range(16):
@@ -163,7 +163,7 @@ class TestActiveKb:
             ]
         )
         sub = active_kb({"a": "0"}, kb)
-        assert serialize_kb(sub) == "0.750000 pos"
+        assert serialize_kb(sub) == "3/4 pos"
 
     def test_falls_back_to_whole_kb_for_non_rule_clauses(self):
         kb = parse_kb("0.5 a | b\n0.7 pos | !f=1")
@@ -199,7 +199,7 @@ class TestBodylessRule:
             WeightedClause(0.5, rule_clause([("a1", "1")])),
             WeightedClause(0.2, rule_clause([("a1", "1"), ("a3", "0")])),
         ])
-        assert serialize_kb(single_leaf) == "1.000000 pos"
+        assert serialize_kb(single_leaf) == "1 pos"
         kbs = [single_leaf, merged, parsed, plain]
         assert all(len(kb.counts) == len(kb) for kb in kbs)
         return kbs

@@ -199,14 +199,14 @@ class TestSerialize:
 
     def test_two_clause_golden(self):
         kb = parse_kb("0.8 a\n0.6 !a | b")
-        assert serialize_kb(kb) == "0.600000 !a | b\n0.800000 a"
+        assert serialize_kb(kb) == "3/5 !a | b\n4/5 a"
 
-    def test_six_decimal_places(self):
+    def test_exact_probability_text(self):
         kb = KnowledgeBase([WeightedClause(Fraction(1, 3), Clause([Literal(POS)]))])
-        assert serialize_kb(kb) == "0.333333 pos"
+        assert serialize_kb(kb) == "1/3 pos"
 
     def test_parse_serialize_identity_on_canonical(self):
-        text = "0.600000 !a | b\n0.800000 a"
+        text = "3/5 !a | b\n4/5 a"
         assert serialize_kb(parse_kb(text)) == text
 
 

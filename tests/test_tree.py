@@ -124,7 +124,7 @@ class TestKbFromTree:
 
     def test_hand_built_single_leaf(self):
         kb = kb_from_tree(TreeNode(None, 4, 3, None))
-        assert serialize_kb(kb) == "0.750000 pos"
+        assert serialize_kb(kb) == "3/4 pos"
 
     def test_unknown_mode(self, strings_ds):
         with pytest.raises(ValueError, match="mode"):
