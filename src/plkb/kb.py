@@ -475,10 +475,11 @@ def parse_kb(text: str) -> KnowledgeBase:
     A rule line, ``pos`` and negated feature-value literals in any order
     that canonicalise to a rule (a repeated literal collapses, as in
     ``pos | pos | !a=1``, but no feature takes two values), becomes a row
-    of ``counts`` with its probability's ``(denominator, numerator)`` and
-    builds no clause object, so a saved learned model parses without one;
-    only a rule line numbers pairs into ``bits``.  Any other line is built
-    as a :class:`Clause`, which is never a rule: it lacks ``pos``, gives a
+    of ``counts`` with its probability's ``(denominator, numerator)``, one
+    tuple shared by the rows of equal probability, and builds no clause
+    object, so a saved learned model parses without one; only a rule line
+    numbers pairs into ``bits``.  Any other line is built as a
+    :class:`Clause`, which is never a rule: it lacks ``pos``, gives a
     feature two values, or holds ``!pos``, a bare atom or a positive
     feature-value literal.
     """
@@ -490,6 +491,7 @@ def _parse_lines(lines: Sequence[str], numbers: Sequence[int]) -> KnowledgeBase:
     """:func:`parse_kb`'s loop over ``lines``, numbered by ``numbers``: the
     KB holds their clauses in line order."""
     counts: dict[int, tuple[int, int]] = {}
+    entries: dict[tuple[int, int], tuple[int, int]] = {}  # each entry -> its shared tuple
     others: dict[Clause, WeightedClause] = {}
     bits = AtomBits()
     # rule literal text -> POS, or its pair's bit and feature
@@ -521,6 +523,7 @@ def _parse_lines(lines: Sequence[str], numbers: Sequence[int]) -> KnowledgeBase:
         else:
             if n_pos and len(set(features)) == body.bit_count():
                 entry = (prob.denominator, prob.numerator)
+                entry = entries.setdefault(entry, entry)
                 prev = counts.setdefault(body, entry)
                 if prev != entry:
                     raise _conflict(lines, numbers, line_no, _coded_rule(body, bits.atoms, {}),
@@ -601,9 +604,10 @@ def read_model(raw: bytes, query: Mapping[str, str]) -> tuple[KnowledgeBase, lis
     whole model, in the order it selects them, read without parsing any
     other line: each candidate body, a subset of the query's pairs in
     :func:`subset_codes` order, is looked up by bisecting the file's sorted
-    lines on its clause text, and the lines found go through
-    :func:`parse_kb`'s loop under their own line numbers, so a malformed
-    one raises the :class:`KBParseError` a whole parse would.  A query pair
+    lines on its clause text, and every line found with that text goes
+    through :func:`parse_kb`'s loop under its own line number, so a
+    malformed one, or one giving a body a second probability, raises the
+    :class:`KBParseError` a whole parse would.  A query pair
     that is no atom lies in no body and adds no candidate.  None is
     returned, and nothing is parsed, unless the file starts with a v2
     header whose checksum holds, the model holds only rules, and
@@ -629,9 +633,10 @@ def read_model(raw: bytes, query: Mapping[str, str]) -> tuple[KnowledgeBase, lis
             top = code.bit_length() - 1
             clause_of[code] = clause_of[code ^ 1 << top] + texts[top]
         i = bisect_left(lines, clause_of[code], key=lambda line: line.partition(" ")[2])
-        if i < len(lines) and lines[i].partition(" ")[2] == clause_of[code]:
+        while i < len(lines) and lines[i].partition(" ")[2] == clause_of[code]:
             hits.append(lines[i])
             numbers.append(i + 2)  # the header is line 1
+            i += 1
     return _parse_lines(hits, numbers), features.split(",") if features else []
 
 

@@ -1,7 +1,9 @@
+import os
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -10,6 +12,11 @@ from helpers import eight_strings_dataset  # noqa: E402
 from plkb.direct import build_direct_kb  # noqa: E402
 from plkb.kb import parse_kb  # noqa: E402
 from plkb.tree import build_id3, kb_from_tree  # noqa: E402
+
+# HYPOTHESIS_PROFILE=ci draws the same examples on every run, so a property
+# test cannot pass on one run of a commit and fail on the next.
+settings.register_profile("ci", derandomize=True, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -116,6 +117,44 @@ class TestBuildDirectKb:
         for wc in strings_direct_kb:
             feats = [f for f, _ in wc.clause.body]
             assert len(feats) == len(set(feats))
+
+
+def naive_counts(ds, max_arity) -> dict:
+    """``(total, pos)`` of each observed subset of at most ``max_arity``
+    pairs (None: any size), by counting the instances that hold it; keyed
+    as :func:`tuple_counts` keys, in the order the instances first show
+    the subsets: each instance's by size, then colexicographically over
+    its pairs in feature order."""
+    most = len(ds.features) if max_arity is None else max_arity
+    order = {}
+    for inst in ds.instances:
+        pairs = list(inst.values.items())
+        for k in range(1, min(most, len(pairs)) + 1):
+            for combo in sorted(combinations(range(len(pairs)), k), key=lambda c: c[::-1]):
+                order.setdefault(tuple(sorted(pairs[i] for i in combo)), None)
+    counts = {}
+    for body in order:
+        labels = [inst.label for inst in ds.instances if set(body) <= inst.values.items()]
+        counts[body] = (len(labels), sum(labels))
+    return counts
+
+
+def shared(values) -> bool:
+    """Whether equal values among ``values`` are one object."""
+    values = list(values)
+    return len({id(v) for v in values}) == len(set(values))
+
+
+class TestCounting:
+    @settings(max_examples=100, deadline=None)
+    @given(datasets_and_queries())
+    def test_counts_are_exact_and_share_one_tuple_per_value(self, case):
+        ds, max_arity, _ = case
+        kb = build_direct_kb(ds, max_arity)
+        assert list(tuple_counts(kb).items()) == list(naive_counts(ds, max_arity).items())
+        assert all(type(v) is tuple for v in kb.counts.values())
+        assert shared(kb.counts.values())
+        assert shared(parse_kb(serialize_kb(kb)).counts.values())
 
 
 class TestRelevantKb:

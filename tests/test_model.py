@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import tuple_counts
@@ -332,3 +332,104 @@ class TestExactRoundTrip:
         assert classify_query(kb, query).label is True
         assert classify_query(parse_kb(raw.decode()), query).label is True
         assert classify_query(read_model(raw, query)[0], query).label is True
+
+
+class TestDuplicatedBody:
+    def test_a_scoped_load_refuses_it_as_the_whole_parse_does(self, tmp_path):
+        # two lines give one body two probabilities; the checksum holds
+        model, data = trained_model(tmp_path)
+        raw = model.read_bytes()
+        lines = body_lines(raw)
+        i = next(i for i, l in enumerate(lines) if l.endswith(" pos | !a1=0"))
+        assert lines[i] == "2/3 pos | !a1=0"
+        lines.insert(i + 1, "1/3 pos | !a1=0")
+        model.write_bytes(resealed(with_body(raw, lines)))
+        args = ("--kb", str(model), "--domains", str(data), "--query", "a1=0,a2=1")
+        expected = [f"error: {model}: line {i + 3}: clause pos | !a1=0 already given "
+                    f"probability 0.666667 on line {i + 2}"]
+        for command in (["classify"], ["classify", "--full-kb"], ["explain", "-k", "1"]):
+            code, err = run(*command, *args)
+            assert code == 1, (command, err)
+            assert err.splitlines() == expected, command
+
+
+# Model text as the writer gives it, and as a hand edit or a damaged file
+# may leave it.
+_PROBS = ["0", "1", "1/2", "2/3", "0.25", "0.500000", "-0", "1e-999", "1/" + "7" * 300]
+_BAD_PROBS = ["nan", "inf", "1e999", "1/0", "3/2", "-1/3", "0x1", "½", "", "1/" + "7" * 5000]
+_LITERALS = ["pos", "!a1=0", "!a1=1", "!a2=0", "!a2=1", "!a3=1"]
+_ODD_LITERALS = ["!b=x", "a1=0", "!pos", "a2", "é", "!a1=0=1", "!", "", " ", "#", "pos ", "!a1=\r0"]
+_LINE_BREAKS = ["\n", "\n", "\n", "\r\n", "\r", "\u2028", "\x85", " "]
+_TAILS = [b""] * 6 + [b"\xff", b"\xe9\n", b"\xe2\x80"]
+FUZZ_CSV = "a1,a2,a3,label\n0,1,0,pos\n1,0,1,neg\n"
+
+
+def _lines(probs, literals, sep=st.just(" ")):
+    return st.builds(lambda p, s, lits: p + s + " | ".join(lits), st.sampled_from(probs), sep,
+                     st.lists(st.sampled_from(literals), min_size=1, max_size=4))
+
+
+@st.composite
+def model_bytes(draw):
+    """A model body of rule lines, now and then one damaged line or stray
+    bytes, with no header, a valid v2 header (checksummed as
+    ``write_model`` does), one that allows no scoped load, or one whose
+    checksum fails."""
+    lines = draw(st.lists(_lines(_PROBS, _LITERALS), max_size=6))
+    damaged = draw(st.none() | st.one_of(
+        _lines(_BAD_PROBS, _LITERALS),
+        _lines(_PROBS, _LITERALS + _ODD_LITERALS),
+        _lines(_PROBS, _LITERALS, st.sampled_from(["", "\t", "  "])),
+        st.text(max_size=12),
+    ))
+    if damaged is not None:
+        lines.insert(draw(st.integers(0, len(lines))), damaged)
+    if draw(st.booleans()):
+        lines.sort(key=lambda l: l.partition(" ")[2])
+    br = draw(st.sampled_from(_LINE_BREAKS))
+    body = "".join(l + br for l in lines).encode() + draw(st.sampled_from(_TAILS))
+    header = draw(st.sampled_from(["none", "valid", "others", "bad-crc"]))
+    if header == "none":
+        return body
+    features = draw(st.sampled_from(["", "a1", "a1,a2,a3", "a9"]))
+    return headed(body, features, header)
+
+
+def headed(body: bytes, features: str = "a1,a2,a3", header: str = "valid") -> bytes:
+    """``body`` under a v2 header, checksummed as ``write_model`` does; with
+    ``others=1`` for ``header="others"``, a wrong checksum for "bad-crc"."""
+    fields = b"others=%d features=%s\n" % (header == "others", features.encode())
+    crc = zlib.crc32(fields + body) ^ (header == "bad-crc")
+    return b"# plkb 2 crc32=%08x " % crc + fields + body
+
+
+class TestCliFuzz:
+    """Whatever the model file holds, a command exits 0, or exits 1 with
+    one ``error:`` line; no other exception escapes."""
+
+    @pytest.fixture(scope="class")
+    def paths(self, tmp_path_factory):
+        tmp = tmp_path_factory.mktemp("fuzz")
+        (tmp / "data.csv").write_text(FUZZ_CSV, encoding="utf-8")
+        return tmp / "model.plkb", tmp / "data.csv"
+
+    @settings(max_examples=150, deadline=None)
+    @given(model_bytes(), st.sampled_from(["a1=0,a2=1", "a1=1", "a1=0,a2=0,a3=1"]))
+    @example(headed(b"1/2 pos\r1/3 pos | !a1=0\r"), "a1=0,a2=1")
+    @example(headed("1/2 pos\u20281/3 pos | !a1=0\u2028".encode()), "a1=0,a2=1")
+    @example(headed(b"1/2 pos | !a1=0\n1/3 pos | !a1=0\n"), "a1=0,a2=1")
+    @example(headed(b"1/%s pos | !a1=0\n" % (b"7" * 5000)), "a1=0")
+    @example(b"nan pos | !a1=0\n1e999 pos\n1/0 pos | !a2=1\n", "a1=0,a2=1")
+    def test_exit_0_or_one_error_line(self, paths, raw, query):
+        model, data = paths
+        model.write_bytes(raw)
+        args = ("--kb", str(model), "--domains", str(data), "--query", query)
+        for command in (["classify"], ["explain", "-k", "1"], ["classify", "--full-kb"]):
+            result = CliRunner().invoke(main, [*command, *args], catch_exceptions=False)
+            if result.exit_code == 0:
+                json.loads(result.stdout)
+                assert result.stderr == ""
+            else:
+                lines = result.stderr.splitlines()
+                assert result.exit_code == 1 and result.stdout == "", command
+                assert len(lines) == 1 and lines[0].startswith("error: "), (command, lines)
