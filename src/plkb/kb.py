@@ -22,7 +22,7 @@ alone routes a rule given as a clause object into it; each numbers a
 pair when it first sees it, so no code is ever re-coded.  A code is as
 wide as the atom table: past 63 atoms it is a multi-digit int, which
 works the same but hashes more slowly.  Pairs are decoded from a code
-only to build clause objects and to write a rule line.
+only to build clause objects, to write a rule line and to find an LP's columns.
 
 All values are immutable: :class:`Atom`, :class:`Literal`,
 :class:`Clause` and :class:`WeightedClause` are frozen dataclasses, so
@@ -303,7 +303,7 @@ class KnowledgeBase:
     :attr:`clauses` lists the rules in ``counts`` order, then ``others``,
     and iteration runs over it.  No rule clause object exists until
     something reads :attr:`clauses` or iterates the KB, which builds them
-    once; :func:`serialize_kb` and the presolve read ``counts`` directly.
+    once; :func:`serialize_kb` and the LP path read ``counts`` directly.
 
     The constructor routes each rule-shaped clause of ``clauses`` into
     ``counts``, numbering its new pairs into ``bits``, and keeps both in

@@ -47,9 +47,9 @@ the bounds are the median interval of the residual probabilities.
 Otherwise the LP solves the residual only.  Either way ``objective_min``
 is the residual v* plus the constant, the whole program's v*.  The
 presolve reads a KB's rules as ``n_pos / n_total`` straight from its
-``counts`` and builds a clause object only for a rule the query leaves
-undecided.  Any other target is solved on the whole program.  Checking a
-query against the features' domains is the caller's job.
+``counts``; ``build_lp`` writes their rows from their codes, with no
+clause object.  Any other target is solved on the whole program.
+Checking a query against the features' domains is the caller's job.
 
 An exact world-distribution oracle (all 2^n complete conjunctions) is
 included for cross-checking on small universes.
@@ -81,8 +81,9 @@ parallel.  Code added on this path must keep both properties.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import reduce
 from itertools import repeat
-from operator import sub
+from operator import or_, sub
 from typing import Iterable, Mapping, Sequence
 
 from .kb import (
@@ -91,9 +92,9 @@ from .kb import (
     Clause,
     KnowledgeBase,
     Literal,
+    Pair,
     WeightedClause,
     _atom_sort_key,
-    _coded_rule,
 )
 
 TAU_ZERO = 1e-6   # deviation below this hints consistency
@@ -148,25 +149,52 @@ class InferenceResult:
     label: bool
 
 
-def build_lp(clauses: Iterable[WeightedClause]) -> LinearProgram:
+def build_lp(clauses: KnowledgeBase | Iterable[WeightedClause],
+             rules: Iterable[tuple[float, int]] = (), atoms: Sequence[Pair] = ()) -> LinearProgram:
     """Construct the program described in the module docstring.
 
-    ``clauses`` is a knowledge base or any clause sequence; a sequence may
-    repeat a clause, as a presolved residual can, and each copy gets its
-    own deviation.  Variables: the atoms in sorted order, then ``d<i>``
-    per clause.  Rows, clause by clause: ``-d_i - sum_z pi(z) <= -p_i``,
-    then ``pi(z) - d_i <= p_i`` per literal, the constant of each
-    ``pi(!a) = 1 - x_a`` moved to the right-hand side.
+    The clauses are ``rules``, each ``(p, code)`` over the atom table
+    ``atoms`` (code 0 is ``pos``), then ``clauses``; a knowledge base gives
+    its ``counts`` as rules, then its ``others``: no rule clause object is
+    built.  A clause may repeat, as in a presolved residual, and each copy
+    gets its own deviation.  Variables: the atoms in sorted order, then
+    ``d<i>`` per clause.  Rows, clause by clause: ``-d_i - sum_z pi(z) <=
+    -p_i``, then ``pi(z) - d_i <= p_i`` per literal in canonical order,
+    the constant of each ``pi(!a) = 1 - x_a`` moved to the right-hand side.
     """
-    clauses = tuple(clauses)
-    if not clauses:
+    if isinstance(clauses, KnowledgeBase):
+        rules = [(pos / total, code) for code, (total, pos) in clauses.counts.items()]
+        clauses, atoms = clauses.others, clauses.atoms
+    rules, clauses = list(rules), tuple(clauses)
+    if not rules and not clauses:
         raise ValueError("cannot build a program from an empty knowledge base")
-    atoms = sorted({a for wc in clauses for a in wc.clause.atoms}, key=_atom_sort_key)
-    atom_index = {a: i for i, a in enumerate(atoms)}
-    n, m = len(atoms), len(clauses)
+    used = reduce(or_, (code for _, code in rules), 0)
+    bit_atoms = {1 << i: Atom(*pair) for i, pair in enumerate(atoms) if used >> i & 1}
+    columns = {*bit_atoms.values(), *(a for wc in clauses for a in wc.clause.atoms)}
+    columns = sorted(columns | {POS} if rules else columns, key=_atom_sort_key)
+    atom_index = {a: i for i, a in enumerate(columns)}
+    bit_column = {low: atom_index[a] for low, a in bit_atoms.items()}
+    n, m = len(columns), len(rules) + len(clauses)
     indptr, indices, data, rhs = [0], [], [], []
-    for i, wc in enumerate(clauses):
-        d, p = n + i, float(wc.probability)
+    coefficients = {}  # body size k -> the coefficients of a rule's rows
+    for d, (p, code) in enumerate(rules, n):
+        body = []
+        while code:
+            low = code & -code
+            body.append(bit_column[low])
+            code ^= low
+        body.sort()
+        k = len(body)
+        rows = [d] * (2 * k)
+        rows[::2] = body  # the row of each body atom, after the sum row and pos's
+        indices += (d, 0, *body, 0, d, *rows)  # pos is column 0
+        if k not in coefficients:
+            coefficients[k] = (-1.0, -1.0, *[1.0] * k, 1.0, -1.0, *[-1.0] * (2 * k))
+        data += coefficients[k]
+        rhs += (k - p, p, *[p - 1.0] * k)
+        indptr += range(len(indices) - 2 * k - 2, len(indices) + 1, 2)
+    for d, wc in enumerate(clauses, n + len(rules)):
+        p = float(wc.probability)
         lits = [(atom_index[lit.atom], lit.negated) for lit in wc.clause.literals]
         indices.append(d)
         data.append(-1.0)
@@ -181,7 +209,7 @@ def build_lp(clauses: Iterable[WeightedClause]) -> LinearProgram:
             rhs.append(p - 1.0 if negated else p)
             indptr.append(len(indices))
     return LinearProgram(
-        variables=(*map(str, atoms), *(f"d{i}" for i in range(m))),
+        variables=(*map(str, columns), *(f"d{i}" for i in range(m))),
         constraints=Rows(indptr, indices, data, rhs),
         objective=(0.0,) * n + (1.0,) * m,
         bounds=((0.0, 1.0),) * n + ((0.0, None),) * m,
@@ -300,8 +328,8 @@ def _bounded_target(
 
 def _presolve(
     kb: KnowledgeBase, query: Mapping[str, str]
-) -> tuple[float, list[float], list[WeightedClause]]:
-    """Drop every clause the query decides: ``(constant, probs, rest)``.
+) -> tuple[float, list[float], list[tuple[float, int]], list[WeightedClause]]:
+    """Drop every clause the query decides: ``(constant, probs, rules, rest)``.
 
     The query fixes pi(f=v) = 1 for each asserted pair and 0 for its
     siblings; ``pos`` and bare propositions stay free.  A clause with a
@@ -309,22 +337,22 @@ def _presolve(
     ``constant``, one whose literals are all fixed false with ``p``, and
     fixed-false literals are removed from the clauses that stay (see the
     module docstring).  ``probs`` are the probabilities of the residual
-    clauses that are exactly ``pos``, ``rest`` every other residual
-    clause; different clauses may reduce to the same residual,
-    so ``rest`` can repeat one.
+    clauses that are exactly ``pos``, ``rules`` every other residual rule
+    as ``(p, code)`` over ``kb.atoms``, ``rest`` every other residual
+    clause; different clauses may reduce to the same residual, so
+    ``rules`` and ``rest`` can repeat one.
 
     The rules are read from ``kb.counts``: ``n_pos / n_total`` is
     correctly rounded, as ``float(Fraction(...))`` is.  A row lies inside
     the query when its code has no bit outside the asserted pairs, as
     every row a selection keeps does, and is pinned true when it has a
-    sibling's bit; any other row's residual rule is decoded from its free
-    bits, built from literals shared within the call.  An inside row's
-    residual is ``pos``, so it joins ``probs``.  The loop over clause
-    objects runs over ``kb.others`` only, so no rule clause object is
-    built for a row the query decides.
+    sibling's bit; any other row's residual rule is its code less the
+    asserted bits.  An inside row's residual is ``pos``, so it joins
+    ``probs``.  No rule clause object is built.
     """
     constant = 0.0
     probs: list[float] = []
+    rules: list[tuple[float, int]] = []
     rest: list[WeightedClause] = []
     asserted = siblings = 0
     for (feature, value), bit in kb.bits.items():
@@ -335,7 +363,6 @@ def _presolve(
             else:
                 siblings |= bit
     outside = ~asserted
-    literals: dict[tuple[str, str], Literal] = {}
     for code, (total, pos) in kb.counts.items():
         p = pos / total
         if not code & outside:
@@ -343,8 +370,7 @@ def _presolve(
         elif code & siblings:  # some literal !f=v is true
             constant += 1.0 - p
         else:
-            rule = _coded_rule(code & outside, kb.atoms, literals)
-            rest.append(WeightedClause(p, rule))
+            rules.append((p, code & outside))
     just_pos = (Literal(POS),)
     for wc in kb.others:
         p = float(wc.probability)
@@ -365,7 +391,7 @@ def _presolve(
                 rest.append(wc)
             else:
                 rest.append(WeightedClause(wc.probability, Clause(kept)))
-    return constant, probs, rest
+    return constant, probs, rules, rest
 
 
 def _median_interval(probs: list[float]) -> tuple[float, float, float]:
@@ -419,12 +445,11 @@ def infer_pos(
         raise ValueError(f"target atom {target} does not occur in the knowledge base")
 
     if target == POS:
-        constant, probs, rest = _presolve(kb, query)
-        if not rest:
+        constant, probs, rules, rest = _presolve(kb, query)
+        if not rules and not rest:
             return closed_form(probs, constant)
-        unit = Clause([Literal(POS)])
         # The residual mentions no atom the query fixes: no query to apply.
-        lp = build_lp([*(WeightedClause(p, unit) for p in probs), *rest])
+        lp = build_lp(rest, [*zip(probs, repeat(0)), *rules], kb.atoms)
     else:
         constant, lp = 0.0, apply_query(build_lp(kb), query)
     target_var = lp.atom_index.get(target)

@@ -22,7 +22,9 @@ from plkb.kb import (
     KnowledgeBase,
     Literal,
     WeightedClause,
+    _atom_sort_key,
     _clause_lines,
+    _coded_rule,
     _parse_literal,
     parse_kb,
     rule_clause,
@@ -31,7 +33,9 @@ from plkb.lp import (
     LABEL_EPS,
     InferenceResult,
     LinearProgram,
+    Rows,
     _bounded_target,
+    _presolve,
     _result,
     apply_query,
     build_lp,
@@ -234,6 +238,52 @@ def reference_presolve(kb: KnowledgeBase, query):
             else:
                 rest.append(WeightedClause(wc.probability, Clause(kept)))
     return constant, probs, rest
+
+
+def decoded_presolve(kb: KnowledgeBase, query):
+    """``plkb.lp._presolve`` in :func:`reference_presolve`'s form
+    ``(constant, probs, rest)``: each coded residual rule decoded into its
+    clause with ``plkb.kb._coded_rule``, ahead of the residual clauses."""
+    constant, probs, rules, rest = _presolve(kb, query)
+    literals: dict = {}
+    decoded = [WeightedClause(p, _coded_rule(code, kb.atoms, literals)) for p, code in rules]
+    return constant, probs, [*decoded, *rest]
+
+
+def reference_build_lp(clauses) -> LinearProgram:
+    """Reference implementation of :func:`plkb.lp.build_lp` over clause
+    objects only: the atoms of the clauses in sorted order, then ``d<i>``
+    per clause; rows clause by clause, ``-d_i - sum_z pi(z) <= -p_i``,
+    then ``pi(z) - d_i <= p_i`` per literal."""
+    clauses = tuple(clauses)
+    if not clauses:
+        raise ValueError("cannot build a program from an empty knowledge base")
+    atoms = sorted({a for wc in clauses for a in wc.clause.atoms}, key=_atom_sort_key)
+    atom_index = {a: i for i, a in enumerate(atoms)}
+    n, m = len(atoms), len(clauses)
+    indptr, indices, data, rhs = [0], [], [], []
+    for i, wc in enumerate(clauses):
+        d, p = n + i, float(wc.probability)
+        lits = [(atom_index[lit.atom], lit.negated) for lit in wc.clause.literals]
+        indices.append(d)
+        data.append(-1.0)
+        for x, negated in lits:
+            indices.append(x)
+            data.append(1.0 if negated else -1.0)
+        rhs.append(sum(negated for _, negated in lits) - p)
+        indptr.append(len(indices))
+        for x, negated in lits:
+            indices += (x, d)
+            data += (-1.0 if negated else 1.0, -1.0)
+            rhs.append(p - 1.0 if negated else p)
+            indptr.append(len(indices))
+    return LinearProgram(
+        variables=(*map(str, atoms), *(f"d{i}" for i in range(m))),
+        constraints=Rows(indptr, indices, data, rhs),
+        objective=(0.0,) * n + (1.0,) * m,
+        bounds=((0.0, 1.0),) * n + ((0.0, None),) * m,
+        atom_index=atom_index,
+    )
 
 
 def reference_serialize(clauses) -> str:

@@ -1,7 +1,8 @@
-"""Rule bodies coded as atom bitmasks, against the tuple-keyed code they
-replaced (``helpers.reference_select``, ``reference_presolve`` and
-``reference_serialize``): the same selected rows, the same presolve and
-the same model text, byte for byte.
+"""Rule bodies coded as atom bitmasks, against the tuple-keyed and
+clause-object code they replaced (``helpers.reference_select``,
+``reference_presolve``, ``reference_build_lp`` and
+``reference_serialize``): the same selected rows, the same presolve, the
+same program and the same model text, byte for byte.
 
 Features are drawn from a1..a10, where the order of the literal text
 ("!a10=1" < "!a1=0") differs from the order of the pairs
@@ -10,12 +11,21 @@ Features are drawn from a1..a10, where the order of the literal text
 
 from fractions import Fraction
 from itertools import combinations
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import reference_presolve, reference_select, reference_serialize, tuple_counts
+import plkb.lp as lp_module
+from helpers import (
+    decoded_presolve,
+    reference_build_lp,
+    reference_presolve,
+    reference_select,
+    reference_serialize,
+    tuple_counts,
+)
 
 from plkb.data import from_rows
 from plkb.direct import active_kb, build_direct_kb, relevant_kb, subset_codes
@@ -31,7 +41,7 @@ from plkb.kb import (
     rule_clause,
     serialize_kb,
 )
-from plkb.lp import _presolve
+from plkb.lp import build_lp, infer_pos
 from plkb.tree import build_id3, kb_from_tree
 
 FEATURES = [f"a{i}" for i in range(1, 11)]
@@ -110,7 +120,7 @@ class TestAgainstTupleKeys:
             selected = relevant_kb(query, kb)
             assert selected.bits is kb.bits
             assert tuple_counts(selected) == reference_select(query, kb)
-            assert _presolve(kb, query) == reference_presolve(kb, query)
+            assert decoded_presolve(kb, query) == reference_presolve(kb, query)
             if not kb.others:
                 assert active_kb(query, kb).counts == selected.counts
 
@@ -125,6 +135,74 @@ class TestAgainstTupleKeys:
             "1/2 pos | !b=1"
         )
         assert serialize_kb(kb) == reference_serialize(kb.clauses)
+
+
+# Atoms a clause of ``others`` may hold besides pos: bare atoms, and
+# feature-value atoms a literal may assert.
+_OTHER_ATOMS = [POS, Atom("b"), Atom("c"), *(Atom(f, v) for f in FEATURES[:3] for v in VALUES)]
+
+
+@st.composite
+def mixed_coded_kbs(draw):
+    """:func:`coded_kbs` with clauses in ``others`` that hold bare atoms
+    and positive feature-value literals."""
+    kb, queries = draw(coded_kbs())
+    literal = st.builds(Literal, st.sampled_from(_OTHER_ATOMS), st.booleans())
+    clause = st.lists(literal, min_size=1, max_size=4, unique_by=lambda lit: lit.atom).map(
+        Clause).filter(lambda c: not c.is_rule_shaped)
+    others = {wc.clause: wc for wc in kb.others}
+    for c in draw(st.lists(clause, max_size=3)):
+        others.setdefault(c, WeightedClause(draw(_prob), c))
+    return KnowledgeBase(others.values(), kb.counts, kb.bits), queries
+
+
+def captured_program(kb, query):
+    """The program :func:`infer_pos` builds for ``query``, or None when it
+    answers in closed form; the program is not solved."""
+    built = []
+
+    def capture(*args, **kwargs):
+        built.append(build_lp(*args, **kwargs))
+        return built[-1]
+
+    with patch.object(lp_module, "build_lp", capture), \
+            patch.object(lp_module, "_bounded_target", lambda lp, target: (0.0, 0.0, 1.0)):
+        infer_pos(kb, query)
+    assert len(built) <= 1
+    return built[0] if built else None
+
+
+class TestCodedProgram:
+    """The program built from rule codes against ``reference_build_lp``
+    over the decoded clauses: the same columns, rows, right-hand sides,
+    bounds, names and ``atom_index``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(mixed_coded_kbs())
+    def test_coded_program_is_the_clause_program(self, case):
+        kb, queries = case
+        unit = Clause([Literal(POS)])
+        for query in queries:
+            if not kb.counts and POS not in kb.universe:
+                break  # infer_pos refuses a KB that never mentions pos
+            constant, probs, rest = decoded_presolve(kb, query)
+            program = captured_program(kb, query)
+            if not rest:
+                assert program is None
+                continue
+            assert program == reference_build_lp(
+                [*(WeightedClause(p, unit) for p in probs), *rest])
+        if len(kb):
+            program = build_lp(kb)
+            assert "clauses" not in vars(kb)
+            assert program == reference_build_lp(kb.clauses)
+
+    def test_residual_without_rules_has_no_pos_column(self):
+        # the rule is pinned true by a=1: only the clauses of others remain
+        kb = parse_kb("0.7 pos | !a=0\n0.9 b\n0.2 !b | c=1")
+        program = captured_program(kb, {"a": "1"})
+        assert program.variables == ("b", "c=1", "d0", "d1")
+        assert program == reference_build_lp(kb.others)
 
 
 class TestSubsetCodes:
@@ -150,8 +228,7 @@ class TestAtomTable:
     def test_unseen_pair_matches_no_row(self):
         kb = parse_kb("0.5 pos\n0.25 pos | !a1=0")
         assert tuple_counts(relevant_kb({"a1": "7"}, kb)) == {(): (2, 1)}
-        constant, probs, rest = _presolve(kb, {"a1": "7"})
-        assert (constant, probs, rest) == (0.75, [0.5], [])
+        assert decoded_presolve(kb, {"a1": "7"}) == (0.75, [0.5], [])
 
     def test_merge_extends_a_copy_of_the_table(self):
         kb = parse_kb("0.5 pos | !a1=0")

@@ -11,6 +11,7 @@ from helpers import (
     _ub,
     arbitrary_random_kb,
     datasets_and_queries,
+    decoded_presolve,
     mixed_kbs_and_queries,
     query_from_string,
     reference_infer,
@@ -39,7 +40,6 @@ from plkb.lp import (
     LinearProgram,
     Rows,
     _median_interval,
-    _presolve,
     apply_query,
     build_lp,
     check_consistency,
@@ -383,7 +383,7 @@ class TestInfer:
                 by_clause[clause] = WeightedClause(rng.random(), clause)
                 pinned = shape < 2  # the query makes its feature literal true
             kb = KnowledgeBase(by_clause.values())
-            constant, probs, rest = _presolve(kb, query)
+            constant, probs, rest = decoded_presolve(kb, query)
             assert (not rest) == pinned
             assert len(probs) + len(rest) <= len(kb)
             n_pinned += pinned
@@ -502,7 +502,7 @@ class TestPresolve:
             "0.6 pos | !a=1 | b\n0.7 pos | a=0 | b\n0.9 pos | b\n"
             "0.2 pos | !a=1\n0.4 pos | a=0\n0.3 pos\n0.1 pos | !b"
         )
-        constant, probs, rest = _presolve(kb, {"a": "1"})
+        constant, probs, rest = decoded_presolve(kb, {"a": "1"})
         assert constant == 0.0
         assert sorted(probs) == [0.2, 0.3, 0.4]
         assert [str(wc.clause) for wc in rest] == ["pos | b"] * 3 + ["pos | !b"]
@@ -534,7 +534,7 @@ class TestPresolve:
 
     @staticmethod
     def forbid_lp(monkeypatch):
-        def no_lp(clauses):
+        def no_lp(*args, **kwargs):
             raise AssertionError("the presolved query reached the LP")
 
         monkeypatch.setattr(lp_module, "build_lp", no_lp)
@@ -556,6 +556,43 @@ class TestPresolve:
         assert "clauses" not in table.__dict__
         monkeypatch.undo()
         assert res == self.assert_same_answer(table, query)
+
+
+class TestCodedRules:
+    """No rule clause object is built on the way to a program: the KB's
+    cached ``clauses`` stay unread, and no rule is decoded into a clause
+    (``Clause._trusted`` builds every decoded rule)."""
+
+    @staticmethod
+    def forbid_rule_clauses(monkeypatch):
+        def no_rule(cls, ordered):
+            raise AssertionError(f"a rule clause was built: {ordered}")
+
+        monkeypatch.setattr(Clause, "_trusted", classmethod(no_rule))
+
+    def test_half_masked_query_reaches_highs_without_rule_clauses(
+        self, strings_tree_kb, monkeypatch
+    ):
+        kb = merge(strings_tree_kb, list(parse_kb("0.7 pos | a1=1 | a2=0").clauses))
+        query = {"a3": "0", "a4": "0"}  # four rules and the merged clause stay
+        solves = []
+        solve = lp_module._bounded_target
+        monkeypatch.setattr(lp_module, "_bounded_target",
+                            lambda lp, target: solves.append(lp) or solve(lp, target))
+        self.forbid_rule_clauses(monkeypatch)
+        res = infer_pos(kb, query)
+        assert len(solves) == 1 and solves[0].n_variables - len(solves[0].atom_index) == 5
+        assert "clauses" not in vars(kb)
+        monkeypatch.undo()
+        TestPresolve.assert_same_answer(kb, query, fast=res)
+
+    def test_consistency_check_builds_no_rule_clause(self, strings_ds, monkeypatch):
+        kb = build_direct_kb(strings_ds)
+        self.forbid_rule_clauses(monkeypatch)
+        hint, v_star = check_consistency(kb)
+        assert "clauses" not in vars(kb)
+        monkeypatch.undo()
+        assert (hint, v_star) == check_consistency(KnowledgeBase(kb.clauses))
 
 
 class TestProjection:
