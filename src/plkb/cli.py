@@ -7,14 +7,12 @@ diagnostic on stderr otherwise.
 
 from __future__ import annotations
 
+import argparse
 import csv as csv_mod
-import functools
 import json
 import sys
 from dataclasses import asdict
 from pathlib import Path
-
-import click
 
 from .data import (
     generate_synthetic,
@@ -98,7 +96,7 @@ def check_query(query: dict[str, str], domains: dict[str, frozenset[str]]) -> No
         if feature not in domains:
             raise ValueError(f"query feature {feature!r} not in domains")
         if value not in domains[feature]:
-            click.echo(f"query value {feature}={value} outside the feature's domain", err=True)
+            print(f"query value {feature}={value} outside the feature's domain", file=sys.stderr)
 
 
 def _load_query(kb_path: str, domains_path: str, query_text: str, full_kb: bool):
@@ -112,94 +110,44 @@ def _load_query(kb_path: str, domains_path: str, query_text: str, full_kb: bool)
 
 
 def _emit(payload) -> None:
-    click.echo(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False))
+    """Print ``payload`` as JSON.  The flush makes a failed write raise here,
+    inside ``main``'s error boundary, not at interpreter exit."""
+    print(json.dumps(payload, indent=2, sort_keys=True, allow_nan=False), flush=True)
 
 
-def fail_cleanly(fn):
-    @functools.wraps(fn)
-    def wrapper(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except (ValueError, OSError, RuntimeError, KeyError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(1)
-
-    return wrapper
-
-
-@click.group()
-def main():
-    """Explainable binary classification with probabilistic knowledge bases."""
-
-
-method_option = click.option(
-    "--method", type=click.Choice(METHODS), default="direct",
-    show_default=True,
-)
-
-
-@main.command()
-@method_option
-@click.option("--input", "input_path", required=True, type=click.Path())
-@click.option("--label-col", required=True)
-@click.option("--pos-label", required=True)
-@click.option("--max-arity", type=int, default=None,
-              help="Longest rule body to count (direct method only).")
-@click.option("--out", "out_path", required=True, type=click.Path())
-@click.option("--dump-tree", "tree_path", type=click.Path(), default=None,
-              help="Write the learned tree as indented text (tree methods only).")
-@fail_cleanly
-def train(method, input_path, label_col, pos_label, max_arity, out_path, tree_path):
+def train(args) -> None:
     """Learn a knowledge base from a CSV and write it out."""
-    ds = load_csv(input_path, label_col, pos_label)
-    if tree_path and not method.startswith("tree"):
+    ds = load_csv(args.input, args.label_col, args.pos_label)
+    if args.dump_tree and not args.method.startswith("tree"):
         raise ValueError("--dump-tree only applies to the tree methods")
-    tree = build_id3(ds) if tree_path else None
-    kb = train_kb(ds, method, max_arity, tree=tree)
-    if tree_path:
-        Path(tree_path).write_text(format_tree(tree) + "\n", encoding="utf-8")
-    write_model(kb, out_path)
-    _emit({"clauses": len(kb), "atoms": len(kb.universe), "out": str(out_path)})
+    tree = build_id3(ds) if args.dump_tree else None
+    kb = train_kb(ds, args.method, args.max_arity, tree=tree)
+    if args.dump_tree:
+        Path(args.dump_tree).write_text(format_tree(tree) + "\n", encoding="utf-8")
+    write_model(kb, args.out)
+    _emit({"clauses": len(kb), "atoms": len(kb.universe), "out": args.out})
 
 
-@main.command()
-@click.option("--kb", "kb_path", required=True, type=click.Path())
-@click.option("--domains", "domains_path", required=True, type=click.Path())
-@click.option("--query", "query_text", required=True)
-@click.option("--full-kb", is_flag=True,
-              help="Skip query-active clause extraction: the whole KB goes to "
-                   "inference, whose presolve still drops every clause the query "
-                   "decides.")
-@click.option("--dump-lp", "dump_path", type=click.Path(), default=None,
-              help="Write the constrained program in LP text format.")
-@fail_cleanly
-def classify(kb_path, domains_path, query_text, full_kb, dump_path):
+def classify(args) -> None:
     """Classify a (possibly partial) query against a knowledge base."""
-    kb, query = _load_query(kb_path, domains_path, query_text, full_kb)
-    res = infer_pos(kb, query) if full_kb else classify_query(kb, query)
-    if dump_path:
-        sub = kb if full_kb else active_kb(query, kb)
+    kb, query = _load_query(args.kb, args.domains, args.query, args.full_kb)
+    res = infer_pos(kb, query) if args.full_kb else classify_query(kb, query)
+    if args.dump_lp:
+        sub = kb if args.full_kb else active_kb(query, kb)
         if len(sub):
-            Path(dump_path).write_text(
+            Path(args.dump_lp).write_text(
                 dump_lp(apply_query(build_lp(sub), query)) + "\n", encoding="utf-8"
             )
         else:
-            click.echo(f"no program to write to {dump_path}: no clause is selected", err=True)
+            print(f"no program to write to {args.dump_lp}: no clause is selected",
+                  file=sys.stderr)
     _emit(asdict(res))
 
 
-@main.command()
-@click.option("--kb", "kb_path", required=True, type=click.Path())
-@click.option("--domains", "domains_path", required=True, type=click.Path())
-@click.option("--query", "query_text", required=True)
-@click.option("-k", "k", required=True, type=int)
-@click.option("--full-kb", is_flag=True,
-              help="Score sub-queries on the whole KB instead of their relevant sub-KBs.")
-@fail_cleanly
-def explain(kb_path, domains_path, query_text, k, full_kb):
+def explain(args) -> None:
     """Report the k most decisive feature values of a query."""
-    kb, query = _load_query(kb_path, domains_path, query_text, full_kb)
-    expl = compute_explanation(query, kb, k, use_relevant=not full_kb)
+    kb, query = _load_query(args.kb, args.domains, args.query, args.full_kb)
+    expl = compute_explanation(query, kb, args.k, use_relevant=not args.full_kb)
     payload = {
         "explanation": dict(sorted(expl.sub_query.items())),
         "score": expl.score,
@@ -214,25 +162,17 @@ def explain(kb_path, domains_path, query_text, k, full_kb):
     _emit(payload)
 
 
-@main.command()
-@click.option("--length", required=True, type=int)
-@click.option("--alphabet", required=True, type=int)
-@click.option("--match", "match_count", required=True, type=int)
-@click.option("--n", "n_samples", required=True, type=int)
-@click.option("--rng-seed", default=0, type=int, show_default=True)
-@click.option("--out", "out_dir", required=True, type=click.Path())
-@fail_cleanly
-def synth(length, alphabet, match_count, n_samples, rng_seed, out_dir):
+def synth(args) -> None:
     """Generate a balanced seed-string dataset plus its ground-truth sidecar."""
-    spec = random_seed_spec(length, alphabet, match_count, rng_seed)
-    ds = generate_synthetic(spec, n_samples, rng_seed + 1)
-    save_synthetic(ds, spec, out_dir)
+    spec = random_seed_spec(args.length, args.alphabet, args.match, args.rng_seed)
+    ds = generate_synthetic(spec, args.n, args.rng_seed + 1)
+    save_synthetic(ds, spec, args.out)
     _emit(
         {
             "seed": spec.seed,
             "match_count": spec.match_count,
             "n_samples": len(ds),
-            "out": str(out_dir),
+            "out": args.out,
         }
     )
 
@@ -247,58 +187,36 @@ def _f1_payload(method: str, reports, **fields) -> dict:
             "mean_f1": _mean([r.f1 for r in reports])}
 
 
-def _run_configs(runs: int, rng_seed: int, **fixed) -> list[ExperimentConfig]:
-    """One configuration per run, seeded ``rng_seed``, ``rng_seed + 1``, ..."""
-    if runs < 1:
+def _run_configs(args, **fixed) -> list[ExperimentConfig]:
+    """One configuration per run of an experiment command, seeded
+    ``--rng-seed``, ``--rng-seed`` + 1, ..."""
+    if args.runs < 1:
         raise ValueError("--runs must be at least 1")
-    return [ExperimentConfig(rng_seed=rng_seed + r, **fixed) for r in range(runs)]
+    return [ExperimentConfig(rng_seed=args.rng_seed + r, method=args.method,
+                             train_fraction=args.train_fraction, max_arity=args.max_arity,
+                             **fixed)
+            for r in range(args.runs)]
 
 
-@main.command(name="eval")
-@method_option
-@click.option("--input", "input_path", required=True, type=click.Path())
-@click.option("--label-col", default="label", show_default=True)
-@click.option("--pos-label", default="pos", show_default=True)
-@click.option("--max-arity", type=int, default=None)
-@click.option("--knowledge", "knowledge_path", type=click.Path(), default=None)
-@click.option("--train-fraction", default=0.7, show_default=True)
-@click.option("--rng-seed", default=0, type=int, show_default=True)
-@click.option("--runs", default=5, type=int, show_default=True)
-@fail_cleanly
-def eval_cmd(method, input_path, label_col, pos_label, max_arity, knowledge_path,
-             train_fraction, rng_seed, runs):
+def eval_cmd(args) -> None:
     """Train/test evaluation with per-run F1 and the mean over seeds."""
-    ds = load_csv(input_path, label_col, pos_label)
-    knowledge = _read_model(knowledge_path)[0] if knowledge_path else None
-    configs = _run_configs(runs, rng_seed, dataset=ds, method=method, knowledge=knowledge,
-                           train_fraction=train_fraction, max_arity=max_arity)
-    _emit(_f1_payload(method, [run_eval(config) for config in configs]))
+    ds = load_csv(args.input, args.label_col, args.pos_label)
+    knowledge = _read_model(args.knowledge)[0] if args.knowledge else None
+    configs = _run_configs(args, dataset=ds, knowledge=knowledge)
+    _emit(_f1_payload(args.method, [run_eval(config) for config in configs]))
 
 
-@main.command(name="expl-eval")
-@method_option
-@click.option("--input", "input_dir", required=True, type=click.Path(),
-              help="Directory produced by `synth` (data.csv + seed.json).")
-@click.option("-k", "k", required=True, type=int)
-@click.option("--max-arity", type=int, default=None)
-@click.option("--train-fraction", default=0.7, show_default=True)
-@click.option("--rng-seed", default=0, type=int, show_default=True)
-@click.option("--runs", default=5, type=int, show_default=True)
-@click.option("--max-instances", default=None, type=int)
-@fail_cleanly
-def expl_eval(method, input_dir, k, max_arity, train_fraction, rng_seed, runs,
-              max_instances):
+def expl_eval(args) -> None:
     """Mean ground-truth accuracy of k-explanations on synthetic data."""
-    ds, spec = load_synthetic(input_dir)
-    configs = _run_configs(runs, rng_seed, dataset=ds, method=method,
-                           train_fraction=train_fraction, max_arity=max_arity)
-    per_run = [run_explanation_eval(config, spec, k, max_instances) for config in configs]
+    ds, spec = load_synthetic(args.input)
+    per_run = [run_explanation_eval(config, spec, args.k, args.max_instances)
+               for config in _run_configs(args, dataset=ds)]
     # A run that explained nothing has no accuracy and stays out of the mean.
     explained = [r.mean_accuracy for r in per_run if r.mean_accuracy is not None]
     _emit(
         {
-            "k": k,
-            "method": method,
+            "k": args.k,
+            "method": args.method,
             "runs": [
                 {"mean_accuracy": r.mean_accuracy, "n_explained": r.n_explained}
                 for r in per_run
@@ -308,18 +226,11 @@ def expl_eval(method, input_dir, k, max_arity, train_fraction, rng_seed, runs,
     )
 
 
-@main.command(name="bench-lp")
-@click.option("--vars", "n_vars", required=True, type=int)
-@click.option("--clauses", "n_clauses", required=True, type=int)
-@click.option("--rng-seed", default=0, type=int, show_default=True)
-@click.option("--csv", "csv_path", type=click.Path(), default=None,
-              help="Append a result row: n_vars,n_clauses,seconds,objective.")
-@fail_cleanly
-def bench_lp_cmd(n_vars, n_clauses, rng_seed, csv_path):
+def bench_lp_cmd(args) -> None:
     """Time the stage-1 solve on a random knowledge base."""
-    row = asdict(bench_lp(n_vars, n_clauses, rng_seed))
-    if csv_path:
-        path = Path(csv_path)
+    row = asdict(bench_lp(args.vars, args.clauses, args.rng_seed))
+    if args.csv:
+        path = Path(args.csv)
         new = not path.exists()
         with open(path, "a", newline="", encoding="utf-8") as fh:
             writer = csv_mod.writer(fh, lineterminator="\n")
@@ -329,40 +240,124 @@ def bench_lp_cmd(n_vars, n_clauses, rng_seed, csv_path):
     _emit(row)
 
 
-@main.command()
-@click.option("--kb", "kb_path", required=True, type=click.Path())
-@click.option("--knowledge", "knowledge_path", required=True, type=click.Path())
-@click.option("--out", "out_path", required=True, type=click.Path())
-@fail_cleanly
-def inject(kb_path, knowledge_path, out_path):
+def inject(args) -> None:
     """Merge hand-written clauses into a learned knowledge base."""
-    kb = _read_model(kb_path)[0]
-    extra = _read_model(knowledge_path)[0]
+    kb = _read_model(args.kb)[0]
+    extra = _read_model(args.knowledge)[0]
     merged = merge(kb, list(extra.clauses))
-    write_model(merged, out_path)
-    _emit({"clauses": len(merged), "out": str(out_path)})
+    write_model(merged, args.out)
+    _emit({"clauses": len(merged), "out": args.out})
 
 
-@main.command(name="knowledge-exp")
-@method_option
-@click.option("--input", "input_dir", required=True, type=click.Path(),
-              help="Directory produced by `synth` (data.csv + seed.json).")
-@click.option("--true", "n_true", default=0, type=int, show_default=True)
-@click.option("--random", "n_random", default=0, type=int, show_default=True)
-@click.option("--max-arity", type=int, default=None)
-@click.option("--train-fraction", default=0.7, show_default=True)
-@click.option("--rng-seed", default=0, type=int, show_default=True)
-@click.option("--runs", default=5, type=int, show_default=True)
-@fail_cleanly
-def knowledge_exp(method, input_dir, n_true, n_random, max_arity, train_fraction,
-                  rng_seed, runs):
+def knowledge_exp(args) -> None:
     """Evaluate with ground-truth / pollution clauses injected."""
-    ds, spec = load_synthetic(input_dir)
-    configs = _run_configs(runs, rng_seed, dataset=ds, method=method,
-                           train_fraction=train_fraction, max_arity=max_arity)
-    reports = [run_knowledge_experiment(c, spec, n_true, n_random, c.rng_seed) for c in configs]
-    _emit(_f1_payload(method, reports, n_true=n_true, n_random=n_random))
+    ds, spec = load_synthetic(args.input)
+    reports = [run_knowledge_experiment(c, spec, args.true, args.random, c.rng_seed)
+               for c in _run_configs(args, dataset=ds)]
+    _emit(_f1_payload(args.method, reports, n_true=args.true, n_random=args.random))
+
+
+SHOW_DEFAULT = "[default: %(default)s]"
+SYNTH_DIR = "Directory produced by `synth` (data.csv + seed.json)."
+
+
+def _parser() -> argparse.ArgumentParser:
+    # Option groups that commands share through ``parents``.
+    method = argparse.ArgumentParser(add_help=False)
+    method.add_argument("--method", choices=METHODS, default="direct", help=SHOW_DEFAULT)
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--rng-seed", type=int, default=0, help=SHOW_DEFAULT)
+    experiment = argparse.ArgumentParser(add_help=False, parents=[method, seed])
+    experiment.add_argument("--max-arity", type=int)
+    experiment.add_argument("--train-fraction", type=float, default=0.7, help=SHOW_DEFAULT)
+    experiment.add_argument("--runs", type=int, default=5, help=SHOW_DEFAULT)
+    query = argparse.ArgumentParser(add_help=False)
+    query.add_argument("--kb", required=True)
+    query.add_argument("--domains", required=True)
+    query.add_argument("--query", required=True)
+
+    # No "-h" and no abbreviated option names: the command line takes only
+    # the options it lists.
+    parser = argparse.ArgumentParser(prog="plkb", description=main.__doc__,
+                                     add_help=False, allow_abbrev=False)
+    commands = parser.add_subparsers(title="commands", dest="command", required=True)
+
+    def command(fn, *parents, name=None) -> argparse.ArgumentParser:
+        sub = commands.add_parser(name or fn.__name__, parents=parents, help=fn.__doc__,
+                                  description=fn.__doc__, add_help=False,
+                                  allow_abbrev=False)
+        sub.set_defaults(func=fn)
+        return sub
+
+    sub = command(train, method)
+    sub.add_argument("--input", required=True)
+    sub.add_argument("--label-col", required=True)
+    sub.add_argument("--pos-label", required=True)
+    sub.add_argument("--max-arity", type=int,
+                     help="Longest rule body to count (direct method only).")
+    sub.add_argument("--out", required=True)
+    sub.add_argument("--dump-tree",
+                     help="Write the learned tree as indented text (tree methods only).")
+
+    sub = command(classify, query)
+    sub.add_argument("--full-kb", action="store_true",
+                     help="Skip query-active clause extraction: the whole KB goes to "
+                          "inference, whose presolve still drops every clause the query "
+                          "decides.")
+    sub.add_argument("--dump-lp", help="Write the constrained program in LP text format.")
+
+    sub = command(explain, query)
+    sub.add_argument("-k", type=int, required=True)
+    sub.add_argument("--full-kb", action="store_true",
+                     help="Score sub-queries on the whole KB instead of their relevant sub-KBs.")
+
+    sub = command(synth, seed)
+    sub.add_argument("--length", type=int, required=True)
+    sub.add_argument("--alphabet", type=int, required=True)
+    sub.add_argument("--match", type=int, required=True)
+    sub.add_argument("--n", type=int, required=True)
+    sub.add_argument("--out", required=True)
+
+    sub = command(eval_cmd, experiment, name="eval")
+    sub.add_argument("--input", required=True)
+    sub.add_argument("--label-col", default="label", help=SHOW_DEFAULT)
+    sub.add_argument("--pos-label", default="pos", help=SHOW_DEFAULT)
+    sub.add_argument("--knowledge")
+
+    sub = command(expl_eval, experiment, name="expl-eval")
+    sub.add_argument("--input", required=True, help=SYNTH_DIR)
+    sub.add_argument("-k", type=int, required=True)
+    sub.add_argument("--max-instances", type=int)
+
+    sub = command(bench_lp_cmd, seed, name="bench-lp")
+    sub.add_argument("--vars", type=int, required=True)
+    sub.add_argument("--clauses", type=int, required=True)
+    sub.add_argument("--csv", help="Append a result row: n_vars,n_clauses,seconds,objective.")
+
+    sub = command(inject)
+    sub.add_argument("--kb", required=True)
+    sub.add_argument("--knowledge", required=True)
+    sub.add_argument("--out", required=True)
+
+    sub = command(knowledge_exp, experiment, name="knowledge-exp")
+    sub.add_argument("--input", required=True, help=SYNTH_DIR)
+    sub.add_argument("--true", type=int, default=0, help=SHOW_DEFAULT)
+    sub.add_argument("--random", type=int, default=0, help=SHOW_DEFAULT)
+    for each in (parser, *commands.choices.values()):
+        each.add_argument("--help", action="help", help="Show this message and exit.")
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Explainable binary classification with probabilistic knowledge bases."""
+    args = _parser().parse_args(argv)
+    try:
+        args.func(args)
+    except (ValueError, OSError, RuntimeError, KeyError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

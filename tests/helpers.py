@@ -1,9 +1,12 @@
 """Shared test fixtures: the worked example dataset, random generators,
-and independent brute-force oracles."""
+independent brute-force oracles and an in-process command-line runner."""
 
 from __future__ import annotations
 
+import io
 import random
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, count
 from math import comb
@@ -53,6 +56,37 @@ CAP_SLACK = 1e-7
 POSITIVE_STRINGS = ["0000", "1111", "1010", "1100"]
 NEGATIVE_STRINGS = ["0010", "0100", "1110", "1000"]
 STRING_FEATURES = ["a1", "a2", "a3", "a4"]
+
+
+@dataclass
+class CliResult:
+    exit_code: int
+    stdout: str
+    stderr: str
+
+    @property
+    def output(self) -> str:
+        return self.stdout + self.stderr
+
+
+class CliRunner:
+    """Runs ``main(args)`` in this process with stdout and stderr captured.
+    A ``SystemExit``, as argparse raises on ``--help`` and on a usage error,
+    gives the exit code; with ``catch_exceptions``, any other exception
+    exits 1."""
+
+    def invoke(self, main, args, catch_exceptions: bool = True) -> CliResult:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(list(args))
+            except SystemExit as exc:
+                code = exc.code
+            except Exception:
+                if not catch_exceptions:
+                    raise
+                code = 1
+        return CliResult(code, out.getvalue(), err.getvalue())
 
 
 def eight_strings_dataset() -> Dataset:

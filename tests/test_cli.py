@@ -5,9 +5,8 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
-from helpers import NEGATIVE_STRINGS, POSITIVE_STRINGS, stop_highs_at_time_limit
+from helpers import CliRunner, NEGATIVE_STRINGS, POSITIVE_STRINGS, stop_highs_at_time_limit
 
 import plkb
 from plkb.cli import _emit, main, parse_query
@@ -291,12 +290,14 @@ def run_fresh(code: str) -> str:
 
 
 class TestColdStart:
-    """The command line loads numpy and scipy only when it solves an LP."""
+    """The command line loads no click, and numpy and scipy only when it
+    solves an LP."""
 
     def test_import_loads_no_numpy_or_scipy(self):
         out = run_fresh(
             "import sys, plkb.cli\n"
-            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'scipy')))"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] in ('numpy', 'scipy', 'click')))"
         )
         assert out.strip() == "[]"
 
@@ -318,7 +319,7 @@ class TestColdStart:
             out = run_fresh(
                 "import sys\n"
                 "from plkb.cli import main\n"
-                f"main({args!r}, standalone_mode=False)\n"
+                f"main({args!r})\n"
                 "print('scipy' in sys.modules)"
             )
             *payload, loaded = out.strip().splitlines()
@@ -729,6 +730,25 @@ class TestErrorHandling:
         assert proc.stderr.splitlines() == [
             f"error: {seed_path}: field 'length' must be an integer"
         ]
+
+    @pytest.mark.parametrize(
+        "args",
+        [["classify", "--full", "--kb", "{kb}", "--domains", "{csv}", "--query", "a1=0",
+          "--dump-lp", "{out}"],
+         ["classify", "--kb", "{kb}"],
+         ["train", "--method", "forest", "--input", "{csv}", "--label-col", "label",
+          "--pos-label", "pos", "--out", "{out}"],
+         []],
+        ids=["abbreviated-option", "missing-options", "bad-choice", "no-command"],
+    )
+    def test_usage_error_exits_2_and_runs_nothing(self, strings_csv, tmp_path, args):
+        kb_path = tmp_path / "kb.plkb"
+        kb_path.write_text("0.700000 pos | !a1=0\n", encoding="utf-8")
+        out = tmp_path / "out"
+        proc = run_plkb([a.format(kb=kb_path, csv=strings_csv, out=out) for a in args])
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stdout == ""
+        assert not out.exists()
 
     def test_malformed_kb_file(self, runner, strings_csv, tmp_path):
         bad = tmp_path / "bad.plkb"

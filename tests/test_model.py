@@ -9,11 +9,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import tuple_counts
+from helpers import CliRunner, tuple_counts
 
 from plkb.cli import main
 from plkb.data import from_rows
