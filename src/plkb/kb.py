@@ -22,7 +22,8 @@ alone routes a rule given as a clause object into it; each numbers a
 pair when it first sees it, so no code is ever re-coded.  A code is as
 wide as the atom table: past 63 atoms it is a multi-digit int, which
 works the same but hashes more slowly.  Pairs are decoded from a code
-only to build clause objects, to write a rule line and to find an LP's columns.
+only to build clause objects and to find an LP's columns: a rule line is
+written from its parent's text plus one literal (see :func:`serialize_kb`).
 
 All values are immutable: :class:`Atom`, :class:`Literal`,
 :class:`Clause` and :class:`WeightedClause` are frozen dataclasses, so
@@ -551,29 +552,44 @@ def serialize_kb(kb: KnowledgeBase) -> str:
     """Render one line per clause, sorted by the clause's canonical text.
 
     Each probability is written exactly, as its ``Fraction``'s ``n/d``
-    (``1`` and ``0`` alone), so the text parses back to the same KB.  A
-    rule's line is read off its code through one ``" | !f=v"`` text per
-    atom, joined in pair order, and its probability is formatted once per
-    distinct ``(total, pos)``: no clause object is built for it."""
+    (``1`` and ``0`` alone), once per distinct ``(total, pos)``, so the
+    text parses back to the same KB.  No rule is decoded from scratch: its
+    text is its parent's (its body less its last pair in pair order) plus
+    one ``" | !f=v"``.  Two memos make that one step per row of a direct
+    table, which lists parents first: code -> the body's code renumbered
+    into pair order, read off that of the code less its lowest bit, whose
+    top bit names the literal to append; and renumbered code -> text.  A
+    row whose parent has no text yet (a tree leaf, a parsed or merged KB)
+    is renumbered from scratch and walks down its parents in a loop to the
+    first that has one."""
     order = sorted(range(len(kb.atoms)), key=kb.atoms.__getitem__)
-    rank = {i: r for r, i in enumerate(order)}  # atom -> its place in pair order
     texts = [_body_literal(*kb.atoms[i]) for i in order]
-    probs: dict[Sequence[int], str] = {}  # (total, pos) -> its probability's text
-    lines = []
-    for code, entry in kb.counts.items():
-        ranks = []
-        while code:
+    place = {1 << i: 1 << r for r, i in enumerate(order)}  # a pair's bit -> its bit in pair order
+    ranked = {0: 0}  # code -> the body's code in pair order
+    clause_of = {0: "pos"}  # code in pair order -> its clause text
+    clauses = []
+    for code in kb.counts:
+        try:
             low = code & -code
-            ranks.append(rank[low.bit_length() - 1])
-            code ^= low
-        ranks.sort()
-        prob = probs.get(entry)
-        if prob is None:
-            prob = probs[entry] = str(Fraction(entry[1], entry[0]))
-        lines.append(("pos" + "".join(map(texts.__getitem__, ranks)), prob))
-    lines += ((str(wc.clause), str(Fraction(wc.probability))) for wc in kb.others)
-    lines.sort()
-    return "\n".join(f"{prob} {clause}" for clause, prob in lines)
+            r = ranked[code] = ranked[code ^ low] | place[low]
+            top = r.bit_length() - 1
+            text = clause_of[r] = clause_of[r ^ 1 << top] + texts[top]
+        except KeyError:  # the empty body, or a parent not met yet
+            r = ranked[code] = sum(place[1 << i] for i in range(code.bit_length()) if code >> i & 1)
+            literals = []  # the body's texts from its last pair down to a parent with a text
+            while r not in clause_of:
+                top = r.bit_length() - 1
+                literals.append(texts[top])
+                r ^= 1 << top
+            text = clause_of[ranked[code]] = clause_of[r] + "".join(reversed(literals))
+        clauses.append(text)
+    del ranked, clause_of  # free the memos before the sort
+    clauses += (str(wc.clause) for wc in kb.others)
+    probs = {e: str(Fraction(e[1], e[0])) + " " for e in set(kb.counts.values())}
+    heads = [*map(probs.__getitem__, kb.counts.values()),
+             *(str(Fraction(wc.probability)) + " " for wc in kb.others)]
+    by_text = sorted(range(len(clauses)), key=clauses.__getitem__)
+    return "\n".join([heads[i] + clauses[i] for i in by_text])
 
 
 def feature_names(kb: KnowledgeBase) -> list[str]:

@@ -750,6 +750,19 @@ class TestErrorHandling:
         assert proc.stdout == ""
         assert not out.exists()
 
+    def test_option_value_that_starts_with_a_dash(self, strings_csv):
+        # argparse reads "-x" after an option as another option, a usage
+        # error; written "--pos-label=-x" it is the value, which the
+        # program itself then refuses
+        args = ["eval", "--input", str(strings_csv), "--runs", "1"]
+        proc = run_plkb([*args, "--pos-label=-x"])
+        assert proc.returncode == 1, proc.stderr
+        assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
+        proc = run_plkb([*args, "--pos-label", "-x"])
+        assert proc.returncode == 2
+        assert "argument --pos-label: expected one argument" in proc.stderr
+        assert proc.stdout == ""
+
     def test_malformed_kb_file(self, runner, strings_csv, tmp_path):
         bad = tmp_path / "bad.plkb"
         bad.write_text("zzz\n", encoding="utf-8")

@@ -9,6 +9,8 @@ Features are drawn from a1..a10, where the order of the literal text
 (("a1", "0") < ("a10", "1")).
 """
 
+import random
+import sys
 from fractions import Fraction
 from itertools import combinations
 from unittest.mock import patch
@@ -135,6 +137,60 @@ class TestAgainstTupleKeys:
             "1/2 pos | !b=1"
         )
         assert serialize_kb(kb) == reference_serialize(kb.clauses)
+
+
+class TestRuleTextWalk:
+    """:func:`serialize_kb` writes a rule as its parent's text plus one
+    literal, the parent being the body less its last pair in pair order.
+    A direct table lists parents first; these KBs do not, and each is
+    written as ``reference_serialize`` writes its clause objects and parses
+    back to itself."""
+
+    @staticmethod
+    def assert_written_as_reference(kb):
+        text = serialize_kb(kb)
+        assert text == reference_serialize(kb.clauses)
+        assert parse_kb(text) == kb
+        assert serialize_kb(parse_kb(text)) == text
+
+    def test_rows_that_arrive_children_first(self):
+        rng = random.Random(3)
+        rows = [(tuple(rng.choice(VALUES) for _ in FEATURES), rng.random() < 0.5)
+                for _ in range(8)]
+        kb = build_direct_kb(from_rows(FEATURES, rows), max_arity=3)
+        self.assert_written_as_reference(
+            KnowledgeBase(counts=dict(reversed(kb.counts.items())), bits=kb.bits))
+        self.assert_written_as_reference(parse_kb(
+            "0.5 pos | !a2=1 | !a10=0 | !a1=2\n0.25 pos | !a10=0 | !a1=2\n1 pos\n0 pos | !a1=2"))
+
+    def test_tree_leaves_lack_their_parents(self):
+        rng = random.Random(5)
+        rows = []
+        for _ in range(60):
+            values = tuple(rng.choice(VALUES) for _ in FEATURES[:4])
+            rows.append((values, values[0] == values[1] or values[2] == "2"))
+        kb = kb_from_tree(build_id3(from_rows(FEATURES[:4], rows)), "leaves")
+        assert kb.arity >= 2
+        # no leaf's body lies inside another's, so no row's parent is a row
+        assert all(a & ~b for a in kb.counts for b in kb.counts if a != b)
+        self.assert_written_as_reference(kb)
+
+    def test_wide_table(self):
+        features = [f"f{i}" for i in range(100)]
+        kb = build_direct_kb(from_rows(features, [(("0",) * 100, True), (("1",) * 100, False)]),
+                             max_arity=2)
+        assert len(kb.atoms) == 200
+        self.assert_written_as_reference(kb)
+
+    def test_body_longer_than_the_recursion_limit(self):
+        pairs = sorted((f"f{i}", "1") for i in range(1500))
+        assert len(pairs) > sys.getrecursionlimit()
+        # the long body walks down its parents to the first half, written before it
+        kb = KnowledgeBase([WeightedClause(Fraction(1, 3), rule_clause(pairs[:750])),
+                            WeightedClause(Fraction(2, 3), rule_clause(pairs))])
+        self.assert_written_as_reference(kb)
+        self.assert_written_as_reference(KnowledgeBase(counts={max(kb.counts): (3, 2)},
+                                                       bits=kb.bits))
 
 
 # Atoms a clause of ``others`` may hold besides pos: bare atoms, and
