@@ -27,7 +27,6 @@ from .evaluate import (
     METHODS,
     ExperimentConfig,
     bench_lp,
-    classify_query,
     run_eval,
     run_explanation_eval,
     run_knowledge_experiment,
@@ -131,9 +130,9 @@ def train(args) -> None:
 def classify(args) -> None:
     """Classify a (possibly partial) query against a knowledge base."""
     kb, query = _load_query(args.kb, args.domains, args.query, args.full_kb)
-    res = infer_pos(kb, query) if args.full_kb else classify_query(kb, query)
+    sub = kb if args.full_kb else active_kb(query, kb)
+    res = infer_pos(sub, query)
     if args.dump_lp:
-        sub = kb if args.full_kb else active_kb(query, kb)
         if len(sub):
             Path(args.dump_lp).write_text(
                 dump_lp(apply_query(build_lp(sub), query)) + "\n", encoding="utf-8"

@@ -41,7 +41,7 @@ class SubsetCounter:
         counts = self.counts
         get = counts.get
         step = self._step[hit]
-        codes = subset_codes(map(self.bits.__getitem__, values.items()), max_arity)
+        codes = subset_codes(map(self.bits.add, values.items()), max_arity)
         for code in codes[1:]:
             try:
                 counts[code] = step[get(code)]

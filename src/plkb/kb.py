@@ -240,26 +240,28 @@ class WeightedClause:
 
 
 class AtomBits(dict):
-    """An atom table under construction: each feature-value pair maps to
-    its bit, a pair not yet numbered getting the next one when looked up
-    with ``[]`` (``get`` numbers nothing); ``atoms`` lists the pairs in bit
-    order."""
+    """An atom table: each feature-value pair maps to its bit, and
+    ``atoms`` lists the pairs in bit order.  Only :meth:`add` and
+    :meth:`truncate` change it; ``[]`` and ``get`` only read, so a lookup
+    can never grow a table that several KBs or threads share."""
 
     def __init__(self, atoms: Iterable[Pair] = ()):
         self.atoms = list(atoms)
         super().__init__((pair, 1 << i) for i, pair in enumerate(self.atoms))
 
-    def __missing__(self, pair: Pair) -> int:
-        bit = self[pair] = 1 << len(self.atoms)
-        self.atoms.append(pair)
+    def add(self, pair: Pair) -> int:
+        """The bit of ``pair``, numbering it next when the table lacks it."""
+        bit = self.get(pair)
+        if bit is None:
+            bit = self[pair] = 1 << len(self.atoms)
+            self.atoms.append(pair)
         return bit
 
-    def code(self, pairs: Iterable[Pair]) -> int:
-        """The code of a body: the OR of its pairs' bits."""
-        code = 0
-        for pair in pairs:
-            code |= self[pair]
-        return code
+    def truncate(self, n: int) -> None:
+        """Forget every pair numbered after the first ``n``."""
+        for pair in self.atoms[n:]:
+            del self[pair]
+        del self.atoms[n:]
 
 
 def subset_codes(bits: Iterable[int], most: int) -> list[int]:
@@ -295,11 +297,10 @@ class KnowledgeBase:
 
     ``bits`` is the atom table the codes are read with, the one the
     builder filled: it maps each pair to its bit, and bit ``i`` of a code
-    stands for the pair ``atoms[i]``; the body-less rule has code 0.  Read
-    it with ``get``, as ``[]`` numbers a pair it lacks.  A code is as wide
-    as the table; past 63 atoms it is still a code, a multi-digit int that
-    hashes more slowly.  The sub-KBs selected from a KB share its table,
-    so the table may hold pairs no row uses.
+    stands for the pair ``atoms[i]``; the body-less rule has code 0.  A
+    code is as wide as the table; past 63 atoms it is still a code, a
+    multi-digit int that hashes more slowly.  The sub-KBs selected from a
+    KB share its table, so the table may hold pairs no row uses.
 
     :attr:`clauses` lists the rules in ``counts`` order, then ``others``,
     and iteration runs over it.  No rule clause object exists until
@@ -332,7 +333,8 @@ class KnowledgeBase:
             if wc.clause.is_rule_shaped:
                 p = Fraction(wc.probability)
                 entry = (p.denominator, p.numerator)
-                prev = counts.setdefault(bits.code(sorted(wc.clause.body)), entry)
+                # The pairs' bits are distinct, so their sum is their OR.
+                prev = counts.setdefault(sum(map(bits.add, sorted(wc.clause.body))), entry)
                 prev_p = p if prev == entry else Fraction(prev[1], prev[0])
             else:
                 prev_p = others.setdefault(wc.clause, wc).probability
@@ -512,7 +514,7 @@ def _parse_lines(lines: Sequence[str], numbers: Sequence[int]) -> KnowledgeBase:
                 elif lit.negated and lit.atom.value is not None:
                     if marked != line_no:
                         marked, mark = line_no, len(bits.atoms)
-                    part = (bits[lit.atom.feature, lit.atom.value], lit.atom.feature)
+                    part = (bits.add((lit.atom.feature, lit.atom.value)), lit.atom.feature)
                 else:
                     break
                 parts[tok] = part
@@ -531,9 +533,7 @@ def _parse_lines(lines: Sequence[str], numbers: Sequence[int]) -> KnowledgeBase:
                                     Fraction(prev[1], prev[0]))
                 continue
         if marked == line_no:  # a line that is not a rule numbers no pair
-            for pair in bits.atoms[mark:]:
-                del bits[pair]
-            del bits.atoms[mark:]
+            bits.truncate(mark)
             for tok in clause_text.split("|"):
                 parts.pop(tok, None)
         clause = _parse_clause(clause_text, line_no, literals)

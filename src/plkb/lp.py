@@ -71,8 +71,7 @@ every closed-form answer, loads neither.
 Thread safety: ``infer_pos`` with ``target == POS`` may run in several
 threads at once on one KB, as whole-KB explanations do.  It only reads
 the KB (``counts``, ``bits.items()``, ``atoms``, ``others``, and the
-cached ``universe`` of a KB without rules) and never looks a pair up in
-``bits`` with ``[]``, which would number a new one.  Each
+cached ``universe`` of a KB without rules).  Each
 ``_bounded_target`` call builds and solves its own HiGHS model, and
 HiGHS releases the GIL while it solves, so the threads solve in
 parallel.  Code added on this path must keep both properties.

@@ -103,7 +103,7 @@ def kb_from_tree(tree: TreeNode, mode: str = "leaves") -> KnowledgeBase:
             counts[code] = (node.n_total, node.n_positive)
         for value in sorted(node.children):
             edge = node.children[value].incoming_edge
-            walk(node.children[value], features + [edge[0]], code | bits[edge])
+            walk(node.children[value], features + [edge[0]], code | bits.add(edge))
 
     walk(tree, [], 0)
     return KnowledgeBase(counts=counts, bits=bits)

@@ -8,7 +8,7 @@ import random
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, count
+from itertools import combinations, count, product
 from math import comb
 
 from hypothesis import strategies as st
@@ -93,6 +93,17 @@ def eight_strings_dataset() -> Dataset:
     rows = [(tuple(s), True) for s in POSITIVE_STRINGS]
     rows += [(tuple(s), False) for s in NEGATIVE_STRINGS]
     return from_rows(STRING_FEATURES, rows)
+
+
+def monk1_dataset() -> Dataset:
+    """MONK's problem 1 (Thrun et al., 1991), every one of its 432 rows:
+    attributes a1..a6 taking values 1..3, 1..3, 1..2, 1..3, 1..4 and 1..2,
+    and a row is positive when ``a1 = a2`` or ``a5 = 1`` (216 rows)."""
+    rows = [
+        (tuple(map(str, values)), values[0] == values[1] or values[4] == 1)
+        for values in product(*(range(1, n + 1) for n in (3, 3, 2, 3, 4, 2)))
+    ]
+    return from_rows([f"a{i}" for i in range(1, 7)], rows)
 
 
 def query_from_string(s: str) -> dict[str, str]:

@@ -226,6 +226,31 @@ class TestTrainClassifyExplain:
         text = dump.read_text(encoding="utf-8")
         assert "Minimize" in text and "End" in text
 
+    def test_dump_lp_selects_once(self, runner, strings_csv, tmp_path, monkeypatch):
+        # the answer and the dumped program are read off one selection
+        kb_path = tmp_path / "kb.plkb"
+        run_json(
+            runner,
+            ["train", "--method", "tree", "--input", str(strings_csv),
+             "--label-col", "label", "--pos-label", "pos", "--out", str(kb_path)],
+        )
+        args = ["classify", "--kb", str(kb_path), "--domains", str(strings_csv), "--query", "a4=1"]
+        plain = runner.invoke(main, args)
+        selections = []
+
+        def counted(query, kb):
+            selections.append(dict(query))
+            return plkb.direct.active_kb(query, kb)
+
+        monkeypatch.setattr(plkb.cli, "active_kb", counted)
+        monkeypatch.setattr(plkb.evaluate, "active_kb", counted)
+        dump = tmp_path / "program.lp"
+        dumped = runner.invoke(main, [*args, "--dump-lp", str(dump)])
+        assert dumped.exit_code == 0, dumped.stderr
+        assert selections == [{"a4": "1"}]
+        assert dumped.stdout == plain.stdout
+        assert "Subject To" in dump.read_text(encoding="utf-8")
+
     def test_dump_lp_with_no_selected_rule(self, runner, strings_csv, tmp_path):
         # no tree rule's body lies inside a1=1: the query is classified and
         # there is no program to write

@@ -34,6 +34,7 @@ from plkb.direct import active_kb, build_direct_kb, relevant_kb, subset_codes
 from plkb.kb import (
     POS,
     Atom,
+    AtomBits,
     Clause,
     KnowledgeBase,
     Literal,
@@ -285,6 +286,21 @@ class TestAtomTable:
         kb = parse_kb("0.5 pos\n0.25 pos | !a1=0")
         assert tuple_counts(relevant_kb({"a1": "7"}, kb)) == {(): (2, 1)}
         assert decoded_presolve(kb, {"a1": "7"}) == (0.75, [0.5], [])
+
+    def test_lookup_of_an_absent_pair_numbers_nothing(self):
+        kb = parse_kb("0.5 pos | !a1=0")
+        with pytest.raises(KeyError):
+            kb.bits["a1", "7"]
+        assert kb.bits.get(("a1", "7")) is None
+        assert kb.atoms == [("a1", "0")] and dict(kb.bits) == {("a1", "0"): 1}
+
+    def test_add_numbers_once_and_truncate_forgets(self):
+        bits = AtomBits([("a1", "0")])
+        assert [bits.add(p) for p in [("a2", "1"), ("a1", "0"), ("a3", "2")]] == [2, 1, 4]
+        bits.truncate(1)
+        assert bits.atoms == [("a1", "0")] and dict(bits) == {("a1", "0"): 1}
+        assert bits.add(("a3", "2")) == 2  # the next pair takes bit 1 again
+        assert bits.atoms == [("a1", "0"), ("a3", "2")]
 
     def test_merge_extends_a_copy_of_the_table(self):
         kb = parse_kb("0.5 pos | !a1=0")
