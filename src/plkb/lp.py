@@ -24,8 +24,13 @@ as in Potyka & Thimm (IJAR 2017), under the rows
 
 and objective  minimise sum_i d_i.  For every choice of atom values the
 least objective is the paper's, so v* and the range of every atom at v*
-are the same.  The program has n_atoms + n_clauses variables, no
-equality rows, and is written straight into CSR arrays.
+are the same.  A row that every point of the variable box satisfies is
+not written: at p_i >= 1 the literal rows (pi(z) <= 1 <= p_i + d_i), at
+p_i <= 0 the sum row (d_i + sum of pi(z) >= 0).  Every tree leaf is pure,
+so this drops about half of a tree KB's rows, and the feasible set, v*
+and every bound stay those of the full program.  The program has
+n_atoms + n_clauses variables, no equality rows, and is written straight
+into CSR arrays.
 
 Classification asks for the class atom's probability under a query.
 Query feature values are hard constraints (pi(a=v) fixed to 1, sibling
@@ -158,8 +163,10 @@ def build_lp(clauses: KnowledgeBase | Iterable[WeightedClause],
     built.  A clause may repeat, as in a presolved residual, and each copy
     gets its own deviation.  Variables: the atoms in sorted order, then
     ``d<i>`` per clause.  Rows, clause by clause: ``-d_i - sum_z pi(z) <=
-    -p_i``, then ``pi(z) - d_i <= p_i`` per literal in canonical order,
-    the constant of each ``pi(!a) = 1 - x_a`` moved to the right-hand side.
+    -p_i`` unless p_i <= 0, then ``pi(z) - d_i <= p_i`` per literal in
+    canonical order unless p_i >= 1, the constant of each ``pi(!a) = 1 -
+    x_a`` moved to the right-hand side.  The rows left out hold at every
+    point within the bounds (see the module docstring).
     """
     if isinstance(clauses, KnowledgeBase):
         rules = [(pos / total, code) for code, (total, pos) in clauses.counts.items()]
@@ -175,7 +182,7 @@ def build_lp(clauses: KnowledgeBase | Iterable[WeightedClause],
     bit_column = {low: atom_index[a] for low, a in bit_atoms.items()}
     n, m = len(columns), len(rules) + len(clauses)
     indptr, indices, data, rhs = [0], [], [], []
-    coefficients = {}  # body size k -> the coefficients of a rule's rows
+    coefficients = {}  # body size k -> the coefficients of a rule's sum and literal rows
     for d, (p, code) in enumerate(rules, n):
         body = []
         while code:
@@ -184,29 +191,38 @@ def build_lp(clauses: KnowledgeBase | Iterable[WeightedClause],
             code ^= low
         body.sort()
         k = len(body)
-        rows = [d] * (2 * k)
-        rows[::2] = body  # the row of each body atom, after the sum row and pos's
-        indices += (d, 0, *body, 0, d, *rows)  # pos is column 0
         if k not in coefficients:
-            coefficients[k] = (-1.0, -1.0, *[1.0] * k, 1.0, -1.0, *[-1.0] * (2 * k))
-        data += coefficients[k]
-        rhs += (k - p, p, *[p - 1.0] * k)
-        indptr += range(len(indices) - 2 * k - 2, len(indices) + 1, 2)
+            coefficients[k] = ((-1.0, -1.0, *[1.0] * k), (1.0, -1.0, *[-1.0] * (2 * k)))
+        sum_row, literal_rows = coefficients[k]
+        if p > 0.0:  # at p <= 0 the sum row holds on the whole box
+            indices += (d, 0, *body)  # pos is column 0
+            data += sum_row
+            rhs.append(k - p)
+            indptr.append(len(indices))
+        if p < 1.0:  # at p >= 1 so does every literal row
+            rows = [d] * (2 * k)
+            rows[::2] = body  # the row of each body atom, after pos's
+            indices += (0, d, *rows)
+            data += literal_rows
+            rhs += (p, *[p - 1.0] * k)
+            indptr += range(len(indices) - 2 * k, len(indices) + 1, 2)
     for d, wc in enumerate(clauses, n + len(rules)):
         p = float(wc.probability)
         lits = [(atom_index[lit.atom], lit.negated) for lit in wc.clause.literals]
-        indices.append(d)
-        data.append(-1.0)
-        for x, negated in lits:
-            indices.append(x)
-            data.append(1.0 if negated else -1.0)
-        rhs.append(sum(negated for _, negated in lits) - p)
-        indptr.append(len(indices))
-        for x, negated in lits:
-            indices += (x, d)
-            data += (-1.0 if negated else 1.0, -1.0)
-            rhs.append(p - 1.0 if negated else p)
+        if p > 0.0:
+            indices.append(d)
+            data.append(-1.0)
+            for x, negated in lits:
+                indices.append(x)
+                data.append(1.0 if negated else -1.0)
+            rhs.append(sum(negated for _, negated in lits) - p)
             indptr.append(len(indices))
+        if p < 1.0:
+            for x, negated in lits:
+                indices += (x, d)
+                data += (-1.0 if negated else 1.0, -1.0)
+                rhs.append(p - 1.0 if negated else p)
+                indptr.append(len(indices))
     return LinearProgram(
         variables=(*map(str, columns), *(f"d{i}" for i in range(m))),
         constraints=Rows(indptr, indices, data, rhs),
@@ -249,17 +265,19 @@ def _bounded_target(
     a target only stage 1 runs and the bounds are None.
 
     One HiGHS model holds the program, through the bindings scipy ships
-    (``scipy.optimize._highspy``, private to scipy since 1.15), set up as
-    ``linprog(method="highs")`` sets it: no output, dual simplex.  Stage 1
-    solves it.  Its dual then marks the optimal face: every column whose
-    reduced cost is non-zero is fixed at the bound it sits on (the lower
-    for a positive cost, the upper for a negative one), and every row
-    whose dual is non-zero gets its lower bound raised to its rhs.  Any
-    optimal dual will do, unique or not: a feasible point is optimal
-    exactly when it is complementary to it.  A dual counts as non-zero
-    only beyond HiGHS's ``dual_feasibility_tolerance``, which can only
-    widen the face.  The cost is then swapped for +target, then -target,
-    each stage re-solving warm from the basis the last one left.
+    (``scipy.optimize._highspy``, private to scipy since 1.15), with no
+    output, dual simplex and no HiGHS presolve: ``build_lp`` writes no row
+    that the bounds alone satisfy, and on these programs HiGHS's presolve
+    costs more than it removes.  Stage 1 solves it.  Its dual then marks
+    the optimal face: every column whose reduced cost is non-zero is fixed
+    at the bound it sits on (the lower for a positive cost, the upper for
+    a negative one), and every row whose dual is non-zero gets its lower
+    bound raised to its rhs.  Any optimal dual will do, unique or not: a
+    feasible point is optimal exactly when it is complementary to it.  A
+    dual counts as non-zero only beyond HiGHS's
+    ``dual_feasibility_tolerance``, which can only widen the face.  The
+    cost is then swapped for +target, then -target, each stage re-solving
+    warm from the basis the last one left.
 
     Each stage reads only the objective value: v*, the least target, the
     negated greatest.  The solution is read once, for stage 1's dual.
@@ -292,6 +310,7 @@ def _bounded_target(
     highs = _Highs()
     highs.setOptionValue("output_flag", False)
     highs.setOptionValue("simplex_strategy", 1)  # kSimplexStrategyDual
+    highs.setOptionValue("presolve", "off")
     highs.passModel(model)
 
     def optimum() -> float:

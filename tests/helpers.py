@@ -6,15 +6,17 @@ from __future__ import annotations
 import io
 import random
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations, count, product
-from math import comb
+from math import comb, inf
+from unittest.mock import patch
 
 from hypothesis import strategies as st
 
+import plkb.lp as lp_module
 from plkb.data import Dataset, from_rows
-from plkb.direct import relevant_kb
+from plkb.direct import build_direct_kb, relevant_kb
 from plkb.evaluate import classify_query
 from plkb.explain import Explanation, evaluate_sub_query
 from plkb.kb import (
@@ -29,6 +31,7 @@ from plkb.kb import (
     _clause_lines,
     _coded_rule,
     _parse_literal,
+    merge,
     parse_kb,
     rule_clause,
 )
@@ -44,6 +47,7 @@ from plkb.lp import (
     build_lp,
     infer_pos,
 )
+from plkb.tree import build_id3, kb_from_tree
 
 # Slack on the reference solves' cap row ``objective @ x <= v* + CAP_SLACK``:
 # it absorbs solver noise in v* while the bound inflation it causes (the
@@ -329,6 +333,32 @@ def reference_build_lp(clauses) -> LinearProgram:
         bounds=((0.0, 1.0),) * n + ((0.0, None),) * m,
         atom_index=atom_index,
     )
+
+
+def without_box_satisfied_rows(program: LinearProgram) -> LinearProgram:
+    """``program`` less every row that each point within its bounds
+    satisfies: a row whose greatest activity, each coefficient times the
+    bound where that term is greatest, is at most its right-hand side.
+    Worked out from the coefficients and the bounds alone; the rows left
+    keep their order."""
+    rows = program.constraints
+    indptr, indices, data, rhs = [0], [], [], []
+    for r, b in enumerate(rows.rhs):
+        span = range(rows.indptr[r], rows.indptr[r + 1])
+        greatest = 0.0
+        for j in span:
+            lo, hi = program.bounds[rows.indices[j]]
+            coef = rows.data[j]
+            if coef < 0:
+                greatest += coef * lo
+            else:
+                greatest += inf if hi is None else coef * hi
+        if greatest > b:
+            indices += (rows.indices[j] for j in span)
+            data += (rows.data[j] for j in span)
+            rhs.append(b)
+            indptr.append(len(indices))
+    return replace(program, constraints=Rows(indptr, indices, data, rhs))
 
 
 def reference_serialize(clauses) -> str:
@@ -643,3 +673,101 @@ def datasets_and_queries(draw):
         drawn = draw(st.tuples(*[query_value] * n_features))
         queries.append({f: v for f, v in zip(features, drawn) if v is not None})
     return from_rows(features, rows), max_arity, queries
+
+
+CODED_FEATURES = [f"a{i}" for i in range(1, 11)]
+CODED_VALUES = ["0", "1", "2"]
+_eighths = st.integers(0, 8).map(lambda n: Fraction(n, 8))
+
+
+@st.composite
+def _parsed_kb(draw, features):
+    """A parsed model: rule lines with their literals in any order, so atoms
+    arrive out of sorted order, and now and then a clause that is not a
+    rule."""
+    bodies = draw(st.lists(
+        st.lists(st.tuples(st.sampled_from(features), st.sampled_from(CODED_VALUES)),
+                 max_size=len(features), unique_by=lambda pair: pair[0]),
+        max_size=10, unique_by=frozenset,
+    ))
+    lines = []
+    for body in bodies:
+        lits = draw(st.permutations(["pos", *(f"!{f}={v}" for f, v in body)]))
+        lines.append(f"{draw(_eighths)} {' | '.join(lits)}")
+    if draw(st.booleans()):
+        lines.append(f"0.6 pos | {draw(st.sampled_from(features))}=1")
+    return parse_kb("\n".join(draw(st.permutations(lines))))
+
+
+@st.composite
+def coded_kbs(draw):
+    """A KB of every kind that fills ``counts`` (a direct table with and
+    without ``max_arity``, a tree KB of either mode, a parsed model),
+    perhaps merged with rules over new pairs, and queries over a1..a10
+    whose values the KB may never have seen."""
+    features = draw(st.lists(st.sampled_from(CODED_FEATURES), min_size=1, max_size=5, unique=True))
+    kind = draw(st.sampled_from(["direct", "tree", "tree-all", "parsed"]))
+    if kind == "parsed":
+        kb = draw(_parsed_kb(features))
+    else:
+        value = st.sampled_from(CODED_VALUES)
+        rows = draw(st.lists(st.tuples(st.tuples(*[value] * len(features)), st.booleans()),
+                             min_size=1, max_size=12))
+        ds = from_rows(features, rows)
+        if kind == "direct":
+            kb = build_direct_kb(ds, draw(st.none() | st.integers(1, len(features))))
+        else:
+            kb = kb_from_tree(build_id3(ds), "leaves" if kind == "tree" else "all_nodes")
+    if draw(st.booleans()):
+        # "7" is a value no training row holds, and any of a1..a10 may be a new feature
+        pair = st.tuples(st.sampled_from(CODED_FEATURES), st.sampled_from([*CODED_VALUES, "7"]))
+        bodies = draw(st.lists(st.lists(pair, max_size=3, unique_by=lambda p: p[0]),
+                               min_size=1, max_size=3))
+        extra = [WeightedClause(draw(_eighths), rule_clause(body)) for body in bodies]
+        if draw(st.booleans()):
+            atom = Atom(draw(st.sampled_from(CODED_FEATURES)), "1")
+            extra.append(WeightedClause(0.6, Clause([Literal(POS), Literal(atom)])))
+        kb = merge(kb, extra)
+    query_value = st.none() | st.sampled_from([*CODED_VALUES, "7", "9"])
+    queries = []
+    for _ in range(draw(st.integers(1, 4))):
+        drawn = draw(st.tuples(*[query_value] * len(CODED_FEATURES)))
+        queries.append({f: v for f, v in zip(CODED_FEATURES, drawn) if v is not None})
+    return kb, queries
+
+
+# Atoms a clause of ``others`` may hold besides pos: bare atoms, and
+# feature-value atoms a literal may assert.
+_OTHER_ATOMS = [
+    POS, Atom("b"), Atom("c"), *(Atom(f, v) for f in CODED_FEATURES[:3] for v in CODED_VALUES)
+]
+
+
+@st.composite
+def mixed_coded_kbs(draw):
+    """:func:`coded_kbs` with clauses in ``others`` that hold bare atoms
+    and positive feature-value literals."""
+    kb, queries = draw(coded_kbs())
+    literal = st.builds(Literal, st.sampled_from(_OTHER_ATOMS), st.booleans())
+    clause = st.lists(literal, min_size=1, max_size=4, unique_by=lambda lit: lit.atom).map(
+        Clause).filter(lambda c: not c.is_rule_shaped)
+    others = {wc.clause: wc for wc in kb.others}
+    for c in draw(st.lists(clause, max_size=3)):
+        others.setdefault(c, WeightedClause(draw(_eighths), c))
+    return KnowledgeBase(others.values(), kb.counts, kb.bits), queries
+
+
+def captured_program(kb, query):
+    """The program :func:`infer_pos` builds for ``query``, or None when it
+    answers in closed form; the program is not solved."""
+    built = []
+
+    def capture(*args, **kwargs):
+        built.append(build_lp(*args, **kwargs))
+        return built[-1]
+
+    with patch.object(lp_module, "build_lp", capture), \
+            patch.object(lp_module, "_bounded_target", lambda lp, target: (0.0, 0.0, 1.0)):
+        infer_pos(kb, query)
+    assert len(built) <= 1
+    return built[0] if built else None

@@ -13,27 +13,29 @@ import random
 import sys
 from fractions import Fraction
 from itertools import combinations
-from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
-import plkb.lp as lp_module
 from helpers import (
+    CODED_FEATURES as FEATURES,
+    CODED_VALUES as VALUES,
+    captured_program,
+    coded_kbs,
     decoded_presolve,
+    mixed_coded_kbs,
     reference_build_lp,
     reference_presolve,
     reference_select,
     reference_serialize,
     tuple_counts,
+    without_box_satisfied_rows,
 )
 
 from plkb.data import from_rows
 from plkb.direct import active_kb, build_direct_kb, relevant_kb, subset_codes
 from plkb.kb import (
     POS,
-    Atom,
     AtomBits,
     Clause,
     KnowledgeBase,
@@ -44,69 +46,8 @@ from plkb.kb import (
     rule_clause,
     serialize_kb,
 )
-from plkb.lp import build_lp, infer_pos
+from plkb.lp import build_lp
 from plkb.tree import build_id3, kb_from_tree
-
-FEATURES = [f"a{i}" for i in range(1, 11)]
-VALUES = ["0", "1", "2"]
-_prob = st.integers(0, 8).map(lambda n: Fraction(n, 8))
-
-
-@st.composite
-def _parsed_kb(draw, features):
-    """A parsed model: rule lines with their literals in any order, so atoms
-    arrive out of sorted order, and now and then a clause that is not a
-    rule."""
-    bodies = draw(st.lists(
-        st.lists(st.tuples(st.sampled_from(features), st.sampled_from(VALUES)),
-                 max_size=len(features), unique_by=lambda pair: pair[0]),
-        max_size=10, unique_by=frozenset,
-    ))
-    lines = []
-    for body in bodies:
-        lits = draw(st.permutations(["pos", *(f"!{f}={v}" for f, v in body)]))
-        lines.append(f"{draw(_prob)} {' | '.join(lits)}")
-    if draw(st.booleans()):
-        lines.append(f"0.6 pos | {draw(st.sampled_from(features))}=1")
-    return parse_kb("\n".join(draw(st.permutations(lines))))
-
-
-@st.composite
-def coded_kbs(draw):
-    """A KB of every kind that fills ``counts`` (a direct table with and
-    without ``max_arity``, a tree KB of either mode, a parsed model),
-    perhaps merged with rules over new pairs, and queries over a1..a10
-    whose values the KB may never have seen."""
-    features = draw(st.lists(st.sampled_from(FEATURES), min_size=1, max_size=5, unique=True))
-    kind = draw(st.sampled_from(["direct", "tree", "tree-all", "parsed"]))
-    if kind == "parsed":
-        kb = draw(_parsed_kb(features))
-    else:
-        value = st.sampled_from(VALUES)
-        rows = draw(st.lists(st.tuples(st.tuples(*[value] * len(features)), st.booleans()),
-                             min_size=1, max_size=12))
-        ds = from_rows(features, rows)
-        if kind == "direct":
-            kb = build_direct_kb(ds, draw(st.none() | st.integers(1, len(features))))
-        else:
-            kb = kb_from_tree(build_id3(ds), "leaves" if kind == "tree" else "all_nodes")
-    if draw(st.booleans()):
-        # "7" is a value no builder saw, and any of a1..a10 may be a new feature
-        pair = st.tuples(st.sampled_from(FEATURES), st.sampled_from([*VALUES, "7"]))
-        bodies = draw(st.lists(st.lists(pair, max_size=3, unique_by=lambda p: p[0]),
-                               min_size=1, max_size=3))
-        extra = [WeightedClause(draw(_prob), rule_clause(body)) for body in bodies]
-        if draw(st.booleans()):
-            atom = Atom(draw(st.sampled_from(FEATURES)), "1")
-            extra.append(WeightedClause(0.6, Clause([Literal(POS), Literal(atom)])))
-        kb = merge(kb, extra)
-    query_value = st.none() | st.sampled_from([*VALUES, "7", "9"])
-    queries = []
-    for _ in range(draw(st.integers(1, 4))):
-        drawn = draw(st.tuples(*[query_value] * len(FEATURES)))
-        queries.append({f: v for f, v in zip(FEATURES, drawn) if v is not None})
-    return kb, queries
-
 
 class TestAgainstTupleKeys:
     @settings(max_examples=300, deadline=None)
@@ -194,45 +135,11 @@ class TestRuleTextWalk:
                                                        bits=kb.bits))
 
 
-# Atoms a clause of ``others`` may hold besides pos: bare atoms, and
-# feature-value atoms a literal may assert.
-_OTHER_ATOMS = [POS, Atom("b"), Atom("c"), *(Atom(f, v) for f in FEATURES[:3] for v in VALUES)]
-
-
-@st.composite
-def mixed_coded_kbs(draw):
-    """:func:`coded_kbs` with clauses in ``others`` that hold bare atoms
-    and positive feature-value literals."""
-    kb, queries = draw(coded_kbs())
-    literal = st.builds(Literal, st.sampled_from(_OTHER_ATOMS), st.booleans())
-    clause = st.lists(literal, min_size=1, max_size=4, unique_by=lambda lit: lit.atom).map(
-        Clause).filter(lambda c: not c.is_rule_shaped)
-    others = {wc.clause: wc for wc in kb.others}
-    for c in draw(st.lists(clause, max_size=3)):
-        others.setdefault(c, WeightedClause(draw(_prob), c))
-    return KnowledgeBase(others.values(), kb.counts, kb.bits), queries
-
-
-def captured_program(kb, query):
-    """The program :func:`infer_pos` builds for ``query``, or None when it
-    answers in closed form; the program is not solved."""
-    built = []
-
-    def capture(*args, **kwargs):
-        built.append(build_lp(*args, **kwargs))
-        return built[-1]
-
-    with patch.object(lp_module, "build_lp", capture), \
-            patch.object(lp_module, "_bounded_target", lambda lp, target: (0.0, 0.0, 1.0)):
-        infer_pos(kb, query)
-    assert len(built) <= 1
-    return built[0] if built else None
-
-
 class TestCodedProgram:
     """The program built from rule codes against ``reference_build_lp``
-    over the decoded clauses: the same columns, rows, right-hand sides,
-    bounds, names and ``atom_index``."""
+    over the decoded clauses, less the rows its bounds alone satisfy
+    (``without_box_satisfied_rows``): the same columns, rows, right-hand
+    sides, bounds, names and ``atom_index``."""
 
     @settings(max_examples=300, deadline=None)
     @given(mixed_coded_kbs())
@@ -247,19 +154,19 @@ class TestCodedProgram:
             if not rest:
                 assert program is None
                 continue
-            assert program == reference_build_lp(
-                [*(WeightedClause(p, unit) for p in probs), *rest])
+            assert program == without_box_satisfied_rows(reference_build_lp(
+                [*(WeightedClause(p, unit) for p in probs), *rest]))
         if len(kb):
             program = build_lp(kb)
             assert "clauses" not in vars(kb)
-            assert program == reference_build_lp(kb.clauses)
+            assert program == without_box_satisfied_rows(reference_build_lp(kb.clauses))
 
     def test_residual_without_rules_has_no_pos_column(self):
         # the rule is pinned true by a=1: only the clauses of others remain
         kb = parse_kb("0.7 pos | !a=0\n0.9 b\n0.2 !b | c=1")
         program = captured_program(kb, {"a": "1"})
         assert program.variables == ("b", "c=1", "d0", "d1")
-        assert program == reference_build_lp(kb.others)
+        assert program == without_box_satisfied_rows(reference_build_lp(kb.others))
 
 
 class TestSubsetCodes:

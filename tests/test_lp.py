@@ -14,11 +14,13 @@ from helpers import (
     decoded_presolve,
     mixed_kbs_and_queries,
     query_from_string,
+    reference_build_lp,
     reference_infer,
     satisfiable_random_kb,
     stop_highs_at_time_limit,
     tuple_counts,
     unpresolved_infer,
+    without_box_satisfied_rows,
 )
 
 from plkb.cli import check_query
@@ -37,6 +39,7 @@ from plkb.kb import (
 )
 from plkb.evaluate import random_bench_kb
 from plkb.lp import (
+    TAU_ZERO,
     LinearProgram,
     Rows,
     _median_interval,
@@ -132,11 +135,32 @@ class TestBuildLp:
         kb = parse_kb("1.0 pos")
         lp = build_lp(kb)
         assert lp.variables == ("pos", "d0")
-        # d0 + pos >= 1 and pos - d0 <= 1
+        # d0 + pos >= 1; pos - d0 <= 1 holds on the whole box and is not written
         assert program_rows(lp) == [
             (frozenset({("d0", -1.0), ("pos", -1.0)}), -1.0),
-            (frozenset({("pos", 1.0), ("d0", -1.0)}), 1.0),
         ]
+
+    @pytest.mark.parametrize("text, n_rows", [
+        ("1 pos | !a1=1", 1),  # the sum row only
+        ("0 pos | !a1=1 | !a2=0 | !a3=1", 3 + 1),  # the literal rows only
+        ("0.7 pos | !a1=1", 1 + 2),
+        ("1 b | !c", 1),
+        ("0 b | !c", 2),
+        ("0.7 pos | a1=1", 1 + 2),
+    ])
+    def test_rows_the_box_satisfies_are_not_written(self, text, n_rows):
+        kb = parse_kb(text)
+        lp = build_lp(kb)
+        assert len(lp.constraints) == n_rows
+        assert lp == without_box_satisfied_rows(reference_build_lp(kb.clauses))
+
+    @pytest.mark.parametrize("kb", ["implication_kb", "strings_tree_kb"])
+    def test_consistency_is_the_full_programs(self, kb, request):
+        kb = request.getfixturevalue(kb)
+        hint, v_star = check_consistency(kb)
+        full = max(0.0, minimum_deviation(reference_build_lp(kb.clauses)))
+        assert v_star == pytest.approx(full, rel=1e-9, abs=1e-12)
+        assert hint == (full <= TAU_ZERO)
 
     def test_structural_counts_on_random_kbs(self):
         rng = random.Random(5)

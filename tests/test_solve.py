@@ -7,7 +7,9 @@ Programs come from KBs of every clause shape under full and partial
 queries, and from arbitrary-probability KBs, mostly inconsistent, whose
 clauses share atoms more densely.  ``TestOptimalFace`` pins bounds that
 the reference's slack on v* would widen, and solves programs whose
-stage-1 dual is not unique.
+stage-1 dual is not unique.  ``TestBoxSatisfiedRows`` solves the program
+``build_lp`` writes against the full program (``reference_build_lp``),
+which also holds the rows the bounds alone satisfy.
 """
 
 import random
@@ -18,13 +20,18 @@ from hypothesis import example, given, settings
 from helpers import (
     PRESOLVE_TRAP,
     arbitrary_random_kb,
+    captured_program,
+    coded_kbs,
+    decoded_presolve,
+    mixed_coded_kbs,
     mixed_kbs_and_queries,
     reference_bounded_target,
+    reference_build_lp,
 )
 
 from plkb.evaluate import bench_lp, random_bench_kb
-from plkb.kb import POS, parse_kb
-from plkb.lp import _bounded_target, _result, apply_query, build_lp
+from plkb.kb import POS, Clause, Literal, WeightedClause, parse_kb
+from plkb.lp import LABEL_EPS, _bounded_target, _result, apply_query, build_lp
 
 
 def assert_same_solve(kb, query, target):
@@ -105,3 +112,42 @@ class TestOptimalFace:
             lp = build_lp(clauses)
             for atom in atoms:
                 assert_same_bounds(lp, atom)
+
+
+def assert_same_as_full(program, full, target):
+    """The written program solves as the full one: v* within 1e-9
+    relative, the bounds within ``LABEL_EPS`` and the same label."""
+    target_var = full.atom_index.get(target)
+    assert program.atom_index == full.atom_index
+    v_star, lo, hi = _bounded_target(program, target_var)
+    full_v_star, full_lo, full_hi = _bounded_target(full, target_var)
+    assert v_star == pytest.approx(full_v_star, rel=1e-9)
+    if target_var is None:
+        return
+    assert lo == pytest.approx(full_lo, abs=LABEL_EPS)
+    assert hi == pytest.approx(full_hi, abs=LABEL_EPS)
+    assert _result(v_star, lo, hi).label == _result(full_v_star, full_lo, full_hi).label
+
+
+class TestBoxSatisfiedRows:
+    """Clause probabilities are drawn in eighths, so rules and clauses
+    with p = 0 and p = 1, whose rows ``build_lp`` partly leaves out, occur
+    in most KBs: the residual program of each query and the whole KB's
+    program under it solve as the full programs do."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(coded_kbs() | mixed_coded_kbs())
+    def test_written_program_solves_as_the_full_one(self, case):
+        kb, queries = case
+        unit = Clause([Literal(POS)])
+        for query in queries:
+            if not kb.counts and POS not in kb.universe:
+                break  # infer_pos refuses a KB that never mentions pos
+            program = captured_program(kb, query)
+            if program is not None:
+                _, probs, rest = decoded_presolve(kb, query)
+                full = reference_build_lp([*(WeightedClause(p, unit) for p in probs), *rest])
+                assert_same_as_full(program, full, POS)
+            if len(kb):
+                assert_same_as_full(apply_query(build_lp(kb), query),
+                                    apply_query(reference_build_lp(kb.clauses), query), POS)
