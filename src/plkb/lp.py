@@ -52,8 +52,10 @@ the bounds are the median interval of the residual probabilities.
 Otherwise the LP solves the residual only.  Either way ``objective_min``
 is the residual v* plus the constant, the whole program's v*.  The
 presolve reads a KB's rules as ``n_pos / n_total`` straight from its
-``counts``; ``build_lp`` writes their rows from their codes, with no
-clause object.  Any other target is solved on the whole program.
+``counts``; ``build_lp`` decodes a rule's code into the literal list it
+reads off any other clause, with no rule clause object, and writes
+every clause's rows from its list.  Any other target is solved on the
+whole program.
 Checking a query against the features' domains is the caller's job.
 
 An exact world-distribution oracle (all 2^n complete conjunctions) is
@@ -88,7 +90,7 @@ from dataclasses import dataclass, field, replace
 from functools import reduce
 from itertools import repeat
 from operator import or_, sub
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .kb import (
     POS,
@@ -162,11 +164,13 @@ def build_lp(clauses: KnowledgeBase | Iterable[WeightedClause],
     its ``counts`` as rules, then its ``others``: no rule clause object is
     built.  A clause may repeat, as in a presolved residual, and each copy
     gets its own deviation.  Variables: the atoms in sorted order, then
-    ``d<i>`` per clause.  Rows, clause by clause: ``-d_i - sum_z pi(z) <=
-    -p_i`` unless p_i <= 0, then ``pi(z) - d_i <= p_i`` per literal in
-    canonical order unless p_i >= 1, the constant of each ``pi(!a) = 1 -
-    x_a`` moved to the right-hand side.  The rows left out hold at every
-    point within the bounds (see the module docstring).
+    ``d<i>`` per clause.  Each clause becomes ``(p_i, [(column, negated),
+    ...])`` in column order (a rule: ``pos``, then its body negated), and
+    one loop writes its rows: ``-d_i - sum_z pi(z) <= -p_i`` unless p_i <=
+    0, then ``pi(z) - d_i <= p_i`` per literal unless p_i >= 1, the
+    constant of each ``pi(!a) = 1 - x_a`` moved to the right-hand side.
+    The rows left out hold at every point within the bounds (see the
+    module docstring).
     """
     if isinstance(clauses, KnowledgeBase):
         rules = [(pos / total, code) for code, (total, pos) in clauses.counts.items()]
@@ -179,37 +183,24 @@ def build_lp(clauses: KnowledgeBase | Iterable[WeightedClause],
     columns = {*bit_atoms.values(), *(a for wc in clauses for a in wc.clause.atoms)}
     columns = sorted(columns | {POS} if rules else columns, key=_atom_sort_key)
     atom_index = {a: i for i, a in enumerate(columns)}
-    bit_column = {low: atom_index[a] for low, a in bit_atoms.items()}
+    bit_literal = {low: (atom_index[a], True) for low, a in bit_atoms.items()}
     n, m = len(columns), len(rules) + len(clauses)
+
+    def literal_lists() -> Iterator[tuple[float, list[tuple[int, bool]]]]:
+        for p, code in rules:
+            body = []
+            while code:
+                low = code & -code
+                body.append(bit_literal[low])
+                code ^= low
+            yield p, [(0, False), *sorted(body)]  # pos is column 0
+        for wc in clauses:
+            lits = wc.clause.literals
+            yield float(wc.probability), [(atom_index[z.atom], z.negated) for z in lits]
+
     indptr, indices, data, rhs = [0], [], [], []
-    coefficients = {}  # body size k -> the coefficients of a rule's sum and literal rows
-    for d, (p, code) in enumerate(rules, n):
-        body = []
-        while code:
-            low = code & -code
-            body.append(bit_column[low])
-            code ^= low
-        body.sort()
-        k = len(body)
-        if k not in coefficients:
-            coefficients[k] = ((-1.0, -1.0, *[1.0] * k), (1.0, -1.0, *[-1.0] * (2 * k)))
-        sum_row, literal_rows = coefficients[k]
+    for d, (p, lits) in enumerate(literal_lists(), n):
         if p > 0.0:  # at p <= 0 the sum row holds on the whole box
-            indices += (d, 0, *body)  # pos is column 0
-            data += sum_row
-            rhs.append(k - p)
-            indptr.append(len(indices))
-        if p < 1.0:  # at p >= 1 so does every literal row
-            rows = [d] * (2 * k)
-            rows[::2] = body  # the row of each body atom, after pos's
-            indices += (0, d, *rows)
-            data += literal_rows
-            rhs += (p, *[p - 1.0] * k)
-            indptr += range(len(indices) - 2 * k, len(indices) + 1, 2)
-    for d, wc in enumerate(clauses, n + len(rules)):
-        p = float(wc.probability)
-        lits = [(atom_index[lit.atom], lit.negated) for lit in wc.clause.literals]
-        if p > 0.0:
             indices.append(d)
             data.append(-1.0)
             for x, negated in lits:
@@ -217,7 +208,7 @@ def build_lp(clauses: KnowledgeBase | Iterable[WeightedClause],
                 data.append(1.0 if negated else -1.0)
             rhs.append(sum(negated for _, negated in lits) - p)
             indptr.append(len(indices))
-        if p < 1.0:
+        if p < 1.0:  # at p >= 1 so does every literal row
             for x, negated in lits:
                 indices += (x, d)
                 data += (-1.0 if negated else 1.0, -1.0)

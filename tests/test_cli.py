@@ -351,6 +351,21 @@ class TestColdStart:
             assert loaded == str(solved)
             assert json.loads("\n".join(payload)) == run_json(runner, args)
 
+    def test_bench_lp_loads_highs_before_its_clock(self):
+        # the first clock read sees HiGHS loaded: the import is not timed
+        out = run_fresh(
+            "import sys\n"
+            "import plkb.evaluate\n"
+            "clock, seen = plkb.evaluate.time.perf_counter, []\n"
+            "def perf_counter():\n"
+            "    seen.append('scipy.optimize._highspy._core' in sys.modules)\n"
+            "    return clock()\n"
+            "plkb.evaluate.time.perf_counter = perf_counter\n"
+            "plkb.evaluate.bench_lp(20, 20, 0)\n"
+            "print(seen[0])"
+        )
+        assert out.strip() == "True"
+
 
 def test_every_exported_name_resolves():
     assert [name for name in plkb.__all__ if not hasattr(plkb, name)] == []

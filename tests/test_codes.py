@@ -160,6 +160,8 @@ class TestCodedProgram:
             program = build_lp(kb)
             assert "clauses" not in vars(kb)
             assert program == without_box_satisfied_rows(reference_build_lp(kb.clauses))
+            # every rule passed as a clause object gives the program of its code
+            assert build_lp(kb.clauses) == program
 
     def test_residual_without_rules_has_no_pos_column(self):
         # the rule is pinned true by a=1: only the clauses of others remain
