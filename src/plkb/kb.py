@@ -19,7 +19,7 @@ is the OR of its pairs' bits, a body lies inside a query when ``code &
 bits.  The direct and tree builders fill ``counts`` directly,
 :func:`parse_kb` reads a rule line straight into it, and the constructor
 alone routes a rule given as a clause object into it; each numbers a
-pair when it first sees it, so no code is ever re-coded.  A code is as
+pair when a rule first holds it, so no code is ever re-coded.  A code is as
 wide as the atom table: past 63 atoms it is a multi-digit int, which
 works the same but hashes more slowly.  Pairs are decoded from a code
 only to build clause objects and to find an LP's columns: a rule line is
@@ -241,9 +241,9 @@ class WeightedClause:
 
 class AtomBits(dict):
     """An atom table: each feature-value pair maps to its bit, and
-    ``atoms`` lists the pairs in bit order.  Only :meth:`add` and
-    :meth:`truncate` change it; ``[]`` and ``get`` only read, so a lookup
-    can never grow a table that several KBs or threads share."""
+    ``atoms`` lists the pairs in bit order.  Only :meth:`add` changes it,
+    so a table only grows and a bit never changes; ``[]`` and ``get`` only
+    read, so a lookup can never grow a table that KBs or threads share."""
 
     def __init__(self, atoms: Iterable[Pair] = ()):
         self.atoms = list(atoms)
@@ -256,12 +256,6 @@ class AtomBits(dict):
             bit = self[pair] = 1 << len(self.atoms)
             self.atoms.append(pair)
         return bit
-
-    def truncate(self, n: int) -> None:
-        """Forget every pair numbered after the first ``n``."""
-        for pair in self.atoms[n:]:
-            del self[pair]
-        del self.atoms[n:]
 
 
 def subset_codes(bits: Iterable[int], most: int) -> list[int]:
@@ -481,10 +475,10 @@ def parse_kb(text: str) -> KnowledgeBase:
     of ``counts`` with its probability's ``(denominator, numerator)``, one
     tuple shared by the rows of equal probability, and builds no clause
     object, so a saved learned model parses without one; only a rule line
-    numbers pairs into ``bits``.  Any other line is built as a
-    :class:`Clause`, which is never a rule: it lacks ``pos``, gives a
-    feature two values, or holds ``!pos``, a bare atom or a positive
-    feature-value literal.
+    numbers pairs into ``bits``, its new ones in token order once it passes
+    the rule test.  Any other line is built as a :class:`Clause`, which is
+    never a rule: it lacks ``pos``, gives a feature two values, or holds
+    ``!pos``, a bare atom or a positive feature-value literal.
     """
     lines = text.splitlines()
     return _parse_lines(lines, range(1, len(lines) + 1))
@@ -497,14 +491,14 @@ def _parse_lines(lines: Sequence[str], numbers: Sequence[int]) -> KnowledgeBase:
     entries: dict[tuple[int, int], tuple[int, int]] = {}  # each entry -> its shared tuple
     others: dict[Clause, WeightedClause] = {}
     bits = AtomBits()
-    # rule literal text -> POS, or its pair's bit and feature
-    parts: dict[str, Atom | tuple[int, str]] = {}
+    fbits: dict[str, int] = {}  # feature -> its bit, to count a line's features
+    # rule literal text -> POS, or its pair's bit (0 until the table has
+    # one, which never changes), its feature's bit and its pair
+    parts: dict[str, Atom | tuple[int, int, Pair]] = {}
     literals: dict[str, Literal] = {}  # literal text -> its literal, shared by clauses
-    marked = mark = 0  # last line to meet an uncached pair; the table's length before it
     for line_no, prob, clause_text in _clause_lines(lines, numbers):
-        body = 0
-        features = []
-        n_pos = 0
+        body = features = n_pos = 0
+        new: tuple[Pair, ...] = ()  # the line's distinct pairs the table lacks, in token order
         for tok in clause_text.split("|"):
             part = parts.get(tok)
             if part is None:
@@ -512,19 +506,27 @@ def _parse_lines(lines: Sequence[str], numbers: Sequence[int]) -> KnowledgeBase:
                 if lit == _POS_LITERAL:
                     part = POS
                 elif lit.negated and lit.atom.value is not None:
-                    if marked != line_no:
-                        marked, mark = line_no, len(bits.atoms)
-                    part = (bits.add((lit.atom.feature, lit.atom.value)), lit.atom.feature)
+                    feature, value = lit.atom.feature, lit.atom.value
+                    part = (0, fbits.setdefault(feature, 1 << len(fbits)), (feature, value))
                 else:
                     break
                 parts[tok] = part
             if part is POS:
                 n_pos += 1
-            else:
-                body |= part[0]
-                features.append(part[1])
+                continue
+            bit, fbit, pair = part
+            if not bit:
+                bit = bits.get(pair, 0)
+                if bit:
+                    parts[tok] = (bit, fbit, pair)
+                elif pair not in new:
+                    new += (pair,)
+            body |= bit
+            features |= fbit
         else:
-            if n_pos and len(set(features)) == body.bit_count():
+            if n_pos and features.bit_count() == body.bit_count() + len(new):
+                for pair in new:
+                    body |= bits.add(pair)
                 entry = (prob.denominator, prob.numerator)
                 entry = entries.setdefault(entry, entry)
                 prev = counts.setdefault(body, entry)
@@ -532,10 +534,6 @@ def _parse_lines(lines: Sequence[str], numbers: Sequence[int]) -> KnowledgeBase:
                     raise _conflict(lines, numbers, line_no, _coded_rule(body, bits.atoms, {}),
                                     Fraction(prev[1], prev[0]))
                 continue
-        if marked == line_no:  # a line that is not a rule numbers no pair
-            bits.truncate(mark)
-            for tok in clause_text.split("|"):
-                parts.pop(tok, None)
         clause = _parse_clause(clause_text, line_no, literals)
         prev_prob = others.setdefault(clause, WeightedClause(prob, clause)).probability
         if prev_prob != prob:

@@ -103,11 +103,31 @@ def monk1_dataset() -> Dataset:
     """MONK's problem 1 (Thrun et al., 1991), every one of its 432 rows:
     attributes a1..a6 taking values 1..3, 1..3, 1..2, 1..3, 1..4 and 1..2,
     and a row is positive when ``a1 = a2`` or ``a5 = 1`` (216 rows)."""
+    return _monk_dataset(lambda values: values[0] == values[1] or values[4] == 1)
+
+
+def _monk_dataset(concept) -> Dataset:
+    """The 432 rows of the MONK's problems, each labelled by ``concept``
+    of its tuple of attribute values."""
     rows = [
-        (tuple(map(str, values)), values[0] == values[1] or values[4] == 1)
+        (tuple(map(str, values)), concept(values))
         for values in product(*(range(1, n + 1) for n in (3, 3, 2, 3, 4, 2)))
     ]
     return from_rows([f"a{i}" for i in range(1, 7)], rows)
+
+
+def monk2_dataset() -> Dataset:
+    """MONK's problem 2 over :func:`monk1_dataset`'s 432 rows: a row is
+    positive when exactly two of its six attributes take value 1 (142
+    rows)."""
+    return _monk_dataset(lambda values: values.count(1) == 2)
+
+
+def monk3_dataset() -> Dataset:
+    """MONK's problem 3 over :func:`monk1_dataset`'s 432 rows, without the
+    original's label noise: a row is positive when ``a5 = 3 and a4 = 1``
+    or ``a5 != 4 and a2 != 3`` (228 rows)."""
+    return _monk_dataset(lambda v: (v[4] == 3 and v[3] == 1) or (v[4] != 4 and v[1] != 3))
 
 
 def query_from_string(s: str) -> dict[str, str]:
@@ -755,6 +775,39 @@ def mixed_coded_kbs(draw):
     for c in draw(st.lists(clause, max_size=3)):
         others.setdefault(c, WeightedClause(draw(_eighths), c))
     return KnowledgeBase(others.values(), kb.counts, kb.bits), queries
+
+
+@st.composite
+def rule_texts_with_other_lines(draw):
+    """A text of rule lines over a1..a4, literals in any order, and the
+    same text with lines that are not rules inserted at random places, so
+    they may meet a pair before any rule does: a feature given two values,
+    a positive literal, a bare atom or no ``pos``, their literals padded
+    with spaces now and then."""
+    pair = st.tuples(st.sampled_from(CODED_FEATURES[:4]), st.sampled_from(CODED_VALUES))
+    body = st.lists(pair, max_size=4, unique_by=lambda p: p[0])
+    lines = []
+    for pairs in draw(st.lists(body, max_size=8, unique_by=frozenset)):
+        lits = draw(st.permutations(["pos", *(f"!{f}={v}" for f, v in pairs)]))
+        lines.append(f"{draw(_eighths)} {' | '.join(lits)}")
+    rules = "\n".join(lines)
+    pad = st.sampled_from(["", " ", "  "])
+    for _ in range(draw(st.integers(1, 6))):
+        lits = ["pos", *(f"!{f}={v}" for f, v in draw(body))]
+        kind = draw(st.sampled_from(["repeat", "positive", "bare", "no-pos"]))
+        if kind == "repeat":
+            f = draw(st.sampled_from(CODED_FEATURES[:4]))
+            v, w = draw(st.permutations(CODED_VALUES))[:2]
+            lits += [f"!{f}={v}", f"!{f}={w}"]
+        elif kind == "positive":
+            lits.append(draw(pair.map("{0[0]}={0[1]}".format).filter(lambda t: "!" + t not in lits)))
+        elif kind == "bare":
+            lits.append("b")
+        else:
+            lits[0] = "!{}={}".format(*draw(pair))
+        lits = [draw(pad) + lit + draw(pad) for lit in draw(st.permutations(lits))]
+        lines.insert(draw(st.integers(0, len(lines))), "0.5 " + "|".join(lits))
+    return rules, "\n".join(lines)
 
 
 def captured_program(kb, query):

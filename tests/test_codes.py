@@ -28,6 +28,7 @@ from helpers import (
     reference_presolve,
     reference_select,
     reference_serialize,
+    rule_texts_with_other_lines,
     tuple_counts,
     without_box_satisfied_rows,
 )
@@ -203,13 +204,19 @@ class TestAtomTable:
         assert kb.bits.get(("a1", "7")) is None
         assert kb.atoms == [("a1", "0")] and dict(kb.bits) == {("a1", "0"): 1}
 
-    def test_add_numbers_once_and_truncate_forgets(self):
+    def test_add_numbers_each_pair_once(self):
         bits = AtomBits([("a1", "0")])
         assert [bits.add(p) for p in [("a2", "1"), ("a1", "0"), ("a3", "2")]] == [2, 1, 4]
-        bits.truncate(1)
-        assert bits.atoms == [("a1", "0")] and dict(bits) == {("a1", "0"): 1}
-        assert bits.add(("a3", "2")) == 2  # the next pair takes bit 1 again
-        assert bits.atoms == [("a1", "0"), ("a3", "2")]
+        assert bits.atoms == [("a1", "0"), ("a2", "1"), ("a3", "2")]
+        assert dict(bits) == {("a1", "0"): 1, ("a2", "1"): 2, ("a3", "2"): 4}
+
+    @settings(max_examples=200, deadline=None)
+    @given(rule_texts_with_other_lines())
+    def test_lines_that_are_not_rules_number_no_pair(self, texts):
+        rules, text = texts
+        kb, alone = parse_kb(text), parse_kb(rules)
+        assert list(kb.counts.items()) == list(alone.counts.items())
+        assert kb.atoms == alone.atoms and dict(kb.bits) == dict(alone.bits)
 
     def test_merge_extends_a_copy_of_the_table(self):
         kb = parse_kb("0.5 pos | !a1=0")
