@@ -21,9 +21,11 @@ bits.  The direct and tree builders fill ``counts`` directly,
 alone routes a rule given as a clause object into it; each numbers a
 pair when a rule first holds it, so no code is ever re-coded.  A code is as
 wide as the atom table: past 63 atoms it is a multi-digit int, which
-works the same but hashes more slowly.  Pairs are decoded from a code
-only to build clause objects and to find an LP's columns: a rule line is
-written from its parent's text plus one literal (see :func:`serialize_kb`).
+works the same but hashes more slowly.  :func:`bit_positions` is the one
+reader of a code, as :meth:`AtomBits.add` is the one writer of a table: it
+decodes a body to build clause objects and an LP's literal lists, and a rule
+line whose parent has no text yet; any other rule line is written from its
+parent's text plus one literal (see :func:`serialize_kb`).
 
 All values are immutable: :class:`Atom`, :class:`Literal`,
 :class:`Clause` and :class:`WeightedClause` are frozen dataclasses, so
@@ -201,14 +203,8 @@ def _coded_rule(code: int, atoms: Sequence[Pair], literals: dict) -> Clause:
     table ``atoms``, built canonical, each literal shared through
     ``literals`` (pair -> its negated literal) by the clauses one pass
     builds."""
-    pairs = []
-    while code:
-        low = code & -code
-        pairs.append(atoms[low.bit_length() - 1])
-        code ^= low
-    pairs.sort()
     lits = [_POS_LITERAL]
-    for pair in pairs:
+    for pair in sorted(map(atoms.__getitem__, bit_positions(code))):
         lit = literals.get(pair)
         if lit is None:
             lit = literals[pair] = Literal(Atom(*pair), True)
@@ -256,6 +252,15 @@ class AtomBits(dict):
             bit = self[pair] = 1 << len(self.atoms)
             self.atoms.append(pair)
         return bit
+
+
+def bit_positions(code: int) -> Iterator[int]:
+    """The positions of the set bits of ``code``, lowest first, at any width:
+    the one reader of a code, whose bit ``i`` stands for ``atoms[i]``."""
+    while code:
+        low = code & -code
+        yield low.bit_length() - 1
+        code ^= low
 
 
 def subset_codes(bits: Iterable[int], most: int) -> list[int]:
@@ -376,7 +381,7 @@ class KnowledgeBase:
         if self.counts:
             used = reduce(or_, self.counts)
             atoms.add(POS)
-            atoms.update(Atom(*pair) for i, pair in enumerate(self.atoms) if used >> i & 1)
+            atoms.update(Atom(*self.atoms[i]) for i in bit_positions(used))
         return frozenset(atoms)
 
     @cached_property
@@ -551,15 +556,15 @@ def serialize_kb(kb: KnowledgeBase) -> str:
 
     Each probability is written exactly, as its ``Fraction``'s ``n/d``
     (``1`` and ``0`` alone), once per distinct ``(total, pos)``, so the
-    text parses back to the same KB.  No rule is decoded from scratch: its
-    text is its parent's (its body less its last pair in pair order) plus
-    one ``" | !f=v"``.  Two memos make that one step per row of a direct
-    table, which lists parents first: code -> the body's code renumbered
-    into pair order, read off that of the code less its lowest bit, whose
-    top bit names the literal to append; and renumbered code -> text.  A
-    row whose parent has no text yet (a tree leaf, a parsed or merged KB)
-    is renumbered from scratch and walks down its parents in a loop to the
-    first that has one."""
+    text parses back to the same KB.  A rule's text is its parent's (its
+    body less its last pair in pair order) plus one ``" | !f=v"``.  Two
+    memos make that one step per row of a direct table, which lists
+    parents first: code -> the body's code renumbered into pair order, read
+    off that of the code less its lowest bit, whose top bit names the
+    literal to append; and renumbered code -> text.  A row whose parent has
+    no text yet (the body-less rule, a tree leaf, a parsed or merged KB) is
+    decoded through :func:`bit_positions`: renumbered, then written as
+    ``pos`` and its pairs' texts in pair order."""
     order = sorted(range(len(kb.atoms)), key=kb.atoms.__getitem__)
     texts = [_body_literal(*kb.atoms[i]) for i in order]
     place = {1 << i: 1 << r for r, i in enumerate(order)}  # a pair's bit -> its bit in pair order
@@ -573,13 +578,8 @@ def serialize_kb(kb: KnowledgeBase) -> str:
             top = r.bit_length() - 1
             text = clause_of[r] = clause_of[r ^ 1 << top] + texts[top]
         except KeyError:  # the empty body, or a parent not met yet
-            r = ranked[code] = sum(place[1 << i] for i in range(code.bit_length()) if code >> i & 1)
-            literals = []  # the body's texts from its last pair down to a parent with a text
-            while r not in clause_of:
-                top = r.bit_length() - 1
-                literals.append(texts[top])
-                r ^= 1 << top
-            text = clause_of[ranked[code]] = clause_of[r] + "".join(reversed(literals))
+            r = ranked[code] = sum(place[1 << i] for i in bit_positions(code))
+            text = clause_of[r] = "pos" + "".join(texts[i] for i in bit_positions(r))
         clauses.append(text)
     del ranked, clause_of  # free the memos before the sort
     clauses += (str(wc.clause) for wc in kb.others)

@@ -52,8 +52,9 @@ the bounds are the median interval of the residual probabilities.
 Otherwise the LP solves the residual only.  Either way ``objective_min``
 is the residual v* plus the constant, the whole program's v*.  The
 presolve reads a KB's rules as ``n_pos / n_total`` straight from its
-``counts``; ``build_lp`` decodes a rule's code into the literal list it
-reads off any other clause, with no rule clause object, and writes
+``counts``; ``build_lp`` decodes a rule's code through
+:func:`~plkb.kb.bit_positions` into the literal list it reads off any
+other clause, with no rule clause object, and writes
 every clause's rows from its list.  Any other target is solved on the
 whole program.
 Checking a query against the features' domains is the caller's job.
@@ -101,6 +102,7 @@ from .kb import (
     Pair,
     WeightedClause,
     _atom_sort_key,
+    bit_positions,
 )
 
 TAU_ZERO = 1e-6   # deviation below this hints consistency
@@ -179,21 +181,16 @@ def build_lp(clauses: KnowledgeBase | Iterable[WeightedClause],
     if not rules and not clauses:
         raise ValueError("cannot build a program from an empty knowledge base")
     used = reduce(or_, (code for _, code in rules), 0)
-    bit_atoms = {1 << i: Atom(*pair) for i, pair in enumerate(atoms) if used >> i & 1}
-    columns = {*bit_atoms.values(), *(a for wc in clauses for a in wc.clause.atoms)}
+    used_atoms = {i: Atom(*atoms[i]) for i in bit_positions(used)}
+    columns = {*used_atoms.values(), *(a for wc in clauses for a in wc.clause.atoms)}
     columns = sorted(columns | {POS} if rules else columns, key=_atom_sort_key)
     atom_index = {a: i for i, a in enumerate(columns)}
-    bit_literal = {low: (atom_index[a], True) for low, a in bit_atoms.items()}
+    body_literal = {i: (atom_index[a], True) for i, a in used_atoms.items()}
     n, m = len(columns), len(rules) + len(clauses)
 
     def literal_lists() -> Iterator[tuple[float, list[tuple[int, bool]]]]:
-        for p, code in rules:
-            body = []
-            while code:
-                low = code & -code
-                body.append(bit_literal[low])
-                code ^= low
-            yield p, [(0, False), *sorted(body)]  # pos is column 0
+        for p, code in rules:  # pos is column 0
+            yield p, [(0, False), *sorted(map(body_literal.__getitem__, bit_positions(code)))]
         for wc in clauses:
             lits = wc.clause.literals
             yield float(wc.probability), [(atom_index[z.atom], z.negated) for z in lits]

@@ -9,7 +9,7 @@ from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations, count, product
-from math import comb, inf
+from math import comb, inf, sqrt
 from unittest.mock import patch
 
 from hypothesis import strategies as st
@@ -47,7 +47,7 @@ from plkb.lp import (
     build_lp,
     infer_pos,
 )
-from plkb.tree import build_id3, kb_from_tree
+from plkb.tree import _information_gain, build_id3, kb_from_tree
 
 # Slack on the reference solves' cap row ``objective @ x <= v* + CAP_SLACK``:
 # it absorbs solver noise in v* while the bound inflation it causes (the
@@ -128,6 +128,90 @@ def monk3_dataset() -> Dataset:
     original's label noise: a row is positive when ``a5 = 3 and a4 = 1``
     or ``a5 != 4 and a2 != 3`` (228 rows)."""
     return _monk_dataset(lambda v: (v[4] == 3 and v[3] == 1) or (v[4] != 4 and v[1] != 3))
+
+
+_TTT_LINES = [(0, 1, 2), (3, 4, 5), (6, 7, 8), (0, 3, 6), (1, 4, 7), (2, 5, 8),
+              (0, 4, 8), (2, 4, 6)]
+
+
+def tic_tac_toe_dataset() -> Dataset:
+    """Tic-Tac-Toe Endgame (UCI; Aha, 1991): every board a game that x
+    opens ends on, played until one side has three in a row or the board
+    is full.  Features s1..s9 are the squares row by row, valued ``x``,
+    ``o`` or ``b`` (blank), and a board is positive when x has three in a
+    row (958 boards, 626 positive)."""
+
+    def wins(board, mark):
+        return any(all(board[i] == mark for i in line) for line in _TTT_LINES)
+
+    ends: dict[tuple[str, ...], bool] = {}
+    seen = set()  # boards already played on: 5,478 against ~550k move orders
+
+    def play(board, mark):
+        if board in seen:
+            return
+        seen.add(board)
+        if wins(board, "x") or wins(board, "o") or "b" not in board:
+            ends[board] = wins(board, "x")
+            return
+        for i in range(9):
+            if board[i] == "b":
+                play(board[:i] + (mark,) + board[i + 1:], "o" if mark == "x" else "x")
+
+    play(("b",) * 9, "x")
+    return from_rows([f"s{i}" for i in range(1, 10)], sorted(ends.items()))
+
+
+def balance_scale_dataset() -> Dataset:
+    """Balance Scale (UCI; Siegler, 1976) as a binary task: the 5^4 = 625
+    rows of left weight, left distance, right weight and right distance
+    (``lw``, ``ld``, ``rw``, ``rd``) in 1..5, positive when the scale tips
+    left, ``lw * ld > rw * rd`` (288 rows)."""
+    rows = [(tuple(map(str, v)), v[0] * v[1] > v[2] * v[3])
+            for v in product(range(1, 6), repeat=4)]
+    return from_rows(["lw", "ld", "rw", "rd"], rows)
+
+
+def grow_forest(train: Dataset, rng_seed: int, n_trees: int = 100) -> list:
+    """A random forest (Breiman, 2001) of ``n_trees`` ID3 trees.  Each
+    grows on a bootstrap sample of ``train`` and splits on the best of
+    round(sqrt(n_features)) features drawn at random from those its path
+    has not used, by :func:`plkb.tree._information_gain` with
+    :func:`~plkb.tree.build_id3`'s tie rule.  A node is its majority label
+    (a tie is negative) when it is pure or has no feature left, and
+    ``(feature, majority label, {value: child})`` otherwise."""
+    rng = random.Random(rng_seed)
+    n_draw = round(sqrt(len(train.features)))
+
+    def grow(rows, remaining):
+        n_pos = sum(r.label for r in rows)
+        majority = 2 * n_pos > len(rows)
+        if n_pos in (0, len(rows)) or not remaining:
+            return majority
+        drawn = rng.sample(remaining, min(n_draw, len(remaining)))
+        gains = {f: _information_gain(rows, f) for f in drawn}
+        top = max(gains.values())
+        best = min(f for f, g in gains.items() if g >= top - 1e-12)
+        parts: dict[str, list] = {}
+        for r in rows:
+            parts.setdefault(r.values[best], []).append(r)
+        rest = tuple(f for f in remaining if f != best)
+        return best, majority, {v: grow(parts[v], rest) for v in sorted(parts)}
+
+    rows = train.instances
+    return [grow(rng.choices(rows, k=len(rows)), train.features) for _ in range(n_trees)]
+
+
+def forest_label(forest: list, values) -> bool:
+    """Positive only when a strict majority of the trees votes positive; a
+    value a tree never saw at a node takes that node's majority label."""
+    votes = 0
+    for node in forest:
+        while isinstance(node, tuple):
+            feature, majority, children = node
+            node = children.get(values[feature], majority)
+        votes += node
+    return 2 * votes > len(forest)
 
 
 def query_from_string(s: str) -> dict[str, str]:

@@ -16,6 +16,7 @@ from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     CODED_FEATURES as FEATURES,
@@ -42,6 +43,7 @@ from plkb.kb import (
     KnowledgeBase,
     Literal,
     WeightedClause,
+    bit_positions,
     merge,
     parse_kb,
     rule_clause,
@@ -85,9 +87,11 @@ class TestAgainstTupleKeys:
 class TestRuleTextWalk:
     """:func:`serialize_kb` writes a rule as its parent's text plus one
     literal, the parent being the body less its last pair in pair order.
-    A direct table lists parents first; these KBs do not, and each is
-    written as ``reference_serialize`` writes its clause objects and parses
-    back to itself."""
+    A direct table lists parents first; these KBs do not, so some of their
+    rows have no parent text yet and are decoded through
+    :func:`bit_positions` instead.  Each KB is written as
+    ``reference_serialize`` writes its clause objects and parses back to
+    itself."""
 
     @staticmethod
     def assert_written_as_reference(kb):
@@ -95,6 +99,19 @@ class TestRuleTextWalk:
         assert text == reference_serialize(kb.clauses)
         assert parse_kb(text) == kb
         assert serialize_kb(parse_kb(text)) == text
+
+    @staticmethod
+    def rows_without_a_parent_text(kb):
+        """How many rows have no parent text when they are written: the
+        body-less rule, and each row whose parent is neither the body-less
+        rule nor an earlier row.  :func:`serialize_kb` decodes each of them
+        whole."""
+        written, decoded = {()}, 0
+        for code in kb.counts:
+            pairs = sorted(kb.atoms[i] for i in bit_positions(code))
+            decoded += not pairs or tuple(pairs[:-1]) not in written
+            written.add(tuple(pairs))
+        return decoded
 
     def test_rows_that_arrive_children_first(self):
         rng = random.Random(3)
@@ -118,6 +135,31 @@ class TestRuleTextWalk:
         assert all(a & ~b for a in kb.counts for b in kb.counts if a != b)
         self.assert_written_as_reference(kb)
 
+    def test_tree_all_nodes(self):
+        rng = random.Random(7)
+        rows = []
+        for _ in range(60):
+            values = tuple(rng.choice(VALUES) for _ in FEATURES)
+            rows.append((values, values[9] == values[0] or values[4] == "1"))
+        kb = kb_from_tree(build_id3(from_rows(FEATURES, rows)), "all_nodes")
+        # a path meets its pairs in split order, not in pair order
+        assert self.rows_without_a_parent_text(kb) >= 3
+        self.assert_written_as_reference(kb)
+
+    def test_direct_table_merged_with_a_new_pair(self):
+        rng = random.Random(11)
+        rows = [(tuple(rng.choice(VALUES) for _ in FEATURES[:4]), rng.random() < 0.5)
+                for _ in range(12)]
+        kb = build_direct_kb(from_rows(FEATURES[:4], rows), max_arity=2)
+        assert self.rows_without_a_parent_text(kb) == 0
+        # a1=7 is numbered last, and the rule's parent in pair order is
+        # a1=7 alone, which no row holds
+        rule = rule_clause([("a1", "7"), ("a2", rows[0][0][1])])
+        merged = merge(kb, [WeightedClause(Fraction(9, 10), rule)])
+        assert merged.atoms[-1] == ("a1", "7")
+        assert self.rows_without_a_parent_text(merged) == 1
+        self.assert_written_as_reference(merged)
+
     def test_wide_table(self):
         features = [f"f{i}" for i in range(100)]
         kb = build_direct_kb(from_rows(features, [(("0",) * 100, True), (("1",) * 100, False)]),
@@ -128,7 +170,8 @@ class TestRuleTextWalk:
     def test_body_longer_than_the_recursion_limit(self):
         pairs = sorted((f"f{i}", "1") for i in range(1500))
         assert len(pairs) > sys.getrecursionlimit()
-        # the long body walks down its parents to the first half, written before it
+        # the long body's parent has no text, so it is decoded whole, with no
+        # recursion and no walk down its parents
         kb = KnowledgeBase([WeightedClause(Fraction(1, 3), rule_clause(pairs[:750])),
                             WeightedClause(Fraction(2, 3), rule_clause(pairs))])
         self.assert_written_as_reference(kb)
@@ -181,6 +224,16 @@ class TestSubsetCodes:
             expected = [sum(c) for k in range(min(most, n) + 1) for c in combinations(bits, k)]
             assert codes[0] == 0
             assert sorted(codes) == sorted(expected)
+
+
+class TestBitPositions:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**1600))
+    def test_positions_rebuild_the_code(self, code):
+        positions = list(bit_positions(code))
+        assert all(a < b for a, b in zip(positions, positions[1:]))
+        assert sum(1 << i for i in positions) == code
+        assert len(positions) == code.bit_count()
 
 
 class TestAtomTable:
