@@ -2,7 +2,9 @@
 
 Every subcommand prints machine-readable JSON to stdout on success (CSV
 where noted via --csv/--out) and exits non-zero with a one-line
-diagnostic on stderr otherwise.
+diagnostic on stderr otherwise.  ``plkb.evaluate``, ``plkb.explain`` and
+``plkb.tree`` are imported by the commands that use them, so ``classify``
+loads none of them.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import json
 import sys
 from dataclasses import asdict
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from .data import (
     generate_synthetic,
@@ -23,20 +26,12 @@ from .data import (
     read_text,
     save_synthetic,
 )
-from .evaluate import (
-    METHODS,
-    ExperimentConfig,
-    bench_lp,
-    run_eval,
-    run_explanation_eval,
-    run_knowledge_experiment,
-    train_kb,
-)
-from .explain import compute_explanation, feature_position, masked_string
 from .direct import active_kb
-from .kb import KBParseError, feature_names, merge, parse_kb, read_model, write_model
+from .kb import METHODS, KBParseError, feature_names, merge, parse_kb, read_model, write_model
 from .lp import apply_query, build_lp, dump_lp, infer_pos
-from .tree import build_id3, format_tree
+
+if TYPE_CHECKING:
+    from .evaluate import ExperimentConfig
 
 
 def parse_query(text: str) -> dict[str, str]:
@@ -80,12 +75,8 @@ def _domains(path: str, features: list[str]) -> dict[str, frozenset[str]]:
     missing = [f for f in features if f not in header]
     if missing:
         raise ValueError(f"{path}: domains file lacks columns {missing}")
-    domains: dict[str, set[str]] = {f: set() for f in header}
-    for row in rows:
-        for f, value in zip(header, row):
-            if value != "":
-                domains[f].add(value)
-    return {f: frozenset(vs) for f, vs in domains.items()}
+    columns = list(zip(*rows)) or [()] * len(header)
+    return {f: frozenset(column) - {""} for f, column in zip(header, columns)}
 
 
 def check_query(query: dict[str, str], domains: dict[str, frozenset[str]]) -> None:
@@ -116,6 +107,9 @@ def _emit(payload) -> None:
 
 def train(args) -> None:
     """Learn a knowledge base from a CSV and write it out."""
+    from .evaluate import train_kb
+    from .tree import build_id3, format_tree
+
     ds = load_csv(args.input, args.label_col, args.pos_label)
     if args.dump_tree and not args.method.startswith("tree"):
         raise ValueError("--dump-tree only applies to the tree methods")
@@ -145,6 +139,8 @@ def classify(args) -> None:
 
 def explain(args) -> None:
     """Report the k most decisive feature values of a query."""
+    from .explain import compute_explanation, feature_position, masked_string
+
     kb, query = _load_query(args.kb, args.domains, args.query, args.full_kb)
     expl = compute_explanation(query, kb, args.k, use_relevant=not args.full_kb)
     payload = {
@@ -189,6 +185,8 @@ def _f1_payload(method: str, reports, **fields) -> dict:
 def _run_configs(args, **fixed) -> list[ExperimentConfig]:
     """One configuration per run of an experiment command, seeded
     ``--rng-seed``, ``--rng-seed`` + 1, ..."""
+    from .evaluate import ExperimentConfig
+
     if args.runs < 1:
         raise ValueError("--runs must be at least 1")
     return [ExperimentConfig(rng_seed=args.rng_seed + r, method=args.method,
@@ -199,6 +197,8 @@ def _run_configs(args, **fixed) -> list[ExperimentConfig]:
 
 def eval_cmd(args) -> None:
     """Train/test evaluation with per-run F1 and the mean over seeds."""
+    from .evaluate import run_eval
+
     ds = load_csv(args.input, args.label_col, args.pos_label)
     knowledge = _read_model(args.knowledge)[0] if args.knowledge else None
     configs = _run_configs(args, dataset=ds, knowledge=knowledge)
@@ -207,6 +207,8 @@ def eval_cmd(args) -> None:
 
 def expl_eval(args) -> None:
     """Mean ground-truth accuracy of k-explanations on synthetic data."""
+    from .evaluate import run_explanation_eval
+
     ds, spec = load_synthetic(args.input)
     per_run = [run_explanation_eval(config, spec, args.k, args.max_instances)
                for config in _run_configs(args, dataset=ds)]
@@ -227,6 +229,8 @@ def expl_eval(args) -> None:
 
 def bench_lp_cmd(args) -> None:
     """Time the stage-1 solve on a random knowledge base."""
+    from .evaluate import bench_lp
+
     row = asdict(bench_lp(args.vars, args.clauses, args.rng_seed))
     if args.csv:
         path = Path(args.csv)
@@ -250,6 +254,8 @@ def inject(args) -> None:
 
 def knowledge_exp(args) -> None:
     """Evaluate with ground-truth / pollution clauses injected."""
+    from .evaluate import run_knowledge_experiment
+
     ds, spec = load_synthetic(args.input)
     reports = [run_knowledge_experiment(c, spec, args.true, args.random, c.rng_seed)
                for c in _run_configs(args, dataset=ds)]

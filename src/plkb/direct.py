@@ -20,7 +20,9 @@ MAX_UNBOUNDED_FEATURES = 20
 class SubsetCounter:
     """(total, positive) sample counts per feature-value subset, keyed by
     the subset's code over ``bits``, the atom table the counter numbers
-    pairs into as it first sees them.
+    pairs into as it first sees them.  ``arity`` is the longest subset
+    :meth:`add_instance` counted, handed to the KB so that it never scans
+    for it.
 
     Equal counts are one tuple object: a desk-sized table has ~355k rows
     but only ~700 distinct counts.  ``_step[hit]`` maps a count to the
@@ -31,6 +33,7 @@ class SubsetCounter:
 
     counts: dict[int, tuple[int, int]] = field(default_factory=dict)
     bits: AtomBits = field(default_factory=AtomBits)
+    arity: int = field(default=0, init=False, compare=False)
     _step: tuple[dict, dict] = field(
         default_factory=lambda: ({}, {}), init=False, repr=False, compare=False)
     _values: dict[tuple[int, int], tuple[int, int]] = field(
@@ -42,6 +45,7 @@ class SubsetCounter:
         get = counts.get
         step = self._step[hit]
         codes = subset_codes(map(self.bits.add, values.items()), max_arity)
+        self.arity = max(self.arity, min(max_arity, len(values)))
         for code in codes[1:]:
             try:
                 counts[code] = step[get(code)]
@@ -54,7 +58,7 @@ class SubsetCounter:
     def to_kb(self) -> KnowledgeBase:
         """The counts as a knowledge base's rules; the KB shares this
         counter's dicts, so add no instances afterwards."""
-        return KnowledgeBase(counts=self.counts, bits=self.bits)
+        return KnowledgeBase(counts=self.counts, bits=self.bits, arity=self.arity)
 
 
 def build_direct_kb(train: Dataset, max_arity: int | None = None) -> KnowledgeBase:

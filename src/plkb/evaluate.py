@@ -13,11 +13,10 @@ from math import comb
 from .data import Dataset, SeedSpec, balance, split
 from .direct import active_kb, build_direct_kb
 from .explain import compute_explanation, explanation_accuracy
-from .kb import Atom, Clause, KnowledgeBase, Literal, WeightedClause, merge, rule_clause
+from .kb import METHODS, Atom, Clause, KnowledgeBase, Literal, WeightedClause, merge, rule_clause
 from .lp import InferenceResult, build_lp, infer_pos, minimum_deviation
 from .tree import TreeNode, build_id3, kb_from_tree
 
-METHODS = ("tree", "tree-all", "direct")
 RANDOM_BODY_MAX_PAIRS = 10  # the longest pollution clause body
 
 

@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import re
 import zlib
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, reduce
@@ -61,6 +60,8 @@ Probability = Union[float, Fraction]
 Pair = tuple[str, str]
 
 CLASS_ATOM_NAME = "pos"
+# The ways a knowledge base is learned (:func:`plkb.evaluate.train_kb`).
+METHODS = ("tree", "tree-all", "direct")
 
 _NAME_RE = re.compile(r"[^\s=|!,#]+\Z")
 
@@ -309,10 +310,11 @@ class KnowledgeBase:
     The constructor routes each rule-shaped clause of ``clauses`` into
     ``counts``, numbering its new pairs into ``bits``, and keeps both in
     place: a builder hands them over and does not change them afterwards.
-    Duplicate clauses with the same probability collapse; duplicates with
-    different probabilities are an error (use :func:`merge` for override
-    semantics).  Two KBs are equal when they hold the same weighted
-    clauses, in any order.
+    A builder that knows its longest body hands it over as ``arity``, which
+    must be the value :attr:`arity` would scan.  Duplicate clauses with the
+    same probability collapse; duplicates with different probabilities are
+    an error (use :func:`merge` for override semantics).  Two KBs are
+    equal when they hold the same weighted clauses, in any order.
     """
 
     counts: Mapping[int, Sequence[int]]
@@ -324,6 +326,7 @@ class KnowledgeBase:
         clauses: Iterable[WeightedClause] = (),
         counts: dict[int, tuple[int, int]] | None = None,
         bits: AtomBits | None = None,
+        arity: int | None = None,
     ):
         counts = {} if counts is None else counts
         bits = AtomBits() if bits is None else bits
@@ -345,6 +348,8 @@ class KnowledgeBase:
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "bits", bits)
         object.__setattr__(self, "others", tuple(others.values()))
+        if arity is not None:  # the builder's longest body: no scan
+            object.__setattr__(self, "arity", arity)
 
     @property
     def atoms(self) -> Sequence[Pair]:
@@ -387,7 +392,8 @@ class KnowledgeBase:
     @cached_property
     def arity(self) -> int:
         """The longest rule body: the builder's ``max_arity`` when it saw
-        an instance that long."""
+        an instance that long.  Scanned once, unless the builder handed
+        it over."""
         return max(map(int.bit_count, self.counts), default=0)
 
 
@@ -561,10 +567,13 @@ def serialize_kb(kb: KnowledgeBase) -> str:
     memos make that one step per row of a direct table, which lists
     parents first: code -> the body's code renumbered into pair order, read
     off that of the code less its lowest bit, whose top bit names the
-    literal to append; and renumbered code -> text.  A row whose parent has
-    no text yet (the body-less rule, a tree leaf, a parsed or merged KB) is
-    decoded through :func:`bit_positions`: renumbered, then written as
-    ``pos`` and its pairs' texts in pair order."""
+    literal to append; and renumbered code -> text.  A row whose code less
+    its lowest bit has no renumbered code yet (the body-less rule, a tree
+    leaf, most rows of a parsed or merged KB) is renumbered through
+    :func:`bit_positions`, then written from its parent's text when that
+    exists (a parsed model lists parents first too: a parent's text is a
+    prefix of its child's), and as ``pos`` and its pairs' texts in pair
+    order otherwise."""
     order = sorted(range(len(kb.atoms)), key=kb.atoms.__getitem__)
     texts = [_body_literal(*kb.atoms[i]) for i in order]
     place = {1 << i: 1 << r for r, i in enumerate(order)}  # a pair's bit -> its bit in pair order
@@ -579,7 +588,10 @@ def serialize_kb(kb: KnowledgeBase) -> str:
             text = clause_of[r] = clause_of[r ^ 1 << top] + texts[top]
         except KeyError:  # the empty body, or a parent not met yet
             r = ranked[code] = sum(place[1 << i] for i in bit_positions(code))
-            text = clause_of[r] = "pos" + "".join(texts[i] for i in bit_positions(r))
+            top = r.bit_length() - 1
+            parent = clause_of.get(r ^ 1 << top) if r else None
+            text = clause_of[r] = ("pos" + "".join(texts[i] for i in bit_positions(r))
+                                   if parent is None else parent + texts[top])
         clauses.append(text)
     del ranked, clause_of  # free the memos before the sort
     clauses += (str(wc.clause) for wc in kb.others)
@@ -597,6 +609,11 @@ def feature_names(kb: KnowledgeBase) -> list[str]:
 
 # A header that allows a query-scoped load: the model holds only rules.
 _SCOPED_HEADER = re.compile(rb"# plkb 2 crc32=([0-9a-f]{8}) (others=0 features=(\S*)\n)")
+# The UTF-8 of the characters besides "\n" that ``str.splitlines`` breaks a
+# line at: a body holding one is parsed whole.  The wide ones take more than
+# one byte, so only a body that is not ASCII can hold them.
+_OTHER_BREAKS = (b"\r", b"\x0b", b"\x0c", b"\x1c", b"\x1d", b"\x1e")
+_WIDE_BREAKS = tuple(c.encode() for c in "\x85\u2028\u2029")
 
 
 def write_model(kb: KnowledgeBase, path) -> None:
@@ -615,43 +632,73 @@ def read_model(raw: bytes, query: Mapping[str, str]) -> tuple[KnowledgeBase, lis
     the model's feature names; None when the whole file must be parsed.
 
     The rules are those :func:`~plkb.direct.relevant_kb` selects from the
-    whole model, in the order it selects them, read without parsing any
-    other line: each candidate body, a subset of the query's pairs in
-    :func:`subset_codes` order, is looked up by bisecting the file's sorted
-    lines on its clause text, and every line found with that text goes
-    through :func:`parse_kb`'s loop under its own line number, so a
-    malformed one, or one giving a body a second probability, raises the
-    :class:`KBParseError` a whole parse would.  A query pair
-    that is no atom lies in no body and adds no candidate.  None is
-    returned, and nothing is parsed, unless the file starts with a v2
-    header whose checksum holds, the model holds only rules, and
-    :func:`lookup_pays` for the candidates at one bisect per parsed line;
-    then the whole model's selection looks its rows up too, in this order.
+    whole model, in the order it selects them, read without parsing or
+    decoding any other line: each candidate body, a subset of the query's
+    pairs in :func:`subset_codes` order, is looked up by bisecting the
+    file's sorted lines in place, as bytes, on its clause text (UTF-8 byte
+    order is code-point order), and every line found with that text goes
+    through :func:`parse_kb`'s loop, so a malformed one, or one giving a
+    body a second probability, raises the :class:`KBParseError` a whole
+    parse would, under its own line number.  A query pair that is no atom
+    lies in no body and adds no candidate.  None is returned, and nothing
+    is parsed, unless the file starts with a v2 header whose checksum
+    holds, the model holds only rules, the body is UTF-8 that
+    ``str.splitlines`` breaks at ``"\\n"`` alone (so a line's number is one
+    more than the newlines before it), and :func:`lookup_pays` for the
+    candidates at one bisect per line; then the whole model's selection
+    looks its rows up too, in this order.
     """
     m = _SCOPED_HEADER.match(raw)
     if m is None or zlib.crc32(memoryview(raw)[m.start(2):]) != int(m[1], 16):
         return None
+    start, end = m.end(), len(raw)
+    breaks = _OTHER_BREAKS
     try:
-        lines = raw[m.end():].decode().splitlines()
         features = m[3].decode()
+        if not raw.isascii():
+            str(memoryview(raw)[start:], "utf-8")
+            breaks += _WIDE_BREAKS
     except UnicodeDecodeError:
         return None
-    pairs = sorted(p for p in query.items() if _NAME_RE.match(p[0]) and _NAME_RE.match(p[1]))
-    if not lookup_pays(len(pairs), len(pairs), len(lines), per_row=1):
+    if any(raw.find(b, start) >= 0 for b in breaks):
         return None
-    texts = [_body_literal(*pair) for pair in pairs]
-    clause_of = {0: "pos"}  # candidate code over ``pairs`` -> its clause text
-    hits, numbers = [], []
-    for code in subset_codes([1 << i for i in range(len(pairs))], len(pairs)):
+    pairs = sorted(p for p in query.items() if _NAME_RE.match(p[0]) and _NAME_RE.match(p[1]))
+    # The price only falls as lines are counted: the newlines of a prefix
+    # often settle it before the whole body's count.
+    n = len(pairs)
+    if not (lookup_pays(n, n, raw.count(b"\n", start, start + 65536), per_row=1)
+            or lookup_pays(n, n, raw.count(b"\n", start) + (not raw.endswith(b"\n")),
+                           per_row=1)):
+        return None
+    texts = [_body_literal(*pair).encode() for pair in pairs]
+    clause_of = {0: b"pos"}  # candidate code over ``pairs`` -> its clause text
+    hits, offsets = [], []  # the lines found, and where each starts
+    for code in subset_codes([1 << i for i in range(n)], n):
         if code:
             top = code.bit_length() - 1
             clause_of[code] = clause_of[code ^ 1 << top] + texts[top]
-        i = bisect_left(lines, clause_of[code], key=lambda line: line.partition(" ")[2])
-        while i < len(lines) and lines[i].partition(" ")[2] == clause_of[code]:
-            hits.append(lines[i])
-            numbers.append(i + 2)  # the header is line 1
-            i += 1
-    return _parse_lines(hits, numbers), features.split(",") if features else []
+        text = clause_of[code]
+        # lines starting before ``lo`` sort below ``text``; from ``hi`` on, not
+        lo, hi = start, end
+        while lo < hi:
+            line = raw.rfind(b"\n", lo, (lo + hi) // 2) + 1 or lo
+            stop = raw.find(b"\n", line) % (end + 1)  # end for a last line without "\n"
+            if raw[line:stop].partition(b" ")[2] < text:
+                lo = stop + 1
+            else:
+                hi = line
+        while lo < end:
+            stop = raw.find(b"\n", lo) % (end + 1)
+            if raw[lo:stop].partition(b" ")[2] != text:
+                break
+            hits.append(raw[lo:stop].decode())
+            offsets.append(lo)
+            lo = stop + 1
+    try:  # the offsets stand in for line numbers until a line fails
+        kb = _parse_lines(hits, offsets)
+    except KBParseError:  # again under the numbers, for a whole parse's error
+        kb = _parse_lines(hits, [raw.count(b"\n", start, at) + 2 for at in offsets])
+    return kb, features.split(",") if features else []
 
 
 def merge(kb: KnowledgeBase, extra: Sequence[WeightedClause]) -> KnowledgeBase:

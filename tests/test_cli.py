@@ -147,8 +147,9 @@ class TestTrainClassifyExplain:
             grown.append(ds)
             return original(ds)
 
-        # every module that binds the name
-        for module in (plkb.tree, plkb.evaluate, plkb.cli):
+        # every module that binds the name; the command line imports it
+        # from plkb.tree when it runs
+        for module in (plkb.tree, plkb.evaluate):
             monkeypatch.setattr(module, "build_id3", counting)
         kb_path = tmp_path / "kb.plkb"
         tree_path = tmp_path / "tree.txt"
@@ -315,8 +316,8 @@ def run_fresh(code: str) -> str:
 
 
 class TestColdStart:
-    """The command line loads no click, and numpy and scipy only when it
-    solves an LP."""
+    """The command line loads no click, numpy and scipy only when it solves
+    an LP, and only the plkb modules a command uses."""
 
     def test_import_loads_no_numpy_or_scipy(self):
         out = run_fresh(
@@ -351,6 +352,30 @@ class TestColdStart:
             assert loaded == str(solved)
             assert json.loads("\n".join(payload)) == run_json(runner, args)
 
+    @pytest.mark.parametrize("command, unused", [
+        (["classify"], {"plkb.evaluate", "plkb.explain", "plkb.tree"}),
+        (["explain", "-k", "2"], {"plkb.evaluate", "plkb.tree"}),
+    ])
+    def test_a_query_loads_only_the_modules_it_uses(self, runner, strings_csv, tmp_path,
+                                                     command, unused):
+        kb_path = tmp_path / "kb.plkb"
+        run_json(
+            runner,
+            ["train", "--method", "direct", "--input", str(strings_csv),
+             "--label-col", "label", "--pos-label", "pos", "--out", str(kb_path)],
+        )
+        args = [*command, "--kb", str(kb_path), "--domains", str(strings_csv),
+                "--query", "a1=0,a2=1,a3=0,a4=1"]
+        out = run_fresh(
+            "import sys\n"
+            "from plkb.cli import main\n"
+            f"main({args!r})\n"
+            "print(' '.join(sorted(m for m in sys.modules if m.startswith('plkb'))))"
+        )
+        *payload, loaded = out.strip().splitlines()
+        assert json.loads("\n".join(payload)) == run_json(runner, args)
+        assert "plkb.kb" in loaded.split() and not unused & set(loaded.split())
+
     def test_bench_lp_loads_highs_before_its_clock(self):
         # the first clock read sees HiGHS loaded: the import is not timed
         out = run_fresh(
@@ -369,6 +394,31 @@ class TestColdStart:
 
 def test_every_exported_name_resolves():
     assert [name for name in plkb.__all__ if not hasattr(plkb, name)] == []
+    assert set(plkb.__all__) <= set(dir(plkb))
+
+
+def test_the_package_imports_a_module_on_first_use():
+    out = run_fresh(
+        "import sys, plkb\n"
+        "print(sorted(m for m in sys.modules if m.startswith('plkb')))\n"
+        "print(plkb.tree is sys.modules['plkb.tree'])\n"
+        "print(plkb.infer_pos is sys.modules['plkb.lp'].infer_pos)\n"
+        "print('plkb.evaluate' in sys.modules)"
+    )
+    assert out.splitlines() == ["['plkb']", "True", "True", "False"]
+
+
+def test_an_exported_name_is_read_from_its_module_on_each_access(monkeypatch):
+    # nothing is kept in the package, so a patch and its undo both show
+    def marker(kb, query):
+        raise AssertionError
+    monkeypatch.setattr(plkb.evaluate, "classify_query", marker)
+    assert plkb.classify_query is marker
+    monkeypatch.undo()
+    assert plkb.classify_query is plkb.evaluate.classify_query is not marker
+    assert "classify_query" not in vars(plkb)
+    with pytest.raises(AttributeError, match="no attribute 'nothing'"):
+        plkb.nothing
 
 
 class TestSynthAndEval:

@@ -123,6 +123,17 @@ class TestRuleTextWalk:
         self.assert_written_as_reference(parse_kb(
             "0.5 pos | !a2=1 | !a10=0 | !a1=2\n0.25 pos | !a10=0 | !a1=2\n1 pos\n0 pos | !a1=2"))
 
+    def test_a_parsed_table_has_every_parent_text(self):
+        # a parsed model numbers pairs in text order, so a row's code less its
+        # lowest bit is often not met yet; its parent's text is a prefix of
+        # its own, sorted before it, so the row is written from that text
+        rng = random.Random(13)
+        rows = [(tuple(rng.choice(VALUES) for _ in FEATURES), rng.random() < 0.5)
+                for _ in range(8)]
+        parsed = parse_kb(serialize_kb(build_direct_kb(from_rows(FEATURES, rows), max_arity=3)))
+        assert self.rows_without_a_parent_text(parsed) == 0
+        self.assert_written_as_reference(parsed)
+
     def test_tree_leaves_lack_their_parents(self):
         rng = random.Random(5)
         rows = []

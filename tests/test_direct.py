@@ -157,6 +157,24 @@ class TestCounting:
         assert shared(parse_kb(serialize_kb(kb)).counts.values())
 
 
+class TestArity:
+    @settings(max_examples=50, deadline=None)
+    @given(datasets_and_queries())
+    def test_the_builder_hands_over_the_scanned_arity(self, case):
+        ds = case[0]
+        n = len(ds.features)
+        for max_arity in (None, 1, n, n + 3):
+            kb = build_direct_kb(ds, max_arity)
+            assert "arity" in vars(kb)  # handed over: reading it scans nothing
+            assert kb.arity == max(map(int.bit_count, kb.counts), default=0)
+            assert kb.arity == min(n, max_arity or n)
+
+    def test_any_other_kb_scans(self):
+        kb = parse_kb("1/2 pos | !a=1 | !b=2\n1/3 pos | !a=1")
+        assert "arity" not in vars(kb) and kb.arity == 2
+        assert "arity" not in vars(relevant_kb({"a": "1"}, kb))
+
+
 class TestRelevantKb:
     def test_empty_query(self, strings_direct_kb):
         assert len(relevant_kb({}, strings_direct_kb)) == 0

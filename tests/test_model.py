@@ -16,7 +16,7 @@ from helpers import CliRunner, tuple_counts
 
 from plkb.cli import main
 from plkb.data import from_rows
-from plkb.direct import active_kb, build_direct_kb
+from plkb.direct import active_kb, build_direct_kb, relevant_kb
 from plkb.evaluate import classify_query
 from plkb.explain import compute_explanation
 from plkb.kb import (
@@ -27,6 +27,7 @@ from plkb.kb import (
     KnowledgeBase,
     Literal,
     WeightedClause,
+    feature_names,
     parse_kb,
     read_model,
     rule_clause,
@@ -170,6 +171,94 @@ class TestScopedLoad:
         raw = saved(kb)
         assert read_model(raw, {f"f{i}": "1" for i in range(6)}) is not None
         assert read_model(raw, {f"f{i}": "1" for i in range(7)}) is None
+
+
+# Values past ASCII: UTF-8 byte order is code-point order, so the byte
+# reader bisects such models as it does ASCII ones.
+WIDE_VALUES = ["0", "1", "\u00e9", "\u65e5"]
+# Edits to a saved body, resealed so that the checksum holds: each keeps
+# the lines sorted by clause text, and at most one line fails a whole parse.
+EDITS = ["none", "unterminated", "twice", "conflict", "malformed", "not-utf8", "cr"]
+
+
+@st.composite
+def edited_models(draw):
+    """A saved rule-only model over ``WIDE_VALUES``, one of ``EDITS`` made
+    to its body and its checksum recomputed; the edit; and the features
+    its header names."""
+    pair = st.tuples(st.sampled_from(FEATURES), st.sampled_from(WIDE_VALUES))
+    bodies = draw(st.lists(st.lists(pair, max_size=4, unique_by=lambda p: p[0]),
+                           max_size=12, unique_by=frozenset))
+    kb = KnowledgeBase(WeightedClause(draw(_prob), rule_clause(b)) for b in bodies)
+    header, body = saved(kb).split(b"\n", 1)
+    lines = body.split(b"\n")[:-1]
+    edit = draw(st.sampled_from(EDITS))
+    i = draw(st.integers(0, len(lines) - 1))
+    prob, _, text = lines[i].partition(b" ")
+    if edit == "twice":
+        lines.insert(i, lines[i])
+    elif edit == "conflict":
+        lines.insert(i + 1, (b"0" if prob == b"1" else b"1") + b" " + text)
+    elif edit == "malformed":
+        lines[i] = b"0x " + text
+    elif edit == "not-utf8":
+        lines[i] += b"\xff"
+    elif edit == "cr":
+        lines[i] += b"\r"
+    body = b"\n".join(lines) + (b"" if edit == "unterminated" else b"\n")
+    return resealed(header + b"\n" + body), edit, feature_names(kb)
+
+
+def scoped_or_error(raw: bytes, query):
+    """``read_model``'s rows as :func:`tuple_counts` items in order, with its
+    feature names, or its error's message."""
+    try:
+        scoped, features = read_model(raw, query)
+    except KBParseError as exc:
+        return str(exc)
+    return list(tuple_counts(scoped).items()), features
+
+
+class TestByteReader:
+    """The scoped load reads the body as bytes in place.  Against a whole
+    parse: the rows :func:`relevant_kb` selects, in its order; the error of
+    a line it reads, under the same number; and None where only a whole
+    parse reads the body as ``str.splitlines`` does."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(edited_models(), st.lists(queries(), min_size=1, max_size=4))
+    def test_against_a_whole_parse(self, model, qs):
+        raw, edit, features = model
+        if edit in ("not-utf8", "cr"):
+            assert all(read_model(raw, query) is None for query in qs)
+            return
+        text = raw.decode()
+        lines = text.splitlines()
+        try:
+            whole, bad = parse_kb(text), None
+        except KBParseError as exc:
+            assert edit in ("conflict", "malformed")
+            bad = exc
+            whole = parse_kb("\n".join(lines[:exc.line_no - 1] + lines[exc.line_no:]))
+        for query in [*qs, {f: v for f, v in whole.atoms}]:
+            expected = list(tuple_counts(relevant_kb(query, whole)).items()), features
+            got = scoped_or_error(raw, query)
+            # a line that fails is read when the query selects its body
+            assert got == expected or bad is not None and got == str(bad)
+
+    def test_a_failing_line_is_numbered_by_the_newlines_before_it(self):
+        kb = KnowledgeBase(WeightedClause(Fraction(1, 2), rule_clause([(f"a{i}", "1")]))
+                           for i in range(1, 6))
+        header, body = saved(kb).split(b"\n", 1)
+        lines = body.split(b"\n")[:-1]
+        lines[3] = b"2 " + lines[3].partition(b" ")[2]
+        raw = resealed(header + b"\n" + b"\n".join(lines))  # no "\n" after the last line
+        with pytest.raises(KBParseError) as whole:
+            parse_kb(raw.decode())
+        assert str(whole.value) == "line 5: probability 2 outside [0, 1]"
+        assert scoped_or_error(raw, {"a4": "1"}) == str(whole.value)
+        assert scoped_or_error(raw, {"a5": "1"}) == (
+            [((("a5", "1"),), (2, 1))], ["a1", "a2", "a3", "a4", "a5"])
 
 
 def trained_model(tmp_path) -> tuple[Path, Path]:
