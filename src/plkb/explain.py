@@ -144,6 +144,7 @@ def compute_explanation(
         from concurrent.futures import ThreadPoolExecutor
 
         queries = [query, *map(dict, combinations(pairs, k))]
+        kb.counts  # a trained direct table is counted here, once, not per worker
         with ThreadPoolExecutor(min(len(queries), _usable_cpus())) as pool:
             results = list(pool.map(evaluate_sub_query, queries, repeat(kb)))
         positive = results[0].label

@@ -11,12 +11,14 @@ experiments.
 There is one knowledge-base type, :class:`KnowledgeBase`, and it keeps a
 rule in one place: ``counts``, the integer pairs rule probabilities are
 read from, keyed by the rule body's code, with the clause objects built
-only when something reads them.  Every other clause sits in ``others``,
+only when something reads them; a trained direct KB derives ``counts``
+from its row index on first read.  Every other clause sits in ``others``,
 in order.  A code is an ``int`` with one bit per feature-value pair: bit
 ``i`` stands for ``atoms[i]`` of the KB's atom table ``bits``, so a body
 is the OR of its pairs' bits, a body lies inside a query when ``code &
 ~query == 0``, and a query's subsets are listed as ORs of its pairs'
-bits.  The direct and tree builders fill ``counts`` directly,
+bits.  The tree builder fills ``counts`` directly, the direct builder
+hands over the row index it is counted from (see :mod:`plkb.direct`),
 :func:`parse_kb` reads a rule line straight into it, and the constructor
 alone routes a rule given as a clause object into it; each numbers a
 pair when a rule first holds it, so no code is ever re-coded.  A code is as
@@ -54,7 +56,10 @@ from functools import cached_property, reduce
 from itertools import chain
 from math import comb
 from operator import or_
-from typing import Iterable, Iterator, Mapping, Sequence, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Sequence, Union
+
+if TYPE_CHECKING:
+    from .direct import SubsetCounter
 
 Probability = Union[float, Fraction]
 Pair = tuple[str, str]
@@ -302,6 +307,11 @@ class KnowledgeBase:
     multi-digit int that hashes more slowly.  The sub-KBs selected from a
     KB share its table, so the table may hold pairs no row uses.
 
+    ``index`` is the row index a trained direct KB was built over (a
+    :class:`~plkb.direct.SubsetCounter`), None for any other KB.  Such a
+    KB counts ``counts`` from it when something first reads them, and its
+    selection reads a query's rows off the index instead.
+
     :attr:`clauses` lists the rules in ``counts`` order, then ``others``,
     and iteration runs over it.  No rule clause object exists until
     something reads :attr:`clauses` or iterates the KB, which builds them
@@ -317,9 +327,9 @@ class KnowledgeBase:
     equal when they hold the same weighted clauses, in any order.
     """
 
-    counts: Mapping[int, Sequence[int]]
     bits: AtomBits
     others: tuple[WeightedClause, ...]
+    index: SubsetCounter | None
 
     def __init__(
         self,
@@ -327,6 +337,7 @@ class KnowledgeBase:
         counts: dict[int, tuple[int, int]] | None = None,
         bits: AtomBits | None = None,
         arity: int | None = None,
+        index: SubsetCounter | None = None,
     ):
         counts = {} if counts is None else counts
         bits = AtomBits() if bits is None else bits
@@ -345,11 +356,17 @@ class KnowledgeBase:
                     f"duplicate clause {wc.clause} with conflicting "
                     f"probabilities {prev_p} and {wc.probability}"
                 )
-        object.__setattr__(self, "counts", counts)
+        if index is None:  # else counted from the index on first read
+            object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "bits", bits)
         object.__setattr__(self, "others", tuple(others.values()))
+        object.__setattr__(self, "index", index)
         if arity is not None:  # the builder's longest body: no scan
             object.__setattr__(self, "arity", arity)
+
+    @cached_property
+    def counts(self) -> Mapping[int, tuple[int, int]]:
+        return self.index.count()
 
     @property
     def atoms(self) -> Sequence[Pair]:

@@ -1,4 +1,5 @@
 import random
+import threading
 from fractions import Fraction
 from itertools import combinations
 
@@ -19,13 +20,14 @@ from helpers import (
 
 import plkb.direct
 
-from plkb.data import from_rows
+from plkb.data import from_rows, generate_synthetic, random_seed_spec, split
 from plkb.direct import (
+    SubsetCounter,
     active_kb,
     build_direct_kb,
     relevant_kb,
 )
-from plkb.evaluate import classify_query
+from plkb.evaluate import classify_query, train_kb
 from plkb.explain import compute_explanation
 from plkb.kb import (
     KnowledgeBase,
@@ -150,11 +152,78 @@ class TestCounting:
     @given(datasets_and_queries())
     def test_counts_are_exact_and_share_one_tuple_per_value(self, case):
         ds, max_arity, _ = case
-        kb = build_direct_kb(ds, max_arity)
-        assert list(tuple_counts(kb).items()) == list(naive_counts(ds, max_arity).items())
-        assert all(type(v) is tuple for v in kb.counts.values())
-        assert shared(kb.counts.values())
-        assert shared(parse_kb(serialize_kb(kb)).counts.values())
+        n = len(ds.features)
+        for cap in (max_arity, None, 1, n, n + 3):
+            kb = build_direct_kb(ds, cap)
+            assert "counts" not in vars(kb)  # counted on the first read below
+            assert list(tuple_counts(kb).items()) == list(naive_counts(ds, cap).items())
+            assert all(type(v) is tuple for v in kb.counts.values())
+            assert shared(kb.counts.values())
+            assert shared(parse_kb(serialize_kb(kb)).counts.values())
+
+
+def counted(kb: KnowledgeBase) -> KnowledgeBase:
+    """The KB of ``kb``'s counted table, over its atom table, with no row
+    index: it selects by lookup or scan."""
+    return KnowledgeBase(counts=dict(kb.counts), bits=kb.bits)
+
+
+class TestRowIndex:
+    """A trained direct KB keeps its rows as one bitset per pair and
+    counts its table only when something reads all of it."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(datasets_and_queries())
+    def test_selection_equals_the_lookup_over_the_counted_table(self, case):
+        ds, _, queries = case
+        n = len(ds.features)
+        # a pair no row holds: its feature is not one of the data set's
+        queries = queries + [{**q, "g": "0"} for q in queries[:2]]
+        for max_arity in (None, 1, n, n + 3):
+            kb = build_direct_kb(ds, max_arity)
+            selected = [list(relevant_kb(q, kb).counts.items()) for q in queries]
+            assert "counts" not in vars(kb)
+            ref = counted(kb)
+            assert selected == [list(relevant_kb(q, ref).counts.items()) for q in queries]
+            assert all(0 not in dict(rows) for rows in selected)
+
+    def test_classify_and_explain_never_count_the_table(self):
+        spec = random_seed_spec(5, 3, 3, 4)
+        train, test = split(generate_synthetic(spec, 60, 4), 0.7, 4)
+        kb = train_kb(train, "direct")
+        eager = counted(train_kb(train, "direct"))
+        queries = [dict(inst.values) for inst in test.instances]
+        for q in queries:
+            assert classify_query(kb, q) == classify_query(eager, q)
+            assert compute_explanation(q, kb, 2) == compute_explanation(q, eager, 2)
+        assert "counts" not in vars(kb) and "clauses" not in vars(kb)
+        # whatever reads the whole table counts it, and reads today's table
+        extra = [WeightedClause(Fraction(9, 10), rule_clause([("a1", "1"), ("g", "0")]))]
+        partial = dict(list(queries[0].items())[:2])
+        reads = (serialize_kb, len, lambda kb: serialize_kb(merge(kb, extra)),
+                 lambda kb: infer_pos(kb, partial))
+        for read in reads:
+            fresh = train_kb(train, "direct")
+            assert read(fresh) == read(eager)
+            assert "counts" in vars(fresh)
+
+    def test_a_whole_kb_explanation_counts_the_table_once(self, strings_ds, monkeypatch):
+        calls = []
+        original = SubsetCounter.count
+
+        def count(index):
+            calls.append(threading.current_thread())
+            return original(index)
+
+        monkeypatch.setattr(SubsetCounter, "count", count)
+        eager = counted(build_direct_kb(strings_ds))
+        calls.clear()
+        kb = build_direct_kb(strings_ds)
+        q = query_from_string("1010")
+        got = compute_explanation(q, kb, 2, use_relevant=False)
+        # once, before the workers that share the KB start
+        assert calls == [threading.current_thread()]
+        assert got == compute_explanation(q, eager, 2, use_relevant=False)
 
 
 class TestArity:
@@ -166,6 +235,7 @@ class TestArity:
         for max_arity in (None, 1, n, n + 3):
             kb = build_direct_kb(ds, max_arity)
             assert "arity" in vars(kb)  # handed over: reading it scans nothing
+            assert "counts" not in vars(kb)  # nor counts the table
             assert kb.arity == max(map(int.bit_count, kb.counts), default=0)
             assert kb.arity == min(n, max_arity or n)
 
@@ -351,10 +421,13 @@ class TestRuleTable:
 
 
 class TestSelectionCost:
-    """A wide query never lists its 2^n subsets: the selection looks up
-    the codes of its subsets up to the table's longest body, or scans the
-    rows when even that many lookups would dwarf them.  The cost is pinned
-    by the number of candidate codes listed."""
+    """A wide query never lists its 2^n subsets: a trained direct table
+    walks its row bitsets up to its longest body, extending only subsets
+    some row holds; any other table looks up the codes of its subsets to
+    the same size, or scans the rows when that many lookups would dwarf
+    them.
+    The cost is pinned by the number of bitset ANDs taken or candidate
+    codes listed."""
 
     FEATURES = [f"f{i}" for i in range(1, 25)]
 
@@ -381,11 +454,22 @@ class TestSelectionCost:
         return listed
 
     def test_arity_one_table_lists_one_code_per_pair(self, table_and_query, monkeypatch):
+        # the walk ANDs each pair's row bitset once, into the empty
+        # subset's rows, and lists no subset codes
         ds, query = table_and_query
         table = build_direct_kb(ds, max_arity=1)
+        ands = []
+
+        class Rows(int):
+            def __rand__(self, other):
+                ands.append(other)
+                return int(other) & int(self)
+
+        index = table.index
+        monkeypatch.setattr(index, "rows_with", {b: Rows(r) for b, r in index.rows_with.items()})
         listed = self.count_candidates(monkeypatch)
         selected = relevant_kb(query, table)
-        assert listed == [1 + 24]
+        assert len(ands) == 24 and listed == []
         assert tuple_counts(selected) == reference_select(query, table)
         assert len(selected) == 24
 
