@@ -30,9 +30,8 @@ class SubsetCounter:
     rows came.  ``rows_with`` maps a pair's bit to the bitset of the rows
     holding it (bit ``i`` for ``rows[i]``) and ``positive`` is the bitset of
     the positive rows, so a subset's rows are the AND of its pairs' bitsets
-    and its count two popcounts (Zaki's vertical layout).  ``arity`` is the
-    longest subset counted, handed to the KB so that it never scans for
-    it; every :meth:`add_instance` call must pass the same ``max_arity``.
+    and its count two popcounts (Zaki's vertical layout).  ``arity`` caps
+    the subsets counted and selected; the KB reads its longest body off it.
 
     :meth:`count` lists the whole table.  Equal counts are one tuple
     object: a desk-sized table has ~355k rows but only ~700 distinct
@@ -41,13 +40,13 @@ class SubsetCounter:
     hit)``; a count is interned in ``values`` when either table first makes
     it, so an update allocates nothing but on a table miss."""
 
+    arity: int
     bits: AtomBits = field(default_factory=AtomBits)
     rows: list[tuple[int, ...]] = field(default_factory=list)
     rows_with: dict[int, int] = field(default_factory=dict)
     positive: int = 0
-    arity: int = field(default=0, init=False, compare=False)
 
-    def add_instance(self, values: Mapping[str, str], label: bool, max_arity: int):
+    def add_instance(self, values: Mapping[str, str], label: bool):
         row = 1 << len(self.rows)
         pairs = tuple(map(self.bits.add, values.items()))
         self.rows.append(pairs)
@@ -55,7 +54,6 @@ class SubsetCounter:
             self.rows_with[b] = self.rows_with.get(b, 0) | row
         if label:
             self.positive |= row
-        self.arity = max(self.arity, min(max_arity, len(values)))
 
     def count(self) -> dict[int, tuple[int, int]]:
         """Every subset of at most ``arity`` pairs some row holds, code ->
@@ -96,7 +94,7 @@ class SubsetCounter:
         """A knowledge base over this index, which counts its ``counts``
         on first read; the KB shares this counter, so add no instances
         afterwards."""
-        return KnowledgeBase(bits=self.bits, arity=self.arity, index=self)
+        return KnowledgeBase(bits=self.bits, index=self)
 
 
 def build_direct_kb(train: Dataset, max_arity: int | None = None) -> KnowledgeBase:
@@ -121,9 +119,9 @@ def build_direct_kb(train: Dataset, max_arity: int | None = None) -> KnowledgeBa
         max_arity = n_features
     if max_arity < 1:
         raise ValueError("max_arity must be >= 1")
-    counter = SubsetCounter()
+    counter = SubsetCounter(min(max_arity, n_features))
     for inst in train.instances:
-        counter.add_instance(inst.values, inst.label, max_arity)
+        counter.add_instance(inst.values, inst.label)
     return counter.to_kb()
 
 

@@ -309,8 +309,8 @@ class KnowledgeBase:
 
     ``index`` is the row index a trained direct KB was built over (a
     :class:`~plkb.direct.SubsetCounter`), None for any other KB.  Such a
-    KB counts ``counts`` from it when something first reads them, and its
-    selection reads a query's rows off the index instead.
+    KB counts ``counts`` from it when something first reads them, reads
+    its :attr:`arity` off it, and selects a query's rows from it.
 
     :attr:`clauses` lists the rules in ``counts`` order, then ``others``,
     and iteration runs over it.  No rule clause object exists until
@@ -320,11 +320,10 @@ class KnowledgeBase:
     The constructor routes each rule-shaped clause of ``clauses`` into
     ``counts``, numbering its new pairs into ``bits``, and keeps both in
     place: a builder hands them over and does not change them afterwards.
-    A builder that knows its longest body hands it over as ``arity``, which
-    must be the value :attr:`arity` would scan.  Duplicate clauses with the
-    same probability collapse; duplicates with different probabilities are
-    an error (use :func:`merge` for override semantics).  Two KBs are
-    equal when they hold the same weighted clauses, in any order.
+    Duplicate clauses with the same probability collapse; duplicates with
+    different probabilities are an error (use :func:`merge` for override
+    semantics).  Two KBs are equal when they hold the same weighted
+    clauses, in any order.
     """
 
     bits: AtomBits
@@ -336,7 +335,6 @@ class KnowledgeBase:
         clauses: Iterable[WeightedClause] = (),
         counts: dict[int, tuple[int, int]] | None = None,
         bits: AtomBits | None = None,
-        arity: int | None = None,
         index: SubsetCounter | None = None,
     ):
         counts = {} if counts is None else counts
@@ -361,8 +359,6 @@ class KnowledgeBase:
         object.__setattr__(self, "bits", bits)
         object.__setattr__(self, "others", tuple(others.values()))
         object.__setattr__(self, "index", index)
-        if arity is not None:  # the builder's longest body: no scan
-            object.__setattr__(self, "arity", arity)
 
     @cached_property
     def counts(self) -> Mapping[int, tuple[int, int]]:
@@ -408,9 +404,10 @@ class KnowledgeBase:
 
     @cached_property
     def arity(self) -> int:
-        """The longest rule body: the builder's ``max_arity`` when it saw
-        an instance that long.  Scanned once, unless the builder handed
-        it over."""
+        """The longest rule body: the row index's cap on a trained direct
+        KB, scanned once on any other."""
+        if self.index is not None:
+            return self.index.arity
         return max(map(int.bit_count, self.counts), default=0)
 
 

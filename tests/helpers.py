@@ -214,6 +214,25 @@ def forest_label(forest: list, values) -> bool:
     return 2 * votes > len(forest)
 
 
+def sufficient(sub, rows, label: bool) -> bool:
+    """Brute force: ``sub`` is a sufficient reason for ``label`` when every
+    row (an instance of the concept) that agrees with it has that label."""
+    pairs = sub.items()
+    return all(inst.label == label for inst in rows if pairs <= inst.values.items())
+
+
+def smallest_reason(values, rows, label: bool, most: int) -> dict[str, str] | None:
+    """Brute force: the first sufficient reason for ``label`` among the
+    sub-queries of ``values`` of at most ``most`` pairs, smallest first and
+    in sorted pair order within a size; None when there is none."""
+    pairs = sorted(values.items())
+    for size in range(1, most + 1):
+        for combo in combinations(pairs, size):
+            if sufficient(dict(combo), rows, label):
+                return dict(combo)
+    return None
+
+
 def query_from_string(s: str) -> dict[str, str]:
     return {f"a{i}": ch for i, ch in enumerate(s, start=1)}
 

@@ -23,6 +23,8 @@ from helpers import (
     query_from_string,
     random_dataset,
     satisfiable_random_kb,
+    smallest_reason,
+    sufficient,
     tic_tac_toe_dataset,
     unpresolved_infer,
 )
@@ -364,3 +366,64 @@ def test_c19_direct_beats_a_random_forest_on_seed_strings():
     forest, direct, tree = mean_forest_f1(ds), mean_f1(ds, "direct"), mean_f1(ds, "tree")
     assert forest >= 0.81 and direct >= 0.83 and tree >= 0.62
     assert direct > forest > tree
+
+
+def explanation_sufficiency(ds, method: str):
+    """Explanations of ``method`` checked as sufficient reasons against
+    every row of ``ds``, over the test rows of seeds 0-4 that
+    :func:`classify_query` labels correctly.  Returns the number of those
+    rows; of sufficient explanations at k = 1, 2, 3; of rows with a
+    sufficient reason of at most 1, 2, 3 pairs; and ``(seed, features,
+    score)`` of each k=1 explanation that is not sufficient though a
+    one-pair reason exists."""
+    rows = ds.instances
+    explained, held, reasons, missed = 0, [0, 0, 0], [0, 0, 0], []
+    for seed in range(5):
+        train, test = split(balance(ds, seed), 0.7, seed)
+        kb = train_kb(train, method)
+        for inst in test.instances:
+            if classify_query(kb, inst.values).label != inst.label:
+                continue
+            explained += 1
+            reason = smallest_reason(inst.values, rows, inst.label, 3)
+            for k in (1, 2, 3):
+                expl = compute_explanation(inst.values, kb, k)
+                ok = sufficient(expl.sub_query, rows, inst.label)
+                held[k - 1] += ok
+                reasons[k - 1] += reason is not None and len(reason) <= k
+                if k == 1 and not ok and reason is not None and len(reason) == 1:
+                    missed.append((seed, tuple(expl.sub_query), expl.score))
+    return explained, held, reasons, missed
+
+
+def test_c20_monk1_explanations_are_sufficient_reasons(monk1):
+    # A sufficient reason: every one of the 432 rows that agrees with the
+    # sub-query has the row's label.  Measured over seeds 0-4, correctly
+    # classified rows; sufficient at k=1/2/3; rows with a reason of at most
+    # 1/2/3 pairs:
+    #   direct: 524; 155/169/438 (0.296/0.323/0.836); 155/184/524
+    #   tree:   619; 156/285/385 (0.252/0.460/0.622); 156/285/619
+    # Each share bound sits about 0.05 below.  Both methods find a one-pair
+    # reason whenever one exists.
+    for method, bounds in (("direct", (0.25, 0.27, 0.79)), ("tree", (0.20, 0.41, 0.57))):
+        explained, held, reasons, missed = explanation_sufficiency(monk1, method)
+        assert reasons[2] == explained  # every row has a reason of 3 pairs
+        assert all(h / explained >= b for h, b in zip(held, bounds))
+        assert missed == []
+
+
+def test_c20_monk3_explanations_are_sufficient_reasons():
+    # As c20 on MONK-1.  Measured over seeds 0-4:
+    #   direct: 645; 170/285/553 (0.264/0.442/0.857); 170/645/645
+    #   tree:   685; 147/613/685 (0.215/0.895/1.0);   189/685/685
+    # Each share bound sits about 0.05 below.  Direct finds a one-pair
+    # reason whenever one exists.  Tree misses it on 42 rows, all at seed
+    # 2: that seed's ID3 tree roots at a2 and has no leaf at depth 1, so
+    # every one-pair sub-query has no relevant row, scores 0.5, and the
+    # tie-break picks the smallest, a1=...  Pinned as measured.
+    ds = monk3_dataset()
+    for method, bounds in (("direct", (0.21, 0.39, 0.81)), ("tree", (0.16, 0.84, 0.95))):
+        explained, held, reasons, missed = explanation_sufficiency(ds, method)
+        assert reasons[1] == explained  # every row has a reason of 2 pairs
+        assert all(h / explained >= b for h, b in zip(held, bounds))
+        assert missed == ([] if method == "direct" else [(2, ("a1",), 0.5)] * 42)

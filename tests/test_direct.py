@@ -229,15 +229,14 @@ class TestRowIndex:
 class TestArity:
     @settings(max_examples=50, deadline=None)
     @given(datasets_and_queries())
-    def test_the_builder_hands_over_the_scanned_arity(self, case):
+    def test_a_trained_table_reads_its_arity_off_the_row_index(self, case):
         ds = case[0]
         n = len(ds.features)
         for max_arity in (None, 1, n, n + 3):
             kb = build_direct_kb(ds, max_arity)
-            assert "arity" in vars(kb)  # handed over: reading it scans nothing
-            assert "counts" not in vars(kb)  # nor counts the table
+            assert kb.arity == kb.index.arity == min(n, max_arity or n)
+            assert "counts" not in vars(kb)  # reading it counts nothing
             assert kb.arity == max(map(int.bit_count, kb.counts), default=0)
-            assert kb.arity == min(n, max_arity or n)
 
     def test_any_other_kb_scans(self):
         kb = parse_kb("1/2 pos | !a=1 | !b=2\n1/3 pos | !a=1")

@@ -351,24 +351,30 @@ class TestConcurrentFullKb:
         atoms, counts = list(kb.atoms), dict(kb.counts)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        threads = set()
+        # one set of thread idents per call: each call makes its own pool,
+        # whose worker need not reuse the ident of the last call's
+        threads: list[set[int]] = []
         original = plkb.explain.evaluate_sub_query
 
         def recording(sub, kb):
-            threads.add(threading.get_ident())
+            threads[-1].add(threading.get_ident())
             return original(sub, kb)
+
+        def explain(q):
+            threads.append(set())
+            return compute_explanation(q, kb, 2, use_relevant=False)
 
         monkeypatch.setattr(plkb.explain, "evaluate_sub_query", recording)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = [compute_explanation(q, kb, 2, use_relevant=False) for q in queries]
+            got = [explain(q) for q in queries]
         finally:
             sys.setswitchinterval(interval)
         assert got == want
         assert (list(kb.atoms), dict(kb.counts)) == (atoms, counts)
         if cpus == 1:
-            assert len(threads) == 1
+            assert [len(t) for t in threads] == [1] * len(queries)
 
     def test_solver_failure_reaches_the_caller(self, monkeypatch, tree_with_knowledge):
         kb, queries = tree_with_knowledge
